@@ -1,12 +1,22 @@
 """Entire-space positive radial ground states by shooting.
 
 The limiting system U'' + (N-1)U'/r = -V^q, V'' + (N-1)V'/r = -U^p is
-integrated from a series start near r=0 with V(0)=1, bisecting on
+integrated from a series start near r=0 with V(0)=1, solving for
 d = U(0): too-small d makes U cross zero, too-large d makes V cross zero.
 When neither component crosses before r_max, the run is classified by the
 sign of the projected harmonic limits; using the difference
 (U + r U'/(N-2)) - (V + r V'/(N-2)) cancels the subleading-tail bias that
-otherwise stalls the bisection around 1e-10 (exactly so for p = q).
+otherwise stalls the root-find around 1e-10 (exactly so for p = q).
+
+Each run yields a signed miss whose sign is that classification. Brent on
+the miss steers and a dyadic sign bisection decides: brentq pins d* in a
+few superlinear steps, then the bisection replays from the scan bracket,
+integrating only the midpoints Brent's runs leave undecided, so d* is the
+bisection's own dyadic point and every downstream number is unchanged
+from a plain bisection. Brent's root is not used directly: near d* the
+miss has a noise floor of ~1e-13 relative in d, and at (p, q, N) =
+(1, 9, 5) S moves by ~1.5e5 times the relative shift of d*, so a root
+1.7e-13 off the dyadic point moves S by 2.5e-8.
 
 Improper integrals (Sobolev constant, bubble moments) are evaluated on the
 stored profile plus an analytic tail from the fitted decay law; brute
@@ -15,10 +25,12 @@ slowly near the admissibility boundary.
 """
 
 from dataclasses import dataclass, field
+from math import copysign
 
 import numpy as np
 from scipy.integrate import solve_ivp, simpson
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .mesh import sphere_area
 
@@ -82,11 +94,8 @@ class BubbleProfile:
 
     # -- pointwise evaluation --------------------------------------------
     def _series(self, r, which):
-        d, p, q, N = self.shoot_d, self.pack.p, self.pack.q, self.pack.N
-        a2 = -1.0 / (2 * N)
-        b2 = -d ** p / (2 * N)
-        a4 = q * d ** p / (8 * N * (N + 2))
-        b4 = p * d ** (p - 1) / (8 * N * (N + 2))
+        d = self.shoot_d
+        a2, b2, a4, b4 = _series_coeffs(self.pack, d)
         if which == "U":
             return d + a2 * r ** 2 + a4 * r ** 4
         if which == "V":
@@ -173,13 +182,19 @@ class BubbleProfile:
 
 # -- integration of the radial system -------------------------------------
 
-def _initial_state(pack, d):
+def _series_coeffs(pack, d):
+    """(a2, b2, a4, b4) of the regular near-origin expansion
+    U = d + a2 r^2 + a4 r^4, V = 1 + b2 r^2 + b4 r^4."""
     p, q, N = pack.p, pack.q, pack.N
+    return (-1.0 / (2 * N),
+            -d ** p / (2 * N),
+            q * d ** p / (8 * N * (N + 2)),
+            p * d ** (p - 1) / (8 * N * (N + 2)))
+
+
+def _initial_state(pack, d):
     r0 = R_START
-    a2 = -1.0 / (2 * N)
-    b2 = -d ** p / (2 * N)
-    a4 = q * d ** p / (8 * N * (N + 2))
-    b4 = p * d ** (p - 1) / (8 * N * (N + 2))
+    a2, b2, a4, b4 = _series_coeffs(pack, d)
     y0 = [d + a2 * r0 ** 2 + a4 * r0 ** 4,
           2 * a2 * r0 + 4 * a4 * r0 ** 3,
           1.0 + b2 * r0 ** 2 + b4 * r0 ** 4,
@@ -190,12 +205,14 @@ def _initial_state(pack, d):
 def _rhs(pack):
     p, q, N = pack.p, pack.q, pack.N
 
+    # Python floats: each integration runs ~15% faster than on numpy
+    # scalars, with bit-identical trajectories
     def rhs(r, y):
-        U, dU, V, dV = y
+        U, dU, V, dV = y.tolist()
         return [dU,
-                -np.sign(V) * abs(V) ** q - (N - 1) * dU / r,
+                -copysign(abs(V) ** q, V) - (N - 1) * dU / r,
                 dV,
-                -np.sign(U) * abs(U) ** p - (N - 1) * dV / r]
+                -copysign(abs(U) ** p, U) - (N - 1) * dV / r]
 
     return rhs
 
@@ -220,12 +237,18 @@ def _integrate(pack, d, r_max, rtol, t_eval=None):
     return sol
 
 
-def _classify(pack, d, r_max, rtol):
+def _miss(pack, d, r_max, rtol):
+    """Signed miss of the run from U(0) = d: negative when d is too small,
+    positive when it is too large.
+
+    A run that reaches r_max returns the projected offset c0 below; its
+    sign is the run's label (high iff c0 > 0). A run stopped by a crossing
+    returns -|proj U| (U crossed zero) or +|proj V| (V crossed zero) at
+    the crossing radius. Brent needs fewer runs on that than on a signed
+    |c0| at the crossing: 19 and 24 integrations per shoot at
+    (2.75, 1.5, 6) and (1, 9, 5), against 23 and 34.
+    """
     sol = _integrate(pack, d, r_max, rtol)
-    if sol.t_events[0].size:
-        return "low"   # U crossed zero: initial slope too small
-    if sol.t_events[1].size:
-        return "high"  # V crossed zero: initial slope too large
     U, dU, V, dV = sol.y[:, -1]
     r = sol.t[-1]
     # projected flattening offsets: W + lam(r) r W' annihilates the
@@ -236,22 +259,34 @@ def _classify(pack, d, r_max, rtol):
         lam = (1.0 / (-m)) if l == 0 else -np.log(r) / (m * np.log(r) + 1.0)
         return W + lam * r * dW
 
-    mU, lU = decay_law(pack.q, pack.N)
-    mV, lV = decay_law(pack.p, pack.N)
-    c0 = proj(U, dU, mU, lU) - proj(V, dV, mV, lV)
-    return "high" if c0 > 0 else "low"
+    offset_U = proj(U, dU, *decay_law(pack.q, pack.N))
+    offset_V = proj(V, dV, *decay_law(pack.p, pack.N))
+    if sol.t_events[0].size:
+        return -abs(offset_U)  # U crossed zero: initial slope too small
+    if sol.t_events[1].size:
+        return abs(offset_V)   # V crossed zero: initial slope too large
+    return offset_U - offset_V
 
 
 def shoot(pack, r_max=400.0, tol=1e-12, rtol=1e-11, n_samples=4000,
           max_doublings=3):
     """Shoot the ground state; returns a fitted :class:`BubbleProfile`.
 
-    Bisects d = U(0) until the bracket width is <= tol * d (or machine
-    precision); r_max is doubled automatically until the tail-fit window
-    shows a plateau. The default r_max balances two floors: the fit wants
-    a long tail, but for N=6 the r^(2-N) tail magnitude meets the
-    integrator's constant-mode noise floor (~1e-11) soon after r ~ 1e3,
-    so larger defaults are counterproductive.
+    d = U(0) is the dyadic bisection point of the scan bracket at which
+    the bracket width first falls to <= tol * d (or machine precision).
+    Brent on the signed miss steers and the bisection decides: brentq
+    narrows d* in a few superlinear steps, and the bisection replays from
+    the scan bracket, integrating only the midpoints Brent's runs leave
+    undecided (see :func:`_bisect`). Returning Brent's root instead would
+    move S: near d* the miss is noisy at ~1e-13 relative in d, and at
+    (p, q, N) = (1, 9, 5) S shifts by ~1.5e5 times the relative shift of
+    d*, so a root 1.7e-13 off the dyadic point moves S by 2.5e-8.
+
+    r_max is doubled automatically until the tail-fit window shows a
+    plateau. The default r_max balances two floors: the fit wants a long
+    tail, but for N=6 the r^(2-N) tail magnitude meets the integrator's
+    constant-mode noise floor (~1e-11) soon after r ~ 1e3, so larger
+    defaults are counterproductive.
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol = {tol} outside (0, 1e-4]")
@@ -267,12 +302,18 @@ def shoot(pack, r_max=400.0, tol=1e-12, rtol=1e-11, n_samples=4000,
 
 
 def _shoot_fixed(pack, r_max, tol, rtol, n_samples):
-    # bracket by geometric scan from d = 1
+    lo, hi = _bracket(pack, r_max, min(1e-8, rtol * 100))
+    d_star = _bisect(pack, lo, hi, r_max, tol, rtol)
+    return _profile(pack, d_star, r_max, rtol, n_samples)
+
+
+def _bracket(pack, r_max, rtol):
+    """(lo, hi) around d*: geometric scan from d = 1 in steps of 1.4."""
     d = 1.0
     d_low = d_high = None
     labels = {}
     for _ in range(120):
-        lab = _classify(pack, d, r_max, min(1e-8, rtol * 100))
+        lab = "high" if _miss(pack, d, r_max, rtol) > 0 else "low"
         labels[d] = lab
         if lab == "low":
             d_low = d
@@ -281,23 +322,52 @@ def _shoot_fixed(pack, r_max, tol, rtol, n_samples):
             d_high = d
             d /= 1.4
         if d_low is not None and d_high is not None:
-            break
-    else:
-        ends = sorted(labels)
-        raise BracketError(
-            f"no low/high bracket in d within [{ends[0]:.3e}, {ends[-1]:.3e}]"
-            f"; end classifications: {labels[ends[0]]}, {labels[ends[-1]]}")
-    lo, hi = min(d_low, d_high), max(d_low, d_high)
+            return min(d_low, d_high), max(d_low, d_high)
+    ends = sorted(labels)
+    raise BracketError(
+        f"no low/high bracket in d within [{ends[0]:.3e}, {ends[-1]:.3e}]"
+        f"; end classifications: {labels[ends[0]]}, {labels[ends[-1]]}")
+
+
+def _bisect(pack, lo, hi, r_max, tol, rtol):
+    """Sign bisection of [lo, hi] on the miss, steered by Brent.
+
+    brentq runs first, to a quarter of the bisection's final width. The
+    bisection then replays from [lo, hi] with its own stopping rule: a
+    midpoint at or below the largest d Brent saw low is low, one at or
+    above the smallest d it saw high is high, and only the 0-2 midpoints
+    inside Brent's final bracket are integrated. The result is the dyadic
+    midpoint a plain sign bisection lands on, bit for bit (the module
+    docstring says why Brent's own root is not returned).
+    """
+    misses = {}
+
+    def miss(d):
+        if d not in misses:
+            misses[d] = _miss(pack, d, r_max, rtol)
+        # an exact zero is low; brentq would stop on it (at p = q, d = 1
+        # gives U = V and c0 = 0 exactly), so hand it the nearest low value
+        return misses[d] or -np.finfo(float).tiny
+
+    # without a sign change at this rtol, the end labels decide every
+    # midpoint, as they would in the plain bisection
+    if (miss(lo) > 0) != (miss(hi) > 0):
+        brentq(miss, lo, hi, xtol=0.25 * tol * lo, disp=False)
+    d_low = max((d for d, m in misses.items() if m <= 0), default=-np.inf)
+    d_high = min((d for d, m in misses.items() if m > 0), default=np.inf)
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi) or hi - lo <= max(tol * mid, 4 * np.spacing(mid)):
             break
-        if _classify(pack, mid, r_max, rtol) == "low":
+        if mid <= d_low or (mid < d_high and miss(mid) <= 0):
             lo = mid
         else:
             hi = mid
-    d_star = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
+
+def _profile(pack, d_star, r_max, rtol, n_samples):
+    """Sample the run from U(0) = d_star and fit its constants."""
     r_grid = np.geomspace(R_START, r_max, n_samples)
     sol = _integrate(pack, d_star, r_max, rtol, t_eval=r_grid)
     # drop any trailing samples where the near-critical run lost positivity

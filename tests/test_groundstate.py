@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
+from lanedual import groundstate as gs
 from lanedual.exponents import derived_constants
 from lanedual.groundstate import (
     DivergentTailError,
@@ -111,6 +112,91 @@ def test_shoot_rmax_doubling(pack334):
     prof = shoot(pack334, r_max=20.0)
     assert prof.r_max >= 40.0
     assert prof.S == pytest.approx(np.sqrt(32.0 / 3.0) * np.pi, rel=1e-3)
+
+
+# -- root-find ---------------------------------------------------------------
+
+R_MAX, RTOL, TOL = 400.0, 1e-11, 1e-12   # shoot's defaults at r_max = 400
+
+
+def sign_bisection(pack):
+    """Reference: plain bisection on the sign of the miss from the scan
+    bracket, with the shooter's stopping rule and no Brent steering."""
+    lo, hi = gs._bracket(pack, R_MAX, min(1e-8, RTOL * 100))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi) or hi - lo <= max(TOL * mid, 4 * np.spacing(mid)):
+            return 0.5 * (lo + hi)
+        if gs._miss(pack, mid, R_MAX, RTOL) > 0:
+            hi = mid
+        else:
+            lo = mid
+
+
+@pytest.mark.parametrize("profile", ["profile195", "profile_log6"])
+def test_shoot_matches_plain_sign_bisection(profile, request):
+    prof = request.getfixturevalue(profile)
+    d_ref = sign_bisection(prof.pack)
+    assert prof.shoot_d == d_ref
+    assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, RTOL, 4000).S
+
+
+@pytest.mark.parametrize("pqN, most", [((3.0, 3.0, 4), 8),
+                                       ((1.0, 9.0, 5), 30)])
+def test_shoot_integration_count(monkeypatch, pqN, most):
+    # a plain sign bisection makes 42 and 44 integrations here
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(gs, "solve_ivp", counting)
+    shoot(derived_constants(*pqN), r_max=R_MAX)
+    assert len(calls) <= most
+
+
+def projected_offset_difference(pack, sol):
+    """Reference c0 of a run that reached r_max."""
+    U, dU, V, dV = sol.y[:, -1]
+    r = sol.t[-1]
+
+    def proj(W, dW, src):
+        m, l = gs.decay_law(src, pack.N)
+        lam = -1.0 / m if l == 0 else -np.log(r) / (m * np.log(r) + 1.0)
+        return W + lam * r * dW
+
+    return proj(U, dU, pack.q) - proj(V, dV, pack.p)
+
+
+@pytest.mark.parametrize("profile", ["profile334", "profile226",
+                                     "profile_log6", "profile195"])
+def test_miss_sign_matches_crossing_label(profile, request, monkeypatch):
+    prof = request.getfixturevalue(profile)
+    pack = prof.pack
+    integrate, runs = gs._integrate, []
+
+    def recording(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(gs, "_integrate", recording)
+    kinds = set()
+    for delta in (1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11):
+        for d in (prof.shoot_d * (1 - delta), prof.shoot_d * (1 + delta)):
+            miss = gs._miss(pack, d, R_MAX, RTOL)
+            sol = runs[-1]
+            if sol.t_events[0].size:
+                kinds.add("U")
+                assert miss < 0, (d, miss)
+            elif sol.t_events[1].size:
+                kinds.add("V")
+                assert miss > 0, (d, miss)
+            else:
+                kinds.add("r_max")
+                c0 = projected_offset_difference(pack, sol)
+                assert (miss > 0) == (c0 > 0), (d, miss, c0)
+    assert kinds == {"U", "V", "r_max"}
 
 
 # -- fitted constants -------------------------------------------------------
