@@ -101,16 +101,6 @@ def criterion_2_exponent_identities(shared):
                        {"worst": worst})
 
 
-def _solution_checks(rep):
-    erel = abs(rep.energy - rep.c_pred) / abs(rep.energy)
-    return {
-        "energy_rel": erel,
-        "residual": max(rep.residual_u, rep.residual_v),
-        "compat": max(rep.compat_u, rep.compat_v),
-        "nodal": rep.u_nodal and rep.v_nodal,
-    }
-
-
 def criterion_3_dual_energy_identity(shared):
     """Recovered radial-annulus solutions satisfy the dual energy identity,
     small PDE residuals, and the compatibility integrals."""
@@ -118,10 +108,8 @@ def criterion_3_dual_energy_identity(shared):
     ok = True
     for (p, q, N) in ((2.0, 2.0, 6), (3.0, 3.0, 4)):
         _, rep = shared.radial_annulus_report(p, q, N)
-        chk = _solution_checks(rep)
-        rows[f"({p:g},{q:g},{N})"] = chk
-        ok = ok and (chk["energy_rel"] <= 1e-6 and chk["residual"] <= 1e-5
-                     and chk["compat"] <= 1e-8 and chk["nodal"])
+        rows[f"({p:g},{q:g},{N})"] = rep.solution_checks()
+        ok = ok and rep.solution_passes()
     detail = "; ".join(
         f"{k}: energy {v['energy_rel']:.1e}, residual {v['residual']:.1e}, "
         f"compat {v['compat']:.1e}" for k, v in rows.items())
@@ -279,10 +267,8 @@ def criterion_11_biharmonic_window(shared):
     """The fourth-order window pack (1,9,5) converges on the radial annulus
     with all identity checks of criterion 3."""
     _, rep = shared.radial_annulus_report(1.0, 9.0, 5)
-    chk = _solution_checks(rep)
-    ok = (rep.converged and chk["energy_rel"] <= 1e-6
-          and chk["residual"] <= 1e-5 and chk["compat"] <= 1e-8
-          and chk["nodal"])
+    chk = rep.solution_checks()
+    ok = rep.converged and rep.solution_passes()
     return CheckResult(
         "11 biharmonic window", ok,
         f"(1,9,5): converged={rep.converged}, energy {chk['energy_rel']:.1e},"

@@ -18,15 +18,25 @@ import numpy as np
 
 from .neumann import NeumannSolver, signed_power
 
+# Gates on a recovered solution, shared by `lanedual solve` and acceptance
+# criteria 3 and 11: relative error of the energy identity, relative PDE
+# residual, and compatibility integrals.
+ENERGY_GATE, RESIDUAL_GATE, COMPAT_GATE = 1e-6, 1e-5, 1e-8
+
 
 @dataclass
 class IterationTrace:
+    """One restart of the fixed point. `stop_reason` says why its loop ended:
+    "converged" (quotient stable and the EL gate met), "damping-floor"
+    (the damping factor fell below 1e-14), "el-residual" (sweeps ran out
+    while the quotient had settled but the EL gate failed) or "max_iter"
+    (sweeps ran out with the quotient still moving). A restart that did
+    not stop on "converged" still counts as converged when its final EL
+    residual meets the gate."""
     iterations: list = field(default_factory=list)  # (sweep, Q, tau)
     converged: bool = False
     el_residual: float = np.inf
-
-    def as_rows(self):
-        return [(i, q, t) for (i, q, t) in self.iterations]
+    stop_reason: str = ""
 
 
 @dataclass
@@ -53,6 +63,22 @@ class DualReport:
     pointwise_mismatch: float = np.nan
     u_nodal: bool = False
     v_nodal: bool = False
+
+    def solution_checks(self):
+        """The gated quantities of the recovered solution, and nodality."""
+        return {
+            "energy_rel": abs(self.energy - self.c_pred) / abs(self.energy),
+            "residual": max(self.residual_u, self.residual_v),
+            "compat": max(self.compat_u, self.compat_v),
+            "nodal": self.u_nodal and self.v_nodal,
+        }
+
+    def solution_passes(self):
+        """Whether the recovered solution meets every gate and is nodal."""
+        chk = self.solution_checks()
+        return (chk["energy_rel"] <= ENERGY_GATE
+                and chk["residual"] <= RESIDUAL_GATE
+                and chk["compat"] <= COMPAT_GATE and chk["nodal"])
 
     def summary(self):
         out = {
@@ -98,21 +124,37 @@ def rayleigh_ratio(solver, f, g, pack):
     return mesh.inner(f, solver.solve_K(g, check_mean=False)) / (nf * ng)
 
 
-def _sweep(solver, pack, f, g):
-    fn = signed_power(solver.solve_Kt(g, pack.p), pack.p)
-    fn /= solver.mesh.norm_Ls(fn, pack.alpha)
-    gn = signed_power(solver.solve_Kt(fn, pack.q), pack.q)
-    gn /= solver.mesh.norm_Ls(gn, pack.beta)
+def _sweep(solver, pack, g, Kg, kappas):
+    """The undamped sweep f = K_p g, then g = K_q f, normalized, from the
+    K g already at hand. kappas holds the last shift of each half-step,
+    the start of the next root-find, and is updated in place."""
+    mesh = solver.mesh
+    solver.check_mean(g)
+    kappas[0] = solver.kappa_shift(Kg, pack.p, kappas[0]).kappa
+    fn = signed_power(Kg + kappas[0], pack.p)
+    fn /= mesh.norm_Ls(fn, pack.alpha)
+    Kf = solver.solve_K(fn)
+    kappas[1] = solver.kappa_shift(Kf, pack.q, kappas[1]).kappa
+    gn = signed_power(Kf + kappas[1], pack.q)
+    gn /= mesh.norm_Ls(gn, pack.beta)
     return fn, gn
 
 
-def _el_residual(solver, pack, f, g, Q):
-    lhs = solver.solve_Kt(g, pack.p)
+def _el_residual(solver, pack, f, g, Kg, Q, guess):
+    solver.check_mean(g)
+    lhs = Kg + solver.kappa_shift(Kg, pack.p, guess).kappa
     rhs = Q * signed_power(f, 1.0 / pack.p)
     return solver.mesh.norm_Ls(lhs - rhs, pack.p + 1.0) / Q
 
 
 def _fixed_point(solver, pack, f0, g0, max_iter, tol, el_tol):
+    """Damped fixed point from (f0, g0); returns (Q, f, g, trace).
+
+    Each sweep makes two K solves: K f for the g half-step, and K g for
+    the quotient, which the next sweep reuses. A rejected step keeps the
+    undamped sweep, since f and g did not change, and retries only the
+    blend and its quotient.
+    """
     mesh = solver.mesh
     f = np.array(f0, dtype=float)
     g = np.array(g0, dtype=float)
@@ -120,44 +162,58 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol, el_tol):
     g -= mesh.mean(g)
     f /= mesh.norm_Ls(f, pack.alpha)
     g /= mesh.norm_Ls(g, pack.beta)
-    Q = mesh.inner(f, solver.solve_K(g, check_mean=False))
+    Kg = solver.solve_K(g, check_mean=False)
+    Q = mesh.inner(f, Kg)
     trace = IterationTrace()
-    tau, accepted, stable = 1.0, 0, 0
+    tau, accepted, stable, settled = 1.0, 0, 0, False
+    kappas = [None, None]
+    undamped = None
     # accept slack sits above the roundoff noise of the quotient so that
     # machine-converged iterates are not spuriously rejected
     slack = 1e-12
     for sweep in range(max_iter):
-        fn, gn = _sweep(solver, pack, f, g)
+        if undamped is None:
+            undamped = _sweep(solver, pack, g, Kg, kappas)
+        fn, gn = undamped
         if tau < 1.0:
             fn = (1.0 - tau) * f + tau * fn
             fn /= mesh.norm_Ls(fn, pack.alpha)
             gn = (1.0 - tau) * g + tau * gn
             gn /= mesh.norm_Ls(gn, pack.beta)
-        Qn = mesh.inner(fn, solver.solve_K(gn, check_mean=False))
+        Kgn = solver.solve_K(gn, check_mean=False)
+        Qn = mesh.inner(fn, Kgn)
         if Qn >= Q * (1.0 - slack):
             dq = abs(Qn - Q)
-            f, g, Q = fn, gn, Qn
+            f, g, Kg, Q = fn, gn, Kgn, Qn
+            undamped = None
             trace.iterations.append((sweep, Q, tau))
             accepted += 1
             if accepted >= 3:
                 tau, accepted = 1.0, 0
-            stable = stable + 1 if dq <= tol * abs(Q) else 0
+            if dq <= tol * abs(Q):
+                stable += 1
+            else:
+                stable, settled = 0, False
             if stable >= 5:
-                el = _el_residual(solver, pack, f, g, Q)
+                el = _el_residual(solver, pack, f, g, Kg, Q, kappas[0])
                 if el <= el_tol:
                     trace.converged = True
                     trace.el_residual = el
+                    trace.stop_reason = "converged"
                     break
-                stable = 0
+                stable, settled = 0, True
         else:
             tau *= 0.5
             accepted = 0
             if tau < 1e-14:
+                trace.stop_reason = "damping-floor"
                 break
     if not trace.converged:
+        if not trace.stop_reason:
+            trace.stop_reason = "el-residual" if settled else "max_iter"
         # a damping death at the noise floor is still a solution if the
         # stationarity relations hold
-        el = _el_residual(solver, pack, f, g, Q)
+        el = _el_residual(solver, pack, f, g, Kg, Q, kappas[0])
         trace.el_residual = el
         trace.converged = el <= el_tol
     return Q, f, g, trace
@@ -194,7 +250,7 @@ def _demeaned_noise(mesh, rng):
 
 
 def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
-               el_tol=1e-8, seed=0, extra_inits=(), S=None, jobs=1):
+               el_tol=1e-8, seed=0, extra_inits=(), S=None):
     """Best dual quotient over the restart menu; returns a DualReport.
 
     extra_inits is a sequence of (f0, g0) pairs appended to the menu (used
@@ -206,20 +262,9 @@ def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
     mesh = solver.mesh
     inits = _init_menu(solver, pack, restarts, seed, list(extra_inits),
                        star_symmetrize=True)
-    results = []
-
-    def run_one(item):
-        name, f0, g0 = item
-        Q, f, g, trace = _fixed_point(solver, pack, f0, g0, max_iter, tol,
-                                      el_tol)
-        return name, Q, f, g, trace
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(run_one, inits))
-    else:
-        results = [run_one(item) for item in inits]
+    results = [(name, *_fixed_point(solver, pack, f0, g0, max_iter, tol,
+                                    el_tol))
+               for name, f0, g0 in inits]
 
     converged = [res for res in results if res[4].converged]
     if not converged:

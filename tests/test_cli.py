@@ -55,6 +55,7 @@ def test_solve_subcommand_energy_identity(tmp_path):
     assert code == cli.EXIT_OK
     res = report["results"]
     assert res["energy_rel_error"] <= 1e-6
+    assert res["restart_stop_reasons"] == ["converged"] * 3
     names = [item["name"] for item in report["invariants"]]
     assert "energy identity" in names
     assert all(item["passed"] for item in report["invariants"])

@@ -4,7 +4,8 @@ import pytest
 from lanedual import dualsolve as ds
 from lanedual import mesh as msh
 from lanedual.exponents import derived_constants
-from lanedual.neumann import NeumannSolver, dense_eigenpairs, signed_power
+from lanedual.neumann import (NeumannSolver, NonZeroMeanError,
+                              dense_eigenpairs, signed_power)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,88 @@ def test_quotient_trace_monotone(report226):
     for trace in report226.traces:
         qs = [q for (_, q, _) in trace.iterations]
         assert all(q2 >= q1 * (1 - 1e-12) for q1, q2 in zip(qs, qs[1:]))
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    solve_K = NeumannSolver.solve_K
+
+    def counted(self, h, check_mean=True):
+        calls.append(1)
+        return solve_K(self, h, check_mean)
+
+    monkeypatch.setattr(NeumannSolver, "solve_K", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, pqN", [
+    ("radial-annulus", (2.0, 2.0, 6)),
+    ("axisym-ball", (3.0, 3.0, 4)),
+])
+def test_fixed_point_makes_two_solves_per_sweep(monkeypatch, kind, pqN):
+    # one K solve for the initial quotient, then two per sweep (K f, and
+    # the quotient's K g, which the next sweep reuses); a rejected step
+    # keeps the undamped sweep and costs one solve; the EL checks reuse K g
+    pack = derived_constants(*pqN)
+    r0 = 1.0 if kind.endswith("annulus") else 0.0
+    sol = NeumannSolver(msh.build(kind, pqN[2], r0, r0 + 1.0, 64, 32))
+    _, phi = sol.first_eigenfunction()
+    sweep, sweeps = ds._sweep, []
+
+    def spoil_first(*args):
+        # flipping g makes the quotient negative: the first step is
+        # rejected and retried with damping
+        fn, gn = sweep(*args)
+        sweeps.append(1)
+        return (fn, -gn) if len(sweeps) == 1 else (fn, gn)
+
+    calls = _counting_solves(monkeypatch)
+    for spoil in (False, True):
+        if spoil:
+            monkeypatch.setattr(ds, "_sweep", spoil_first)
+        calls.clear()
+        _, _, _, trace = ds._fixed_point(sol, pack, phi, phi, 4000, 1e-10,
+                                         1e-8)
+        assert trace.converged and trace.stop_reason == "converged"
+        passes = trace.iterations[-1][0] + 1  # accepted and rejected
+        accepted = len(trace.iterations)
+        assert len(calls) == 1 + 2 * accepted + (passes - accepted)
+        if spoil:
+            assert passes > accepted
+            assert len(sweeps) == accepted
+
+
+def test_stop_reasons(annulus_solver, pack226, monkeypatch):
+    _, phi = annulus_solver.first_eigenfunction()
+
+    def run(max_iter=4000, el_tol=1e-8):
+        return ds._fixed_point(annulus_solver, pack226, phi, phi, max_iter,
+                               1e-10, el_tol)[3]
+
+    assert run().stop_reason == "converged"
+    assert run(max_iter=3).stop_reason == "max_iter"
+    # the quotient settles but no iterate meets an EL gate of 0
+    trace = run(max_iter=200, el_tol=0.0)
+    assert trace.stop_reason == "el-residual" and not trace.converged
+    # every step is rejected until the damping factor runs out
+    monkeypatch.setattr(ds, "_sweep",
+                        lambda solver, pack, g, Kg, kappas:
+                        (np.full_like(g, np.nan), np.full_like(g, np.nan)))
+    assert run().stop_reason == "damping-floor"
+
+
+def test_mean_check_on_reused_K_g(annulus_solver, pack226):
+    m = annulus_solver.mesh
+    g = m.node_r() - m.mean(m.node_r())
+    Kg = annulus_solver.solve_K(g)
+    f = signed_power(Kg, pack226.p)
+    ds._sweep(annulus_solver, pack226, g, Kg, [None, None])
+    ds._el_residual(annulus_solver, pack226, f, g, Kg, 1.0, None)
+    bad = g + 1e-3
+    with pytest.raises(NonZeroMeanError):
+        ds._sweep(annulus_solver, pack226, bad, Kg, [None, None])
+    with pytest.raises(NonZeroMeanError):
+        ds._el_residual(annulus_solver, pack226, f, bad, Kg, 1.0, None)
 
 
 def test_restarts_agree(annulus_solver, pack226):

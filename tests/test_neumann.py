@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from lanedual import mesh as msh
-from lanedual.neumann import NeumannSolver, NonZeroMeanError, dense_eigenpairs
+from lanedual.neumann import (KAPPA_RTOL, KAPPA_XTOL, NeumannSolver,
+                              NonZeroMeanError, dense_eigenpairs,
+                              signed_power)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +27,18 @@ def test_solve_K_zero(solver):
 def test_solve_K_rejects_nonzero_mean(solver):
     with pytest.raises(NonZeroMeanError):
         solver.solve_K(np.ones(solver.mesh.nnodes))
+    m = solver.mesh
+    h = m.node_r() - m.mean(m.node_r())
+    solver.check_mean(h)
+    with pytest.raises(NonZeroMeanError):
+        solver.check_mean(h + 1e-6)
+
+
+def test_factorization_fill_on_axisym_mesh():
+    # minimum-degree ordering of the bordered matrix; SuperLU's default
+    # COLAMD gives L+U 425,822 nonzeros here
+    sol = NeumannSolver(msh.build("axisym-ball", 6, 0.0, 1.0, 96, 72))
+    assert sol._lu.L.nnz + sol._lu.U.nnz <= 300_000
 
 
 def test_solve_K_inverts_manufactured_laplacian(annulus, solver):
@@ -95,6 +111,39 @@ def test_kappa_odd_symmetry():
         shift = sol.kappa_shift(x, t)
         assert abs(shift.kappa) < 1e-12
         assert abs(shift.residual) < 1e-12 * m.volume
+
+
+def _kappa_fields(m):
+    rng = np.random.default_rng(17)
+    skewed = rng.standard_normal(m.nnodes) ** 3
+    with_zeros = rng.standard_normal(m.nnodes)
+    with_zeros[::3] = 0.0
+    # a smooth field with a plateau of exact zeros holding most of the
+    # volume, and its root next to the plateau: for t < 1 the derivative
+    # blows up at kappa = 0
+    u = NeumannSolver(m).solve_K(with_zeros - m.mean(with_zeros))
+    plateau = np.where(np.abs(u) < 0.3 * np.abs(u).max(), 0.0, u)
+    return {"skewed": skewed, "with-zeros": with_zeros, "plateau": plateau}
+
+
+@pytest.mark.parametrize("t", [0.55, 0.75, 1.5, 2.0, 3.0, 9.0])
+def test_kappa_shift_matches_brentq(solver, t):
+    m = solver.mesh
+    for name, v in _kappa_fields(m).items():
+        ref = brentq(lambda k: float(m.w @ signed_power(v + k, t)),
+                     -v.max(), -v.min(), xtol=1e-15, rtol=8.9e-16,
+                     maxiter=400)
+        tol = 4.0 * (KAPPA_XTOL + KAPPA_RTOL * abs(ref))
+        # cold start, warm starts on the root, near it and on the plateau,
+        # and guesses outside the bracket on either side
+        for guess in (None, ref, ref + 1e-3, 0.0, -v.max() - 1.0,
+                      -v.min() + 1.0):
+            shift = solver.kappa_shift(v, t, guess)
+            assert abs(shift.kappa - ref) <= tol, (name, guess)
+            # the residual reported is F at the kappa returned
+            res = float(m.w @ signed_power(v + shift.kappa, t))
+            scale = float(m.w @ np.abs(v + shift.kappa) ** t)
+            assert abs(shift.residual - res) <= 1e-13 * scale
 
 
 def test_kappa_linear_case_is_mean_removal(solver):
