@@ -345,6 +345,9 @@ def cmd_verify(cfg, report, outdir):
         report.results[res.name] = {"passed": res.passed,
                                     "detail": res.detail,
                                     "values": res.values}
+    if not cfg.quick:  # the quick checks are not timed one by one
+        report.timings["criterion_seconds"] = {res.name: res.seconds
+                                               for res in results}
     report.timings["verify_seconds"] = time.time() - t0
     return EXIT_OK
 
@@ -366,7 +369,6 @@ def make_parser():
                     "systems with Neumann boundary conditions")
     ap.add_argument("--config", help="key=value config file")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    defaults = RunConfig()
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--p", type=float)
@@ -393,7 +395,6 @@ def make_parser():
         sp.add_argument("--quick", action="store_true", default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--outdir", default=None)
-    _ = defaults
     return ap
 
 

@@ -7,7 +7,6 @@ so the dual weights and scaling exponents are computed in exactly one place.
 from dataclasses import dataclass
 
 HYPERBOLA_TOL = 1e-10
-IDENTITY_TOL = 1e-12
 
 
 class OffHyperbolaError(ValueError):

@@ -74,6 +74,11 @@ class Mesh:
     faces_theta: np.ndarray | None
     w: np.ndarray                 # quadrature weights, flattened C-order (r slow)
     cell_centered: bool = False
+    # cell integrals of r^(N-1) and sin^(N-2)(theta) (build() meshes):
+    # w = sphere_area(N-1) kron(wr, wt) on axisym meshes, sphere_area(N) wr
+    # on radial ones
+    wr: np.ndarray | None = None
+    wt: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic geometry -------------------------------------------------
@@ -165,47 +170,41 @@ class Mesh:
             coeff = sphere_area(N) * self.faces_r[1:-1] ** (N - 1)
             return _stiffness_1d(self.r, self.faces_r, coeff)
         s = sphere_area(N - 1)
-        wr = _cell_integrals(self.faces_r, lambda x: x ** (N - 1.0))
         wr3 = _cell_integrals(self.faces_r, lambda x: x ** (N - 3.0))
-        wt = _cell_integrals(self.faces_theta, lambda x: np.sin(x) ** (N - 2.0))
         Ar = _stiffness_1d(self.r, self.faces_r, self.faces_r[1:-1] ** (N - 1.0))
         At = _stiffness_1d(self.theta, self.faces_theta,
                            np.sin(self.faces_theta[1:-1]) ** (N - 2.0))
-        return s * (sp.kron(Ar, sp.diags(wt)) + sp.kron(sp.diags(wr3), At))
+        return s * (sp.kron(Ar, sp.diags(self.wt)) + sp.kron(sp.diags(wr3), At))
 
     def _wall_flux_matrix(self):
         """Sparse operator returning one-sided wall fluxes (outer minus not;
         signed as d/dr so that sum(w * laplacian(u)) telescopes exactly)."""
         if "wall" in self._cache:
             return self._cache["wall"]
-        n = self.nnodes
-        M = sp.lil_matrix((n, n))
+        n, nt = self.nnodes, self.ntheta
+        M = sp.csr_matrix((n, n))
         if not self.cell_centered and self.nr >= 3:
-            N = self.N
-            r = self.r
-            row_out = _one_sided_deriv_row(r[-1], r[-2], r[-3])
-            row_in = _one_sided_deriv_row(r[0], r[1], r[2])
-            if self.is_axisym:
-                s = sphere_area(N - 1)
-                wt = _cell_integrals(self.faces_theta,
-                                     lambda x: np.sin(x) ** (N - 2.0))
-                nt = self.ntheta
-                for j in range(nt):
-                    base = (self.nr - 1) * nt + j
-                    cO = s * wt[j] * self.R ** (N - 1)
-                    for k, ck in enumerate(row_out):
-                        M[base, (self.nr - 1 - k) * nt + j] = cO * ck
-                    if self.r0 > 0.0:
-                        cI = s * wt[j] * self.r0 ** (N - 1)
-                        for k, ck in enumerate(row_in):
-                            M[j, k * nt + j] = cI * ck
-            else:
-                cO = sphere_area(N) * self.R ** (N - 1)
-                M[-1, [-1, -2, -3]] = cO * row_out
-                if self.r0 > 0.0:
-                    cI = sphere_area(N) * self.r0 ** (N - 1)
-                    M[0, [0, 1, 2]] = cI * row_in
-        self._cache["wall"] = M.tocsr()
+            N, r = self.N, self.r
+            # wall area per theta ring at unit radius
+            ring = (sphere_area(N - 1) * self.wt if self.is_axisym
+                    else np.array([sphere_area(N)]))
+            # (wall row, step into the domain, radius, one-sided stencil)
+            walls = [(self.nr - 1, -1, self.R,
+                      _one_sided_deriv_row(r[-1], r[-2], r[-3]))]
+            if self.r0 > 0.0:
+                walls.append((0, 1, self.r0,
+                              _one_sided_deriv_row(r[0], r[1], r[2])))
+            j, k = np.arange(nt), np.arange(3)[:, None]
+            rows, cols, vals = [], [], []
+            for i, step, rad, stencil in walls:
+                rows.append(np.broadcast_to(i * nt + j, (3, nt)))
+                cols.append((i + step * k) * nt + j)
+                vals.append(ring * rad ** (N - 1) * stencil[:, None])
+            M = sp.coo_matrix(
+                (np.concatenate(vals, axis=None),
+                 (np.concatenate(rows, axis=None),
+                  np.concatenate(cols, axis=None))), shape=(n, n)).tocsr()
+        self._cache["wall"] = M
         return self._cache["wall"]
 
     def laplacian(self, u):
@@ -253,14 +252,6 @@ class Mesh:
         wall = self._wall_flux_matrix() @ u
         inner, outer = self.boundary_masks()
         return float(wall[outer].sum() - wall[inner].sum())
-
-    def boundary_quadrature_outer(self):
-        """Surface-measure weights on the outer boundary nodes (axisym)."""
-        N = self.N
-        if self.is_axisym:
-            wt = _cell_integrals(self.faces_theta, lambda x: np.sin(x) ** (N - 2.0))
-            return sphere_area(N - 1) * self.R ** (N - 1) * wt
-        return np.array([sphere_area(N) * self.R ** (N - 1)])
 
     def gradient_r(self, u):
         """Central-difference radial derivative (one-sided at the ends)."""
@@ -315,14 +306,14 @@ def _radial_nodes(r0, R, nr, spacing, grade):
     if spacing == "uniform":
         r = np.linspace(r0, R, nr)
         faces = np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
-        return r, faces, False
+        return r, faces
     if spacing == "boundary":
         # cluster nodes toward r = R with power `grade`
         t = np.linspace(0.0, 1.0, nr)
         r = R - (R - r0) * (1.0 - t) ** grade
         r[0], r[-1] = r0, R
         faces = np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
-        return r, faces, False
+        return r, faces
     if spacing == "equal-volume":
         # cell-centered: n cells of identical N-volume, nodes at centroids
         raise ValueError("equal-volume spacing requires build_equal_volume()")
@@ -358,7 +349,8 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
     if axisym and (ntheta is None or ntheta < 32):
         raise ValueError(f"ntheta = {ntheta} under-resolved (need >= 32)")
 
-    r, faces_r, _ = _radial_nodes(r0, R, nr, radial_spacing, radial_grade)
+    r, faces_r = _radial_nodes(r0, R, nr, radial_spacing, radial_grade)
+    wr = _cell_integrals(faces_r, lambda x: x ** (N - 1.0))
     if axisym:
         if theta_grading == 1.0:
             th = np.linspace(0.0, pi, ntheta)
@@ -366,13 +358,11 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
             th = pi * np.linspace(0.0, 1.0, ntheta) ** theta_grading
             th[-1] = pi
         faces_t = np.concatenate([[0.0], 0.5 * (th[1:] + th[:-1]), [pi]])
-        wr = _cell_integrals(faces_r, lambda x: x ** (N - 1.0))
         wt = _cell_integrals(faces_t, lambda x: np.sin(x) ** (N - 2.0))
         w = sphere_area(N - 1) * np.kron(wr, wt)
-        return Mesh(kind, N, r0, R, r, faces_r, th, faces_t, w)
-    wr = _cell_integrals(faces_r, lambda x: x ** (N - 1.0))
+        return Mesh(kind, N, r0, R, r, faces_r, th, faces_t, w, wr=wr, wt=wt)
     w = sphere_area(N) * wr
-    return Mesh(kind, N, r0, R, r, faces_r, None, None, w)
+    return Mesh(kind, N, r0, R, r, faces_r, None, None, w, wr=wr)
 
 
 def build_equal_volume(N, r0, R, n):

@@ -113,13 +113,6 @@ def _slot_average(sorted_vals, sorted_w, slot_w):
     return out
 
 
-def equal_volume_profile(N, r0, R, n, values=None):
-    """Convenience: equal-volume mesh plus a RadialProfile on it."""
-    m = msh.build_equal_volume(N, r0, R, n)
-    h = np.zeros(m.nr) if values is None else values
-    return RadialProfile(m, h)
-
-
 # -- axisymmetric diagnostics ----------------------------------------------
 
 def _check_theta_symmetric(mesh):

@@ -100,6 +100,23 @@ def test_verify_quick(tmp_path):
     assert code == cli.EXIT_OK
     assert len(report["invariants"]) >= 6
     assert all(item["passed"] for item in report["invariants"])
+    # the quick checks are not timed one by one
+    assert "criterion_seconds" not in report["timings"]
+
+
+def test_verify_writes_criterion_seconds_under_timings(tmp_path,
+                                                       monkeypatch):
+    from lanedual import acceptance
+    fake = [acceptance.CheckResult("1 first", True, "ok", {"x": 1.0},
+                                   seconds=0.25),
+            acceptance.CheckResult("2 second", True, "ok", seconds=1.5)]
+    monkeypatch.setattr(acceptance, "run_all", lambda quick, seed: fake)
+    code, report, _ = run_cli(["verify"], tmp_path)
+    assert code == cli.EXIT_OK
+    assert report["timings"]["criterion_seconds"] == {"1 first": 0.25,
+                                                      "2 second": 1.5}
+    # seconds stay out of the deterministic part of the report
+    assert "seconds" not in json.dumps(report["results"])
 
 
 def test_sweep_csv_artifacts(tmp_path):

@@ -122,7 +122,7 @@ R_MAX, RTOL, TOL = 400.0, 1e-11, 1e-12   # shoot's defaults at r_max = 400
 def sign_bisection(pack):
     """Reference: plain bisection on the sign of the miss from the scan
     bracket, with the shooter's stopping rule and no Brent steering."""
-    lo, hi = gs._bracket(pack, R_MAX, min(1e-8, RTOL * 100))
+    lo, hi, _ = gs._bracket(pack, R_MAX, min(1e-8, RTOL * 100))
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi) or hi - lo <= max(TOL * mid, 4 * np.spacing(mid)):
@@ -133,7 +133,8 @@ def sign_bisection(pack):
             lo = mid
 
 
-@pytest.mark.parametrize("profile", ["profile195", "profile_log6"])
+@pytest.mark.parametrize("profile", ["profile334", "profile226",
+                                     "profile_log6", "profile195"])
 def test_shoot_matches_plain_sign_bisection(profile, request):
     prof = request.getfixturevalue(profile)
     d_ref = sign_bisection(prof.pack)
@@ -141,10 +142,14 @@ def test_shoot_matches_plain_sign_bisection(profile, request):
     assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, RTOL, 4000).S
 
 
-@pytest.mark.parametrize("pqN, most", [((3.0, 3.0, 4), 8),
-                                       ((1.0, 9.0, 5), 30)])
+@pytest.mark.parametrize("pqN, most", [((3.0, 3.0, 4), 5),
+                                       ((2.0, 2.0, 6), 5),
+                                       ((2.75, 1.5, 6), 18),
+                                       ((1.0, 9.0, 5), 23)])
 def test_shoot_integration_count(monkeypatch, pqN, most):
-    # a plain sign bisection makes 42 and 44 integrations here
+    # a plain sign bisection makes 42, 42, 42 and 44 integrations here;
+    # Brent from ends integrated again at the bisection's rtol made 6, 6,
+    # 19 and 24
     calls = []
 
     def counting(*args, **kwargs):

@@ -3,6 +3,7 @@ import pytest
 from math import pi
 
 from lanedual import mesh as msh
+from lanedual.mesh import sphere_area
 
 
 def test_volume_radial_annulus_N4():
@@ -166,3 +167,47 @@ def test_graded_mesh_volume_still_exact():
     assert m.volume == pytest.approx(msh.unit_ball_volume(6), rel=1e-10)
     assert np.all(np.diff(m.r) > 0)
     assert np.all(np.diff(m.theta) > 0)
+
+
+SMALL_MESHES = [("radial-annulus", 5, 1.0, 2.0, 64, None),
+                ("radial-ball", 6, 0.0, 1.0, 64, None),
+                ("axisym-annulus", 6, 1.0, 2.0, 64, 32),
+                ("axisym-ball", 4, 0.0, 1.0, 64, 40)]
+
+
+def wall_flux_reference(m):
+    """Entries of the wall-flux operator, written out node by node."""
+    N, r, nt = m.N, m.r, m.ntheta
+    walls = [(m.nr - 1, -1, m.R, (r[-1], r[-2], r[-3]))]
+    if m.r0 > 0.0:
+        walls.append((0, 1, m.r0, (r[0], r[1], r[2])))
+    ref = {}
+    for i, step, rad, (x0, x1, x2) in walls:
+        stencil = ((2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2)),
+                   (x0 - x2) / ((x1 - x0) * (x1 - x2)),
+                   (x0 - x1) / ((x2 - x0) * (x2 - x1)))
+        for j in range(nt):
+            area = (sphere_area(N - 1) * m.wt[j] if m.is_axisym
+                    else sphere_area(N)) * rad ** (N - 1)
+            for k, ck in enumerate(stencil):
+                ref[(i * nt + j, (i + step * k) * nt + j)] = area * ck
+    return ref
+
+
+@pytest.mark.parametrize("args", SMALL_MESHES, ids=lambda a: a[0])
+def test_wall_flux_matrix_matches_loop_reference(args):
+    m = msh.build(*args)
+    M = m._wall_flux_matrix()
+    assert M.has_sorted_indices
+    got = {(int(i), int(j)): v for (i, j), v in M.todok().items()}
+    assert got == wall_flux_reference(m)
+
+
+@pytest.mark.parametrize("args", SMALL_MESHES, ids=lambda a: a[0])
+def test_stored_cell_integrals_rebuild_weights_exactly(args):
+    m = msh.build(*args)
+    if m.is_axisym:
+        assert np.array_equal(sphere_area(m.N - 1) * np.kron(m.wr, m.wt), m.w)
+    else:
+        assert m.wt is None
+        assert np.array_equal(sphere_area(m.N) * m.wr, m.w)
