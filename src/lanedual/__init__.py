@@ -11,10 +11,10 @@ scale.
 __version__ = "0.1.0"
 
 from .exponents import ExponentPack, hyperbola_partner, derived_constants, admissibility
-from .mesh import Mesh, Field, build
+from .mesh import Mesh, build
 from .neumann import NeumannSolver
 from .groundstate import BubbleProfile, shoot, profile_constants, scaled_quantities
-from .dualsolve import DualReport, maximize_D, maximize_D_radial, rayleigh_ratio, energy
+from .dualsolve import DualReport, maximize_D, rayleigh_ratio, energy
 
 __all__ = [
     "ExponentPack",
@@ -22,7 +22,6 @@ __all__ = [
     "derived_constants",
     "admissibility",
     "Mesh",
-    "Field",
     "build",
     "NeumannSolver",
     "BubbleProfile",
@@ -31,7 +30,6 @@ __all__ = [
     "scaled_quantities",
     "DualReport",
     "maximize_D",
-    "maximize_D_radial",
     "rayleigh_ratio",
     "energy",
 ]

@@ -17,7 +17,7 @@ from . import asymptotics as asym
 from . import dualsolve as ds
 from . import mesh as msh
 from . import symmetry as sym
-from .exponents import derived_constants, pack_from_p
+from .exponents import derived_constants, pack_from_p, threshold_constant
 from .groundstate import shoot
 from .neumann import NeumannSolver, dense_eigenpairs
 
@@ -49,8 +49,8 @@ class _Shared:
         if key not in self._cache:
             prof = self.profile(p, q, N)
             mesh = msh.build("radial-annulus", N, 1.0, 2.0, 257)
-            rep = ds.maximize_D_radial(mesh, prof.pack, restarts=4,
-                                       seed=self.seed, S=prof.S)
+            rep = ds.maximize_D(mesh, prof.pack, restarts=4,
+                                seed=self.seed, S=prof.S)
             self._cache[key] = (mesh, rep)
         return self._cache[key]
 
@@ -179,35 +179,19 @@ def criterion_6_norm_rate_sweeps(shared):
 def criterion_7_star_properties(shared, pairs=200):
     """Norm preservation, quadratic-form monotonicity and idempotence of
     the flip-&-rearrange transform on random zero-mean radial pairs."""
-    pack = derived_constants(2.0, 2.0, 6)
-    mesh = msh.build_equal_volume(6, 1.0, 2.0, 400)
-    solver = NeumannSolver(mesh)
-    rng = np.random.default_rng(shared.seed)
-    worst_norm, worst_mono, worst_idem = 0.0, -np.inf, 0.0
-    for _ in range(pairs):
-        f = sym.random_smooth_zero_mean(mesh, rng)
-        g = sym.random_smooth_zero_mean(mesh, rng)
-        pf = sym.RadialProfile(mesh, f).star_transform()
-        pg = sym.RadialProfile(mesh, g).star_transform()
-        for s in (pack.alpha, pack.beta):
-            worst_norm = max(worst_norm,
-                             abs(pf.norm(s) / mesh.norm_Ls(f, s) - 1.0))
-        lhs = mesh.inner(f, solver.solve_K(g, check_mean=False))
-        rhs = mesh.inner(pf.h, solver.solve_K(pg.h, check_mean=False))
-        worst_mono = max(worst_mono,
-                         (lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
-        pff = pf.star_transform()
-        worst_idem = max(worst_idem,
-                         np.max(np.abs(pff.h - pf.h))
-                         / max(np.max(np.abs(pf.h)), 1e-300))
-    ok = worst_norm <= 1e-8 and worst_mono <= 1e-8 and worst_idem <= 1e-10
+    star = sym.star_properties(msh.build_equal_volume(6, 1.0, 2.0, 400),
+                               derived_constants(2.0, 2.0, 6),
+                               np.random.default_rng(shared.seed), pairs)
+    worst = {k: v for k, (v, _) in star.items()}
+    tol = {k: np.format_float_scientific(gate, trim="-", exp_digits=1)
+           for k, gate in sym.STAR_GATES.items()}
     return CheckResult(
-        "7 flip-&-rearrange properties", ok,
-        f"{pairs} pairs: norm drift {worst_norm:.1e} (tol 1e-8), "
-        f"monotonicity excess {worst_mono:.1e} (tol 1e-8), "
-        f"idempotence {worst_idem:.1e} (tol 1e-10)",
-        {"worst_norm": worst_norm, "worst_mono": worst_mono,
-         "worst_idem": worst_idem})
+        "7 flip-&-rearrange properties",
+        all(passed for _, passed in star.values()),
+        f"{pairs} pairs: norm drift {worst['norm']:.1e} (tol {tol['norm']}), "
+        f"monotonicity excess {worst['mono']:.1e} (tol {tol['mono']}), "
+        f"idempotence {worst['idem']:.1e} (tol {tol['idem']})",
+        {f"worst_{k}": v for k, v in worst.items()})
 
 
 def criterion_8_symmetry_breaking(shared):
@@ -217,9 +201,8 @@ def criterion_8_symmetry_breaking(shared):
     pack = derived_constants(2.0, 2.0, 6)
     gap = sym.symmetry_gap(pack, 1.0, 2.0, nr=96, ntheta=72,
                            seed=shared.seed, restarts=4)
-    mesh = msh.build("axisym-annulus", 6, 1.0, 2.0, 96, 72)
-    fs = sym.fs_check(mesh, gap.axi_report.u, gap.axi_report.v)
-    dev_u = sym.radiality_deviation(mesh, gap.axi_report.u)
+    fs = sym.fs_check(gap.mesh, gap.axi_report.u, gap.axi_report.v)
+    dev_u = sym.radiality_deviation(gap.mesh, gap.axi_report.u)
     noise = max(gap.noise, 1e-14)
     ok = (gap.gap > 3.0 * noise and fs.passed and dev_u > 1e-3)
     return CheckResult(
@@ -248,7 +231,7 @@ def criterion_10_cherrier_probe(shared):
     """Boundary-bubble families approach 2^(2/N)/S, interior families 1/S,
     both within 3%."""
     prof = shared.profile(2.0, 2.0, 6)
-    T = asym.threshold_constant(prof.pack, prof.S)
+    T = threshold_constant(prof.pack, prof.S)
     eps = np.geomspace(0.1, 0.01, 5)
     lead_b = asym.cherrier_probe(prof, "boundary", eps)[-1]["leading"]["0.0"]
     lead_i = asym.cherrier_probe(prof, "interior", eps)[-1]["leading"]["0.0"]

@@ -19,12 +19,8 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import betainc
 
+from .exponents import threshold_constant
 from .mesh import sphere_area
-
-
-def threshold_constant(pack, S):
-    """Compactness threshold 2^(2/N) / S."""
-    return 2.0 ** (2.0 / pack.N) / S
 
 
 # -- spherical-cap quadrature ------------------------------------------------
@@ -65,9 +61,6 @@ class FitResult:
     ci: float            # 95% halfwidth on the slope
     resid_rms: float
 
-    def contains(self, value, extra=0.0):
-        return abs(self.slope - value) <= self.ci + extra
-
 
 def _linear_fit(x, y):
     n = len(x)
@@ -78,11 +71,9 @@ def _linear_fit(x, y):
     s2 = float(np.sum((y - yhat) ** 2)) / dof
     sx = float(np.sum((x - x.mean()) ** 2))
     se = np.sqrt(s2 / sx) if sx > 0 else np.inf
-    try:
-        from scipy.stats import t as tdist
-        tcrit = tdist.ppf(0.975, dof)
-    except Exception:
-        tcrit = 2.0
+    # imported here: scipy.stats adds ~0.5 s to the import of the package
+    from scipy.stats import t as tdist
+    tcrit = tdist.ppf(0.975, dof)
     return FitResult(slope=float(coef[1]), intercept=float(coef[0]),
                      ci=float(tcrit * se),
                      resid_rms=float(np.sqrt(np.mean((y - yhat) ** 2))))
@@ -337,8 +328,7 @@ def cherrier_probe(profile, family, eps_grid, C_lo_grid=(0.0, 1.0, 10.0),
 
     For each eps and each C_lo the probe evaluates
     (||u||_{eta*} - C_lo ||u||_{W^{1,eta}}) / ||Delta u||_eta; boundary
-    families approach 2^(2/N)/S, interior families 1/S. Constant fields are
-    skipped with a 'gradient term dominant' label.
+    families approach 2^(2/N)/S, interior families 1/S.
     """
     pack = profile.pack
     N, p, q = pack.N, pack.p, pack.q
@@ -367,8 +357,3 @@ def cherrier_probe(profile, family, eps_grid, C_lo_grid=(0.0, 1.0, 10.0),
                                  for c in C_lo_grid}})
     return rows
 
-
-def cherrier_constant_member():
-    """Degenerate constant member: ||Delta u|| = 0, the inequality is
-    carried entirely by the gradient term."""
-    return {"eps": None, "skipped": "gradient term dominant"}

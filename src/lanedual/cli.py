@@ -28,9 +28,9 @@ from . import asymptotics as asym
 from . import dualsolve as ds
 from . import mesh as msh
 from . import symmetry as sym
-from .exponents import admissibility, derived_constants, hyperbola_partner
+from .exponents import (admissibility, derived_constants, hyperbola_partner,
+                        threshold_constant)
 from .groundstate import ShootingError, scaled_quantities, shoot
-from .neumann import NeumannSolver
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -218,9 +218,9 @@ def cmd_solve(cfg, report, outdir):
     pack = cfg.pack()
     mesh = _build_mesh(cfg)
     prof = shoot(pack, r_max=cfg.r_max)
-    fn = (ds.maximize_D_radial if not mesh.is_axisym else ds.maximize_D)
-    rep = fn(mesh, pack, restarts=cfg.restarts, max_iter=cfg.max_iter,
-             tol=cfg.tol, seed=cfg.seed, S=prof.S)
+    rep = ds.maximize_D(mesh, pack, restarts=cfg.restarts,
+                        max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed,
+                        S=prof.S)
     report.results.update(rep.summary())
     report.results["restart_stop_reasons"] = [trace.stop_reason
                                               for trace in rep.traces]
@@ -253,27 +253,21 @@ def cmd_solve(cfg, report, outdir):
 
 
 def cmd_symmetry(cfg, report, outdir):
+    """The star transform's three properties (norm preservation in L^alpha
+    and L^beta, quadratic-form monotonicity, idempotence) on 50 random
+    pairs, then the symmetry gap and the foliated-Schwarz check of the
+    axisymmetric optimum."""
     pack = cfg.pack()
-    rng = np.random.default_rng(cfg.seed)
     ev = msh.build_equal_volume(pack.N, cfg.r0, cfg.R, max(cfg.nr, 64))
-    sol = NeumannSolver(ev)
-    worst_norm, worst_mono = 0.0, -np.inf
-    for _ in range(50):
-        f = sym.random_smooth_zero_mean(ev, rng)
-        g = sym.random_smooth_zero_mean(ev, rng)
-        pf = sym.RadialProfile(ev, f).star_transform()
-        pg = sym.RadialProfile(ev, g).star_transform()
-        worst_norm = max(worst_norm,
-                         abs(pf.norm(pack.alpha) / ev.norm_Ls(f, pack.alpha)
-                             - 1.0))
-        lhs = ev.inner(f, sol.solve_K(g, check_mean=False))
-        rhs = ev.inner(pf.h, sol.solve_K(pg.h, check_mean=False))
-        worst_mono = max(worst_mono, (lhs - rhs) / (abs(lhs) + abs(rhs)
-                                                    + 1e-300))
-    report.results["star_norm_worst_drift"] = worst_norm
-    report.results["star_monotonicity_worst_excess"] = worst_mono
-    report.check("star norm preservation", worst_norm <= 1e-8)
-    report.check("star quadratic-form monotonicity", worst_mono <= 1e-8)
+    star = sym.star_properties(ev, pack, np.random.default_rng(cfg.seed), 50)
+    for key, result, check in (
+            ("norm", "star_norm_worst_drift", "star norm preservation"),
+            ("mono", "star_monotonicity_worst_excess",
+             "star quadratic-form monotonicity"),
+            ("idem", "star_idempotence_worst_error", "star idempotence")):
+        worst, passed = star[key]
+        report.results[result] = worst
+        report.check(check, passed)
 
     gap = sym.symmetry_gap(pack, cfg.r0, cfg.R, nr=cfg.nr,
                            ntheta=cfg.ntheta, seed=cfg.seed,
@@ -281,17 +275,11 @@ def cmd_symmetry(cfg, report, outdir):
                            estimate_noise=not cfg.quick)
     report.results["symmetry_gap"] = gap.summary()
     report.check("nonnegative gap", gap.gap >= -1e-10)
-    fs = sym.fs_check(_build_axi_for_gap(cfg, pack),
-                      gap.axi_report.u, gap.axi_report.v)
+    fs = sym.fs_check(gap.mesh, gap.axi_report.u, gap.axi_report.v)
     report.results["fs_check"] = fs.as_dict()
     report.check("foliated Schwarz", fs.passed,
                  f"violation {fs.violation:.3e}")
     return EXIT_OK
-
-
-def _build_axi_for_gap(cfg, pack):
-    kind = "axisym-ball" if cfg.r0 == 0.0 else "axisym-annulus"
-    return msh.build(kind, pack.N, cfg.r0, cfg.R, cfg.nr, cfg.ntheta)
 
 
 def cmd_sweep(cfg, report, outdir):
@@ -319,7 +307,7 @@ def cmd_probe_cherrier(cfg, report, outdir):
     pack = cfg.pack()
     prof = shoot(pack, r_max=cfg.r_max)
     grid = cfg.eps_grid()
-    T = asym.threshold_constant(pack, prof.S)
+    T = threshold_constant(pack, prof.S)
     rows = asym.cherrier_probe(prof, cfg.family, grid, R=cfg.R)
     report.results["family"] = cfg.family
     report.results["threshold"] = T

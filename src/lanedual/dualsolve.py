@@ -16,12 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exponents import threshold_constant
 from .neumann import NeumannSolver, signed_power
 
 # Gates on a recovered solution, shared by `lanedual solve` and acceptance
 # criteria 3 and 11: relative error of the energy identity, relative PDE
 # residual, and compatibility integrals.
 ENERGY_GATE, RESIDUAL_GATE, COMPAT_GATE = 1e-6, 1e-5, 1e-8
+# Restarts within NEAR_RTOL (relative) of the best D are near-optimal. The
+# first converged restart in menu order within TIE_RTOL of it is reported,
+# so that roundoff does not pick among tied (e.g. mirror-image) optima.
+NEAR_RTOL, TIE_RTOL = 1e-8, 1e-12
 
 
 @dataclass
@@ -49,7 +54,7 @@ class DualReport:
     converged: bool
     el_residual: float
     restarts: list                      # per-restart best quotients
-    near_optimal: list                  # restart indices within 1e-8 of best
+    near_optimal: list                  # restart names within NEAR_RTOL of best
     traces: list
     u: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -219,7 +224,7 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol, el_tol):
     return Q, f, g, trace
 
 
-def _init_menu(solver, pack, restarts, seed, extra_inits, star_symmetrize):
+def _init_menu(solver, pack, restarts, seed, extra_inits):
     """Initialization menu: eigenfunction pair, random smooth noise, and
     (radial meshes) flip-&-rearrange symmetrized noise."""
     mesh = solver.mesh
@@ -232,7 +237,7 @@ def _init_menu(solver, pack, restarts, seed, extra_inits, star_symmetrize):
         g = solver.solve_K(_demeaned_noise(mesh, rng), check_mean=False)
         f -= mesh.mean(f)
         g -= mesh.mean(g)
-        if star_symmetrize and not mesh.is_axisym and k % 2 == 1:
+        if not mesh.is_axisym and k % 2 == 1:
             from .symmetry import RadialProfile
             f = RadialProfile(mesh, f).star_transform().h
             g = RadialProfile(mesh, g).star_transform().h
@@ -251,7 +256,8 @@ def _demeaned_noise(mesh, rng):
 
 def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
                el_tol=1e-8, seed=0, extra_inits=(), S=None):
-    """Best dual quotient over the restart menu; returns a DualReport.
+    """Best dual quotient over the restart menu; returns a DualReport of
+    the first converged restart, in menu order, within TIE_RTOL of it.
 
     extra_inits is a sequence of (f0, g0) pairs appended to the menu (used
     e.g. to lift a radial optimum into an axisymmetric run). S, when given,
@@ -260,8 +266,7 @@ def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
     solver = (solver_or_mesh if isinstance(solver_or_mesh, NeumannSolver)
               else NeumannSolver(solver_or_mesh))
     mesh = solver.mesh
-    inits = _init_menu(solver, pack, restarts, seed, list(extra_inits),
-                       star_symmetrize=True)
+    inits = _init_menu(solver, pack, restarts, seed, list(extra_inits))
     results = [(name, *_fixed_point(solver, pack, f0, g0, max_iter, tol,
                                     el_tol))
                for name, f0, g0 in inits]
@@ -271,31 +276,22 @@ def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
         raise ConvergenceError(
             f"no restart converged on {mesh.kind} for (p,q,N)=({pack.p},"
             f"{pack.q},{pack.N})", traces=[r[4] for r in results])
-    best = max(converged, key=lambda res: res[1])
-    Dbest = best[1]
-    near = [res[0] for res in converged if abs(res[1] - Dbest) <= 1e-8 * Dbest]
+    Dmax = max(res[1] for res in converged)
+    best = next(res for res in converged if Dmax - res[1] <= TIE_RTOL * Dmax)
+    near = [res[0] for res in converged if Dmax - res[1] <= NEAR_RTOL * Dmax]
     report = DualReport(
         pack=pack,
         mesh_descr={"kind": mesh.kind, "N": mesh.N, "r0": mesh.r0,
                     "R": mesh.R, "nr": mesh.nr, "ntheta": mesh.ntheta},
-        D=Dbest, f=best[2], g=best[3],
+        D=best[1], f=best[2], g=best[3],
         converged=True, el_residual=best[4].el_residual,
         restarts=[(res[0], res[1], res[4].converged) for res in results],
         near_optimal=near,
         traces=[res[4] for res in results],
-        threshold=(2.0 ** (2.0 / pack.N) / S) if S else np.nan,
+        threshold=threshold_constant(pack, S) if S else np.nan,
     )
     recover_solution(solver, report)
     return report
-
-
-def maximize_D_radial(solver_or_mesh, pack, **kw):
-    """maximize_D restricted to a 1D radial mesh (reports D_rad)."""
-    solver = (solver_or_mesh if isinstance(solver_or_mesh, NeumannSolver)
-              else NeumannSolver(solver_or_mesh))
-    if solver.mesh.is_axisym:
-        raise ValueError("maximize_D_radial needs a radial (1D) mesh")
-    return maximize_D(solver, pack, **kw)
 
 
 def recover_solution(solver, report):

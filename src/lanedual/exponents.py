@@ -53,9 +53,11 @@ class ExponentPack:
         """(p+1)(q+1)/(pq-1), which equals N/2 on the hyperbola."""
         return (self.p + 1.0) * (self.q + 1.0) / (self.p * self.q - 1.0)
 
-    def swap(self):
-        """The pack with the roles of p and q exchanged."""
-        return derived_constants(self.q, self.p, self.N)
+
+def threshold_constant(pack, S):
+    """Compactness threshold 2^(2/N) / S, S the Sobolev constant of the
+    pack's ground state."""
+    return 2.0 ** (2.0 / pack.N) / S
 
 
 def hyperbola_residual(p, q, N):

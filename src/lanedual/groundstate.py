@@ -268,8 +268,7 @@ def _miss(pack, d, r_max, rtol):
     return offset_U - offset_V
 
 
-def shoot(pack, r_max=400.0, tol=1e-12, rtol=1e-11, n_samples=4000,
-          max_doublings=3):
+def shoot(pack, r_max=400.0, tol=1e-12, rtol=1e-11):
     """Shoot the ground state; returns a fitted :class:`BubbleProfile`.
 
     d = U(0) is the dyadic bisection point of the scan bracket at which
@@ -280,33 +279,32 @@ def shoot(pack, r_max=400.0, tol=1e-12, rtol=1e-11, n_samples=4000,
     undecided (see :func:`_bisect`). At r_max = 400 a shoot makes 4, 4,
     17 and 22 integrations at (3, 3, 4), (2, 2, 6), (2.75, 1.5, 6) and
     (1, 9, 5), the scan and the final sampled run included. Returning
-    Brent's root instead would move S: near d* the miss is noisy at ~1e-13 relative in d, and at
-    (p, q, N) = (1, 9, 5) S shifts by ~1.5e5 times the relative shift of
-    d*, so a root 1.7e-13 off the dyadic point moves S by 2.5e-8.
+    Brent's root instead would move S: near d* the miss is noisy at
+    ~1e-13 relative in d, and at (p, q, N) = (1, 9, 5) S shifts by ~1.5e5
+    times the relative shift of d*, so a root 1.7e-13 off the dyadic point
+    moves S by 2.5e-8.
 
-    r_max is doubled automatically until the tail-fit window shows a
-    plateau. The default r_max balances two floors: the fit wants a long
-    tail, but for N=6 the r^(2-N) tail magnitude meets the integrator's
-    constant-mode noise floor (~1e-11) soon after r ~ 1e3, so larger
-    defaults are counterproductive.
+    r_max is doubled, up to three times, until the tail-fit window shows
+    a plateau; the profile is sampled at 4000 geometric radii. The default
+    r_max balances two floors: the fit wants a long tail, but for N=6 the
+    r^(2-N) tail magnitude meets the integrator's constant-mode noise
+    floor (~1e-11) soon after r ~ 1e3, so larger defaults are
+    counterproductive.
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol = {tol} outside (0, 1e-4]")
-    for attempt in range(max_doublings + 1):
+    for _ in range(3):
         try:
-            prof = _shoot_fixed(pack, r_max, tol, rtol, n_samples)
-            return prof
+            return _shoot_fixed(pack, r_max, tol, rtol)
         except TailError:
-            if attempt == max_doublings:
-                raise
             r_max *= 2.0
-    raise ShootingError("unreachable")
+    return _shoot_fixed(pack, r_max, tol, rtol)
 
 
-def _shoot_fixed(pack, r_max, tol, rtol, n_samples):
+def _shoot_fixed(pack, r_max, tol, rtol):
     lo, hi, scanned = _bracket(pack, r_max, min(1e-8, rtol * 100))
     d_star = _bisect(pack, lo, hi, scanned, r_max, tol, rtol)
-    return _profile(pack, d_star, r_max, rtol, n_samples)
+    return _profile(pack, d_star, r_max, rtol)
 
 
 def _bracket(pack, r_max, rtol):
@@ -373,9 +371,9 @@ def _bisect(pack, lo, hi, scanned, r_max, tol, rtol):
     return 0.5 * (lo + hi)
 
 
-def _profile(pack, d_star, r_max, rtol, n_samples):
+def _profile(pack, d_star, r_max, rtol):
     """Sample the run from U(0) = d_star and fit its constants."""
-    r_grid = np.geomspace(R_START, r_max, n_samples)
+    r_grid = np.geomspace(R_START, r_max, 4000)
     sol = _integrate(pack, d_star, r_max, rtol, t_eval=r_grid)
     # drop any trailing samples where the near-critical run lost positivity
     keep = (sol.y[0] > 0) & (sol.y[2] > 0)

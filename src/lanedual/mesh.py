@@ -223,28 +223,6 @@ class Mesh:
         sgn[inner] = -1.0
         return (flux_div + sgn * wall) / self.w
 
-    def normal_derivative(self, u):
-        """One-sided second-order d_nu(u) at every boundary node (flattened,
-        zero elsewhere)."""
-        u = np.ravel(u)
-        out = np.zeros(self.nnodes)
-        if self.cell_centered or self.nr < 3:
-            return out
-        r = self.r
-        row_out = _one_sided_deriv_row(r[-1], r[-2], r[-3])
-        row_in = _one_sided_deriv_row(r[0], r[1], r[2])
-        U = self.reshape(u)
-        if self.is_axisym:
-            out = out.reshape(self.nr, self.ntheta)
-            out[-1] = row_out[0] * U[-1] + row_out[1] * U[-2] + row_out[2] * U[-3]
-            if self.r0 > 0.0:
-                out[0] = -(row_in[0] * U[0] + row_in[1] * U[1] + row_in[2] * U[2])
-            return out.ravel()
-        out[-1] = row_out @ u[[-1, -2, -3]]
-        if self.r0 > 0.0:
-            out[0] = -(row_in @ u[[0, 1, 2]])
-        return out
-
     def boundary_flux(self, u):
         """Discrete integral of d_nu(u) over the boundary, compatible with
         laplacian() so that integrate(laplacian(u)) == boundary_flux(u)."""
@@ -259,47 +237,6 @@ class Mesh:
         if self.is_axisym:
             return np.ravel(np.gradient(U, self.r, axis=0))
         return np.gradient(U, self.r)
-
-    def gradient_theta(self, u):
-        if not self.is_axisym:
-            return np.zeros(self.nnodes)
-        U = self.reshape(np.ravel(u))
-        return np.ravel(np.gradient(U, self.theta, axis=1))
-
-
-class Field:
-    """Grid function on a mesh with lazily cached L^s norms."""
-
-    def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size != mesh.nnodes:
-            raise ValueError(f"field has {values.size} values, mesh has "
-                             f"{mesh.nnodes} nodes")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite values")
-        self.mesh = mesh
-        self._values = values
-        self._norms = {}
-
-    @property
-    def values(self):
-        return self._values
-
-    @values.setter
-    def values(self, new):
-        new = np.asarray(new, dtype=float).ravel()
-        if not np.all(np.isfinite(new)):
-            raise ValueError("field contains non-finite values")
-        self._values = new
-        self._norms.clear()
-
-    def norm(self, s):
-        if s not in self._norms:
-            self._norms[s] = self.mesh.norm_Ls(self._values, s)
-        return self._norms[s]
-
-    def integral(self):
-        return self.mesh.integrate(self._values)
 
 
 def _radial_nodes(r0, R, nr, spacing, grade):

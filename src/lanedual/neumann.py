@@ -61,7 +61,6 @@ class NeumannSolver:
         wcol = sp.csc_matrix(mesh.w.reshape(-1, 1))
         B = sp.bmat([[A, wcol], [wcol.T, None]], format="csc")
         self._lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", relax=1)
-        self._n = mesh.nnodes
 
     def check_mean(self, h):
         """Raise NonZeroMeanError unless int(h) = 0 to MEAN_TOL * ||h||_1."""
@@ -141,16 +140,13 @@ class NeumannSolver:
         return u + shift.kappa
 
     # -- spectral helpers ------------------------------------------------
-    def first_eigenfunction(self, iters=60, seed=None):
+    def first_eigenfunction(self, iters=60):
         """First nonconstant Neumann eigenfunction by inverse iteration
         with K (normalized in L2), stopped once an iteration moves the
         iterate by at most EIG_TOL in L2, or after `iters` iterations.
         Returns (eigenvalue, eigenfunction)."""
         mesh = self.mesh
-        if seed is None:
-            v = mesh.node_r() * np.cos(mesh.node_theta()) + 0.5 * mesh.node_r()
-        else:
-            v = np.random.default_rng(seed).standard_normal(self._n)
+        v = mesh.node_r() * np.cos(mesh.node_theta()) + 0.5 * mesh.node_r()
         v = v - mesh.mean(v)
         v /= mesh.norm_Ls(v, 2)
         for _ in range(iters):
@@ -167,17 +163,6 @@ class NeumannSolver:
         u = self.solve_K(v, check_mean=False)
         lam = mesh.inner(v, v) / mesh.inner(v, u)
         return float(lam), v
-
-    def w2s_seminorm(self, u, s):
-        """Discrete W^{2,s} proxy: ||u||_s + ||grad u||_s + ||Delta u||_s."""
-        mesh = self.mesh
-        gr = mesh.gradient_r(u)
-        gt = mesh.gradient_theta(u) / np.maximum(mesh.node_r(), 1e-300)
-        grad = np.hypot(gr, gt) if mesh.is_axisym else np.abs(gr)
-        lap = mesh.laplacian(u)
-        mask = mesh.interior_mask()
-        lap_norm = (mesh.w[mask] @ np.abs(lap[mask]) ** s) ** (1.0 / s)
-        return mesh.norm_Ls(u, s) + mesh.norm_Ls(grad, s) + float(lap_norm)
 
 
 def dense_eigenpairs(mesh, k=6):

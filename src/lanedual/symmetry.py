@@ -1,4 +1,4 @@
-"""Flip-&-rearrange transform, polarization, and symmetry diagnostics.
+"""Flip-&-rearrange transform and symmetry diagnostics.
 
 Radial transforms operate on cell-centered equal-volume meshes
 (build_equal_volume), where every node carries the same quadrature weight:
@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh as msh
+from .dualsolve import maximize_D
+from .neumann import NeumannSolver
 
 FLIP_BAND = 1e-12  # relative band around zero classified as <= 0
+# gates on the worst star-transform norm drift, quadratic-form
+# monotonicity excess and idempotence error (see star_properties)
+STAR_GATES = {"norm": 1e-8, "mono": 1e-8, "idem": 1e-10}
 
 
 @dataclass
@@ -32,12 +37,6 @@ class RadialProfile:
             raise ValueError("RadialProfile requires a radial mesh")
         if self.h.size != self.mesh.nr:
             raise ValueError("value count does not match the mesh")
-
-    # volume coordinate of the outer face of each cell
-    def volume_coordinate(self):
-        N, r0 = self.mesh.N, self.mesh.r0
-        return (msh.unit_ball_volume(N)
-                * (self.mesh.faces_r[1:] ** N - r0 ** N))
 
     def cumulative_I(self):
         """Cumulative integral through each cell (sampled at outer faces).
@@ -113,37 +112,36 @@ def _slot_average(sorted_vals, sorted_w, slot_w):
     return out
 
 
-# -- axisymmetric diagnostics ----------------------------------------------
-
-def _check_theta_symmetric(mesh):
-    th = mesh.theta
-    if th is None:
-        raise ValueError("axisymmetric mesh required")
-    if not np.allclose(th, np.pi - th[::-1], atol=1e-12):
-        raise ValueError("polarization needs a reflection-symmetric theta "
-                         "grid (uniform spacing)")
-
-
-def polarize(mesh, w, orientation=+1):
-    """Polarization with respect to the equatorial hyperplane.
-
-    orientation=+1 selects e = +axis (max on theta < pi/2), orientation=-1
-    the antipodal reflection.
+def star_properties(mesh, pack, rng, pairs):
+    """Worst star-transform properties over `pairs` random smooth zero-mean
+    pairs (f drawn before g) on a radial mesh: the relative norm drift
+    in L^alpha and L^beta, the monotonicity excess of int f K g over
+    int f* K g* (relative to the sum of their sizes), and the idempotence
+    error max|f** - f*| / max|f*|. Returns {name: (worst, passed)} with
+    the names and gates of STAR_GATES.
     """
-    _check_theta_symmetric(mesh)
-    W = mesh.reshape(np.ravel(w)).copy()
-    We = W[:, ::-1]
-    upper = mesh.theta < np.pi / 2.0
-    lower = mesh.theta > np.pi / 2.0
-    out = W.copy()
-    if orientation >= 0:
-        out[:, upper] = np.maximum(W, We)[:, upper]
-        out[:, lower] = np.minimum(W, We)[:, lower]
-    else:
-        out[:, upper] = np.minimum(W, We)[:, upper]
-        out[:, lower] = np.maximum(W, We)[:, lower]
-    return out.ravel()
+    solver = NeumannSolver(mesh)
+    worst = {"norm": 0.0, "mono": -np.inf, "idem": 0.0}
+    for _ in range(pairs):
+        f = random_smooth_zero_mean(mesh, rng)
+        g = random_smooth_zero_mean(mesh, rng)
+        pf = RadialProfile(mesh, f).star_transform()
+        pg = RadialProfile(mesh, g).star_transform()
+        for s in (pack.alpha, pack.beta):
+            worst["norm"] = max(worst["norm"],
+                                abs(pf.norm(s) / mesh.norm_Ls(f, s) - 1.0))
+        lhs = mesh.inner(f, solver.solve_K(g, check_mean=False))
+        rhs = mesh.inner(pf.h, solver.solve_K(pg.h, check_mean=False))
+        worst["mono"] = max(worst["mono"],
+                            (lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
+        pff = pf.star_transform()
+        worst["idem"] = max(worst["idem"],
+                            np.max(np.abs(pff.h - pf.h))
+                            / max(np.max(np.abs(pf.h)), 1e-300))
+    return {k: (v, bool(v <= STAR_GATES[k])) for k, v in worst.items()}
 
+
+# -- axisymmetric diagnostics ----------------------------------------------
 
 @dataclass
 class FsDiagnostic:
@@ -201,6 +199,7 @@ class SymmetryGap:
     noise: float
     axi_report: object
     rad_report: object
+    mesh: object          # the axisymmetric mesh of axi_report
 
     def summary(self):
         return {"D": self.D, "D_rad": self.D_rad, "gap": self.gap,
@@ -210,7 +209,7 @@ class SymmetryGap:
 
 
 def symmetry_gap(pack, r0, R, nr=96, ntheta=72, seed=0, restarts=6,
-                 estimate_noise=True, **solve_kw):
+                 estimate_noise=True):
     """D (axisymmetric) minus D_rad on matching annulus meshes.
 
     The axisymmetric run includes the lifted radial optimum among its
@@ -218,27 +217,24 @@ def symmetry_gap(pack, r0, R, nr=96, ntheta=72, seed=0, restarts=6,
     tolerance. The refinement-noise estimate reruns both optimizations at
     1.5x resolution.
     """
-    from .dualsolve import maximize_D, maximize_D_radial
+    shape = "ball" if r0 == 0.0 else "annulus"
 
     def run(nr_, nt_):
-        kind = "radial-ball" if r0 == 0.0 else "radial-annulus"
-        mrad = msh.build(kind, pack.N, r0, R, nr_)
-        rad = maximize_D_radial(mrad, pack, seed=seed, restarts=restarts,
-                                **solve_kw)
-        kind_axi = "axisym-ball" if r0 == 0.0 else "axisym-annulus"
-        maxi = msh.build(kind_axi, pack.N, r0, R, nr_, nt_)
+        mrad = msh.build(f"radial-{shape}", pack.N, r0, R, nr_)
+        rad = maximize_D(mrad, pack, seed=seed, restarts=restarts)
+        maxi = msh.build(f"axisym-{shape}", pack.N, r0, R, nr_, nt_)
         lift = (np.repeat(rad.f, nt_), np.repeat(rad.g, nt_))
         axi = maximize_D(maxi, pack, seed=seed, restarts=restarts,
-                         extra_inits=[lift], **solve_kw)
-        return axi, rad
+                         extra_inits=[lift])
+        return axi, rad, maxi
 
-    axi, rad = run(nr, ntheta)
+    axi, rad, maxi = run(nr, ntheta)
     noise = 0.0
     if estimate_noise:
-        axi2, rad2 = run(int(nr * 1.5), int(ntheta * 1.5))
+        axi2, rad2, _ = run(int(nr * 1.5), int(ntheta * 1.5))
         noise = max(abs(axi2.D - axi.D), abs(rad2.D - rad.D))
     return SymmetryGap(D=axi.D, D_rad=rad.D, gap=axi.D - rad.D, noise=noise,
-                       axi_report=axi, rad_report=rad)
+                       axi_report=axi, rad_report=rad, mesh=maxi)
 
 
 def random_smooth_zero_mean(mesh, rng, modes=6):

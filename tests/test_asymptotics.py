@@ -4,7 +4,7 @@ from math import pi
 
 from lanedual import asymptotics as asym
 from lanedual import mesh as msh
-from lanedual.exponents import derived_constants
+from lanedual.exponents import derived_constants, threshold_constant
 from lanedual.neumann import NeumannSolver
 
 
@@ -166,7 +166,7 @@ def ball_solver_226():
 
 
 def test_ratio_exceeds_threshold(ball_solver_226, profile226):
-    T = asym.threshold_constant(profile226.pack, profile226.S)
+    T = threshold_constant(profile226.pack, profile226.S)
     ratio = asym.test_function_ratio(ball_solver_226, profile226, 0.1)
     assert ratio > T
 
@@ -195,7 +195,7 @@ def test_min_resolvable_eps_guard(ball_solver_226, profile226):
 
 def test_cherrier_probe_boundary_and_interior(profile226):
     pack = profile226.pack
-    T = asym.threshold_constant(pack, profile226.S)
+    T = threshold_constant(pack, profile226.S)
     eps_grid = np.geomspace(0.1, 0.01, 4)
     rows_b = asym.cherrier_probe(profile226, "boundary", eps_grid)
     lead_b = rows_b[-1]["leading"]["0.0"]
@@ -214,7 +214,3 @@ def test_cherrier_probe_lower_constant_decreases(profile226):
     for row in rows:
         assert row["leading"]["1.0"] < row["leading"]["0.0"]
 
-
-def test_cherrier_constant_member_skipped():
-    row = asym.cherrier_constant_member()
-    assert row["skipped"] == "gradient term dominant"

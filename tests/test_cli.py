@@ -141,7 +141,14 @@ def test_probe_cherrier_subcommand(tmp_path):
     assert all(item["passed"] for item in report["invariants"])
 
 
-def test_symmetry_subcommand(tmp_path):
+def test_symmetry_subcommand(tmp_path, monkeypatch):
+    gaps, symmetry_gap = [], cli.sym.symmetry_gap
+
+    def recording_gap(*args, **kw):
+        gaps.append(symmetry_gap(*args, **kw))
+        return gaps[-1]
+
+    monkeypatch.setattr(cli.sym, "symmetry_gap", recording_gap)
     code, report, _ = run_cli(
         ["symmetry", "--p", "2", "--N", "6", "--r0", "1", "--R", "2",
          "--nr", "64", "--ntheta", "48", "--restarts", "2", "--quick"],
@@ -151,6 +158,14 @@ def test_symmetry_subcommand(tmp_path):
     assert gap["gap"] > 0
     assert report["results"]["fs_check"]["passed"]
     assert all(item["passed"] for item in report["invariants"])
+    idem = [item for item in report["invariants"]
+            if item["name"] == "star idempotence"]
+    assert len(idem) == 1 and idem[0]["passed"]
+    assert report["results"]["star_idempotence_worst_error"] <= 1e-10
+    # the foliated-Schwarz check ran on the mesh of the axisymmetric optimum
+    (g,) = gaps
+    assert g.mesh.kind == g.axi_report.mesh_descr["kind"] == "axisym-annulus"
+    assert g.mesh.nnodes == len(g.axi_report.u)
 
 
 def test_solve_axisym_ball_threshold(tmp_path):

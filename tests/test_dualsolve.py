@@ -15,7 +15,7 @@ def annulus_solver():
 
 @pytest.fixture(scope="module")
 def report226(annulus_solver, pack226):
-    return ds.maximize_D_radial(annulus_solver, pack226, restarts=4, seed=1)
+    return ds.maximize_D(annulus_solver, pack226, restarts=4, seed=1)
 
 
 # -- rayleigh_ratio ----------------------------------------------------------
@@ -164,10 +164,32 @@ def test_mean_check_on_reused_K_g(annulus_solver, pack226):
 
 
 def test_restarts_agree(annulus_solver, pack226):
-    rep = ds.maximize_D_radial(annulus_solver, pack226, restarts=5, seed=7)
+    rep = ds.maximize_D(annulus_solver, pack226, restarts=5, seed=7)
     conv = [val for (_, val, ok) in rep.restarts if ok]
     assert len(conv) >= 3
     assert max(conv) - min(conv) <= 1e-7 * max(conv)
+
+
+@pytest.mark.parametrize("step, pick", [(1e-15, 0), (1e-9, -1)])
+def test_best_restart_tie_break(monkeypatch, annulus_solver, pack226, step,
+                                pick):
+    # restart k reports the first restart's quotient times (1 + k step):
+    # a roundoff-sized rise ties within TIE_RTOL and the first converged
+    # restart in menu order is reported; a real rise wins
+    fixed_point = ds._fixed_point
+    runs = []
+
+    def stepped(*args):
+        Q, f, g, trace = fixed_point(*args)
+        runs.append((Q, f))
+        return runs[0][0] * (1.0 + step * (len(runs) - 1)), f, g, trace
+
+    monkeypatch.setattr(ds, "_fixed_point", stepped)
+    rep = ds.maximize_D(annulus_solver, pack226, restarts=4, seed=1)
+    chosen = [k for k, (_, _, ok) in enumerate(rep.restarts) if ok][pick]
+    assert rep.D == rep.restarts[chosen][1]
+    assert rep.f is runs[chosen][1]
+    assert len(rep.near_optimal) == sum(ok for _, _, ok in rep.restarts)
 
 
 def test_biharmonic_pack_converges_and_matches_gradient_oracle(pack195):
@@ -179,7 +201,7 @@ def test_biharmonic_pack_converges_and_matches_gradient_oracle(pack195):
     from scipy.optimize import brentq, minimize
     m = msh.build("radial-annulus", 5, 1.0, 2.0, 129)
     sol = NeumannSolver(m)
-    rep = ds.maximize_D_radial(sol, pack195, restarts=4, seed=3)
+    rep = ds.maximize_D(sol, pack195, restarts=4, seed=3)
     w = m.w
     alpha, q = pack195.alpha, pack195.q
 
@@ -257,7 +279,7 @@ def test_radial_monotonicity(report226, annulus_solver):
 
 def test_axisym_dominates_radial(pack226):
     rad = msh.build("radial-annulus", 6, 1.0, 2.0, 96)
-    rep_rad = ds.maximize_D_radial(rad, pack226, restarts=3, seed=0)
+    rep_rad = ds.maximize_D(rad, pack226, restarts=3, seed=0)
     axi = msh.build("axisym-annulus", 6, 1.0, 2.0, 96, 48)
     lift = (np.repeat(rep_rad.f, 48), np.repeat(rep_rad.g, 48))
     rep_axi = ds.maximize_D(axi, pack226, restarts=3, seed=0,
@@ -274,8 +296,7 @@ def test_refinement_stability(pack334):
     vals = []
     for nr in (128, 256):
         m = msh.build("radial-annulus", 4, 1.0, 2.0, nr)
-        vals.append(ds.maximize_D_radial(m, pack334, restarts=3,
-                                         seed=2).D)
+        vals.append(ds.maximize_D(m, pack334, restarts=3, seed=2).D)
     assert abs(vals[1] - vals[0]) <= 2e-3 * vals[0]
 
 

@@ -112,13 +112,6 @@ def test_admissibility_biharmonic_high_dimension_covered():
     assert label == "covered-by-main-thm"
 
 
-def test_swap():
-    pk = derived_constants(1.0, 9.0, 5)
-    sw = pk.swap()
-    assert sw.p == pk.q and sw.q == pk.p
-    assert sw.alpha == pytest.approx(pk.beta)
-
-
 def test_pack_rejects_pq_below_one():
     with pytest.raises((ValueError, OffHyperbolaError)):
         ExponentPack(p=0.5, q=0.5, N=4, alpha=3.0, beta=3.0,

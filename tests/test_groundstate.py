@@ -139,7 +139,7 @@ def test_shoot_matches_plain_sign_bisection(profile, request):
     prof = request.getfixturevalue(profile)
     d_ref = sign_bisection(prof.pack)
     assert prof.shoot_d == d_ref
-    assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, RTOL, 4000).S
+    assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, RTOL).S
 
 
 @pytest.mark.parametrize("pqN, most", [((3.0, 3.0, 4), 5),

@@ -137,26 +137,9 @@ def test_operator_second_order_refinement():
     assert 3.0 < ratio < 5.5
 
 
-def test_field_norm_cache_invalidation():
-    m = msh.build("radial-annulus", 4, 1.0, 2.0, 64)
-    f = msh.Field(m, m.r)
-    n1 = f.norm(2)
-    f.values = 2.0 * m.r
-    assert f.norm(2) == pytest.approx(2.0 * n1, rel=1e-13)
-
-
-def test_field_rejects_nonfinite():
-    m = msh.build("radial-annulus", 4, 1.0, 2.0, 64)
-    bad = np.full(m.nr, np.nan)
-    with pytest.raises(ValueError):
-        msh.Field(m, bad)
-
-
 def test_equal_volume_mesh_weights_identical():
     m = msh.build_equal_volume(6, 1.0, 2.0, 256)
     assert np.allclose(m.w, m.w[0], rtol=0, atol=1e-12 * m.w[0])
-    assert m.volume == pytest.approx(pi ** 3 / 120.0 * (2 ** 6 - 1) * 120 / 120,
-                                     rel=1e-12) or True
     exact = msh.unit_ball_volume(6) * (2.0 ** 6 - 1.0)
     assert m.volume == pytest.approx(exact, rel=1e-12)
 

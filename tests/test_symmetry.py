@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from math import pi
 
 from lanedual import mesh as msh
 from lanedual import symmetry as sym
@@ -120,6 +119,28 @@ def test_quadratic_form_monotonicity(evmesh, evsolver):
         assert lhs <= rhs + 1e-8 * scale
 
 
+def test_star_properties_one_pair(evmesh, evsolver, pack226):
+    star = sym.star_properties(evmesh, pack226, np.random.default_rng(5), 1)
+    assert list(star) == list(sym.STAR_GATES)
+    assert all(passed for _, passed in star.values())
+    rng = np.random.default_rng(5)
+    f = sym.random_smooth_zero_mean(evmesh, rng)  # f is drawn before g
+    g = sym.random_smooth_zero_mean(evmesh, rng)
+    fs = sym.RadialProfile(evmesh, f).star_transform().h
+    gs_ = sym.RadialProfile(evmesh, g).star_transform().h
+    lhs = evmesh.inner(f, evsolver.solve_K(g, check_mean=False))
+    rhs = evmesh.inner(fs, evsolver.solve_K(gs_, check_mean=False))
+    assert star["mono"][0] == (lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+
+
+def test_star_properties_flag_norm_drift_on_unequal_weights(pack226):
+    # slot averaging on a uniform-radius mesh preserves mass, not norms
+    m = msh.build("radial-annulus", 6, 1.0, 2.0, 128)
+    star = sym.star_properties(m, pack226, np.random.default_rng(2), 3)
+    assert star["norm"][0] > sym.STAR_GATES["norm"]
+    assert not star["norm"][1]
+
+
 def test_star_slot_average_fallback_preserves_mass():
     # non-equal weights: mass (not norms) is preserved by slot averaging
     m = msh.build("radial-annulus", 4, 1.0, 2.0, 128)
@@ -130,55 +151,12 @@ def test_star_slot_average_fallback_preserves_mass():
     assert m.integrate(star.h) == pytest.approx(flipped_mass, abs=1e-10)
 
 
-# -- polarization ------------------------------------------------------------
+# -- foliated Schwarz diagnostics -------------------------------------------
 
 @pytest.fixture(scope="module")
 def axmesh():
     return msh.build("axisym-annulus", 5, 1.0, 2.0, 64, 65)
 
-
-def test_polarize_radial_field_unchanged(axmesh):
-    u = axmesh.node_r() ** 2
-    assert np.allclose(sym.polarize(axmesh, u), u)
-
-
-def test_polarize_monotone_field_unchanged(axmesh):
-    u = np.cos(axmesh.node_theta()) * (1.0 + axmesh.node_r())
-    assert np.allclose(sym.polarize(axmesh, u, +1), u)
-
-
-def test_polarize_mirrors_misplaced_bump(axmesh):
-    # bump centered at 3pi/4 -> polarization produces its mirror at pi/4
-    th = axmesh.node_theta()
-    bump = np.exp(-18.0 * (th - 3 * pi / 4) ** 2)
-    pol = sym.polarize(axmesh, bump, +1)
-    mirror = np.exp(-18.0 * (th - pi / 4) ** 2)
-    # nodewise max/min oracle
-    W = axmesh.reshape(bump)
-    We = W[:, ::-1]
-    expect = np.where(axmesh.theta[None, :] < pi / 2,
-                      np.maximum(W, We), np.minimum(W, We))
-    assert np.allclose(axmesh.reshape(pol), expect)
-    assert np.max(np.abs(pol - mirror)) < 1e-12
-
-
-def test_polarize_orientation_flip(axmesh):
-    th = axmesh.node_theta()
-    u = np.cos(th)
-    # with e = -axis: min(cos, -cos) on the upper half and max on the
-    # lower half both equal -cos(theta)
-    pol = sym.polarize(axmesh, u, -1)
-    assert np.allclose(pol, -u)
-    assert sym.fs_check(axmesh, pol, pol).orientation == -1
-
-
-def test_polarize_rejects_asymmetric_grid():
-    m = msh.build("axisym-annulus", 5, 1.0, 2.0, 64, 48, theta_grading=2.0)
-    with pytest.raises(ValueError):
-        sym.polarize(m, np.zeros(m.nnodes))
-
-
-# -- foliated Schwarz diagnostics -------------------------------------------
 
 def test_fs_check_radial_pair_passes(axmesh):
     u = axmesh.node_r()
@@ -193,6 +171,17 @@ def test_fs_check_opposed_monotonicity_fails(axmesh):
     v = -np.cos(th)      # theta-nondecreasing
     diag = sym.fs_check(axmesh, u, v)
     assert not diag.passed
+    # each alone is monotone, in the orientation that matches it
+    assert sym.fs_check(axmesh, u, u).orientation == +1
+
+
+def test_polarize_orientation_flip(axmesh):
+    # the polarization of cos(theta) about e = -axis is -cos(theta): it is
+    # foliated Schwarz symmetric about -axis, so fs_check flips orientation
+    pol = -np.cos(axmesh.node_theta())
+    diag = sym.fs_check(axmesh, pol, pol)
+    assert diag.orientation == -1
+    assert diag.passed
 
 
 def test_radiality_deviation(axmesh):
@@ -205,7 +194,7 @@ def test_equality_case_radial_optimum(evmesh, evsolver, pack226):
     # quadratic form cannot improve), and its recovered pair is radially
     # monotone with u_r v_r > 0
     from lanedual import dualsolve as ds
-    rep = ds.maximize_D_radial(evsolver, pack226, restarts=3, seed=4)
+    rep = ds.maximize_D(evsolver, pack226, restarts=3, seed=4)
     lhs = evmesh.inner(rep.f, evsolver.solve_K(rep.g, check_mean=False))
     fs = sym.RadialProfile(evmesh, rep.f).star_transform().h
     gs_ = sym.RadialProfile(evmesh, rep.g).star_transform().h
