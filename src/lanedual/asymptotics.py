@@ -17,10 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import betainc
+from scipy.special import betainc, stdtrit
 
 from .exponents import threshold_constant
 from .mesh import sphere_area
+
+# relative slope tolerances of the norm rates (pure power, log-corrected)
+# and of the normal-derivative rate, the last also an absolute floor
+NORM_RATE_TOL = 0.02
+NORM_RATE_LOG_TOL = 0.05
+BOUNDARY_RATE_TOL = 0.05
 
 
 # -- spherical-cap quadrature ------------------------------------------------
@@ -33,9 +39,9 @@ def cap_fraction(s, R, N):
     return 0.5 * betainc((N - 1) / 2.0, 0.5, x)
 
 
-def ball_integral_boundary_bubble(fun, R, N, s_min, npts=4000):
+def ball_integral_boundary_bubble(fun, R, N, s_min):
     """int_{B_R} F(|x - x0|) dx for x0 on the boundary, F radial."""
-    s = np.geomspace(s_min, 2.0 * R, npts)
+    s = np.geomspace(s_min, 2.0 * R, 4000)
     vals = fun(s) * s ** (N - 1) * cap_fraction(s, R, N)
     out = sphere_area(N) * simpson(vals, x=s)
     # [0, s_min] patch: integrand ~ F(0) s^{N-1}/2
@@ -43,9 +49,9 @@ def ball_integral_boundary_bubble(fun, R, N, s_min, npts=4000):
     return float(out)
 
 
-def ball_integral_interior_bubble(fun, R, N, s_min, npts=4000):
+def ball_integral_interior_bubble(fun, R, N, s_min):
     """Same with the bubble at the center of the ball."""
-    s = np.geomspace(s_min, R, npts)
+    s = np.geomspace(s_min, R, 4000)
     vals = fun(s) * s ** (N - 1)
     out = sphere_area(N) * simpson(vals, x=s)
     out += sphere_area(N) * fun(np.array([s_min]))[0] * s_min ** N / N
@@ -71,9 +77,7 @@ def _linear_fit(x, y):
     s2 = float(np.sum((y - yhat) ** 2)) / dof
     sx = float(np.sum((x - x.mean()) ** 2))
     se = np.sqrt(s2 / sx) if sx > 0 else np.inf
-    # imported here: scipy.stats adds ~0.5 s to the import of the package
-    from scipy.stats import t as tdist
-    tcrit = tdist.ppf(0.975, dof)
+    tcrit = stdtrit(dof, 0.975)  # Student-t quantile
     return FitResult(slope=float(coef[1]), intercept=float(coef[0]),
                      ci=float(tcrit * se),
                      resid_rms=float(np.sqrt(np.mean((y - yhat) ** 2))))
@@ -165,8 +169,7 @@ def predicted_norm_rate(pack, quantity):
                                    "marginal tail (extra log)")
 
 
-def norm_rate_sweep(profile, quantity, eps_grid, R_domain=1.0,
-                    rel_tol=0.02, log_tol=0.05):
+def norm_rate_sweep(profile, quantity, eps_grid, R_domain=1.0):
     """Fitted log-log slope of a truncated bubble norm vs the predicted
     rate; log-corrected regimes are fitted with the log power pinned."""
     from .groundstate import scaled_quantities
@@ -176,7 +179,7 @@ def norm_rate_sweep(profile, quantity, eps_grid, R_domain=1.0,
     vals = np.array([scaled_quantities(profile, e, R_domain)[quantity]
                      for e in eps_grid])
     fit = fit_loglog(eps_grid, vals, log_power=log_power)
-    tol = log_tol if log_power else rel_tol
+    tol = NORM_RATE_LOG_TOL if log_power else NORM_RATE_TOL
     passed = abs(fit.slope - pred) <= max(tol * abs(pred), fit.ci)
     return SweepRecord(quantity=quantity, eps=eps_grid, values=vals,
                        fitted_slope=fit.slope, slope_ci=fit.ci,
@@ -187,9 +190,9 @@ def norm_rate_sweep(profile, quantity, eps_grid, R_domain=1.0,
 
 # -- boundary terms ----------------------------------------------------------
 
-def _boundary_grid(eps, R, npts=3000):
+def _boundary_grid(eps, R):
     th_min = min(1e-5 * eps / R, 1e-8)
-    return np.geomspace(th_min, np.pi, npts)
+    return np.geomspace(th_min, np.pi, 3000)
 
 
 def boundary_pairing(profile, eps, R=1.0):
@@ -231,7 +234,7 @@ def predicted_normal_derivative_rate(pack):
             "normal-derivative trace rate, log-corrected regime")
 
 
-def boundary_term_sweep(profile, eps_grid, R=1.0, rate_tol=0.05):
+def boundary_term_sweep(profile, eps_grid, R=1.0):
     """Sign of the boundary pairing and the growth rate of the normal-
     derivative trace norm."""
     eps_grid = np.sort(np.asarray(eps_grid, float))[::-1]
@@ -239,9 +242,8 @@ def boundary_term_sweep(profile, eps_grid, R=1.0, rate_tol=0.05):
     nrm = np.array([boundary_normal_norm(profile, e, R) for e in eps_grid])
     pred, log_power, prov = predicted_normal_derivative_rate(profile.pack)
     fit = fit_loglog(eps_grid, nrm, log_power=log_power)
-    # rate_tol acts as an absolute floor when the predicted slope is ~0
-    passed = (abs(fit.slope - pred) <= max(rate_tol * abs(pred), rate_tol,
-                                           fit.ci)
+    passed = (abs(fit.slope - pred) <= max(BOUNDARY_RATE_TOL * abs(pred),
+                                           BOUNDARY_RATE_TOL, fit.ci)
               and bool(np.all(pair < 0.0)))
     return SweepRecord(quantity="boundary_UdnuV", eps=eps_grid, values=pair,
                        fitted_slope=fit.slope, slope_ci=fit.ci,

@@ -10,7 +10,13 @@ artifacts into the output directory.
 
 Configuration is plain key=value text overridable by CLI flags; a fixed
 seed makes runs byte-identical up to the timing fields. Exit codes:
-0 pass, 2 invariant failure, 3 convergence failure, 4 config error.
+0 pass, 2 invariant failure, 3 numerical/convergence failure, 4 config
+error.
+
+Start-up: this module loads mesh, dualsolve and exponents (numpy and
+scipy.sparse.linalg); each subcommand imports the rest in its own body.
+All but symmetry and verify --quick load the shooter (scipy.integrate);
+sweep, probe-cherrier and the full verify also load asymptotics.
 """
 
 import argparse
@@ -23,14 +29,19 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import __version__
-from . import asymptotics as asym
+from . import __version__, lazy_getattr
 from . import dualsolve as ds
 from . import mesh as msh
-from . import symmetry as sym
 from .exponents import (admissibility, derived_constants, hyperbola_partner,
                         threshold_constant)
-from .groundstate import ShootingError, scaled_quantities, shoot
+from .neumann import NonZeroMeanError
+
+# Each subcommand imports the engines it runs inside its own body; these
+# names stay readable as module attributes.
+__getattr__ = lazy_getattr(__name__, {
+    "asym": "asymptotics", "sym": "symmetry", "shoot": "groundstate.shoot",
+    "scaled_quantities": "groundstate.scaled_quantities",
+    "ShootingError": "groundstate.ShootingError"})
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -179,6 +190,7 @@ def _write_csv(outdir, name, header, rows):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_bubble(cfg, report, outdir):
+    from .groundstate import radial_moment, scaled_quantities, shoot
     pack = cfg.pack()
     prof = shoot(pack, r_max=cfg.r_max)
     label, cond = admissibility(pack.p, pack.q, pack.N)
@@ -195,7 +207,6 @@ def cmd_bubble(cfg, report, outdir):
                  np.isfinite(prof.a) and np.isfinite(prof.b)
                  and prof.a > 0 and prof.b > 0,
                  f"a={prof.a:.6g} b={prof.b:.6g}")
-    from .groundstate import radial_moment
     mU = radial_moment(prof, "U", pack.p + 1, pack.N - 1.0)
     mV = radial_moment(prof, "V", pack.q + 1, pack.N - 1.0)
     report.check("critical norms equal", abs(mU / mV - 1) < 1e-3,
@@ -215,6 +226,7 @@ def _build_mesh(cfg):
 
 
 def cmd_solve(cfg, report, outdir):
+    from .groundstate import shoot
     pack = cfg.pack()
     mesh = _build_mesh(cfg)
     prof = shoot(pack, r_max=cfg.r_max)
@@ -257,6 +269,7 @@ def cmd_symmetry(cfg, report, outdir):
     and L^beta, quadratic-form monotonicity, idempotence) on 50 random
     pairs, then the symmetry gap and the foliated-Schwarz check of the
     axisymmetric optimum."""
+    from . import symmetry as sym
     pack = cfg.pack()
     ev = msh.build_equal_volume(pack.N, cfg.r0, cfg.R, max(cfg.nr, 64))
     star = sym.star_properties(ev, pack, np.random.default_rng(cfg.seed), 50)
@@ -283,6 +296,8 @@ def cmd_symmetry(cfg, report, outdir):
 
 
 def cmd_sweep(cfg, report, outdir):
+    from . import asymptotics as asym
+    from .groundstate import shoot
     pack = cfg.pack()
     prof = shoot(pack, r_max=cfg.r_max)
     grid = cfg.eps_grid()
@@ -304,6 +319,8 @@ def cmd_sweep(cfg, report, outdir):
 
 
 def cmd_probe_cherrier(cfg, report, outdir):
+    from . import asymptotics as asym
+    from .groundstate import shoot
     pack = cfg.pack()
     prof = shoot(pack, r_max=cfg.r_max)
     grid = cfg.eps_grid()
@@ -409,18 +426,22 @@ def run(cfg):
     t0 = time.time()
     try:
         COMMANDS[cfg.subcommand](cfg, report, outdir)
-    except (ConfigError, ValueError) as e:
+    except (ValueError, RuntimeError) as e:
+        # only a loaded groundstate can have raised a ShootingError, so a
+        # command that never shoots need not import it here
+        gs = sys.modules.get(f"{__package__}.groundstate")
+        if isinstance(e, (ds.ConvergenceError, NonZeroMeanError)) or (
+                gs is not None and isinstance(e, gs.ShootingError)):
+            code, kind = EXIT_CONVERGENCE, "numerical failure"
+        elif isinstance(e, ValueError):
+            code, kind = EXIT_CONFIG, "config error"
+        else:
+            raise
         report.results["error"] = str(e)
         report.timings["seconds"] = time.time() - t0
         report.dump(outdir)
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ds.ConvergenceError, ShootingError) as e:
-        report.results["error"] = str(e)
-        report.timings["seconds"] = time.time() - t0
-        report.dump(outdir)
-        print(f"convergence failure: {e}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        print(f"{kind}: {e}", file=sys.stderr)
+        return code
     report.timings["seconds"] = time.time() - t0
     path = report.dump(outdir)
     ok = report.all_passed()

@@ -35,9 +35,9 @@ def sphere_area(N):
     return N * unit_ball_volume(N)
 
 
-def _cell_integrals(faces, dens, ngauss=8):
-    """Exact-ish integral of dens over each cell [faces[k], faces[k+1]]."""
-    gx, gw = np.polynomial.legendre.leggauss(ngauss)
+def _cell_integrals(faces, dens):
+    """8-point Gauss-Legendre integral of dens over each cell."""
+    gx, gw = np.polynomial.legendre.leggauss(8)
     a, b = faces[:-1], faces[1:]
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]

@@ -21,6 +21,7 @@ FLIP_BAND = 1e-12  # relative band around zero classified as <= 0
 # gates on the worst star-transform norm drift, quadratic-form
 # monotonicity excess and idempotence error (see star_properties)
 STAR_GATES = {"norm": 1e-8, "mono": 1e-8, "idem": 1e-10}
+FS_TOL = 1e-4  # monotonicity violation allowed, relative to max |u|, |v|
 
 
 @dataclass
@@ -164,7 +165,7 @@ def _monotone_violation(mesh, w, orientation):
     return float(max(viol.max(), 0.0))
 
 
-def fs_check(mesh, u, v, tol_rel=1e-4):
+def fs_check(mesh, u, v):
     """Foliated-Schwarz diagnostic: are u and v simultaneously monotone in
     the polar angle for a common orientation of the axis?
 
@@ -173,7 +174,7 @@ def fs_check(mesh, u, v, tol_rel=1e-4):
     reduction and reported as such by construction.
     """
     scale = max(np.max(np.abs(u)), np.max(np.abs(v)), 1e-300)
-    tol = tol_rel * scale
+    tol = FS_TOL * scale
     best = None
     for orient in (+1, -1):
         viol = max(_monotone_violation(mesh, u, orient),
@@ -237,11 +238,11 @@ def symmetry_gap(pack, r0, R, nr=96, ntheta=72, seed=0, restarts=6,
                        axi_report=axi, rad_report=rad, mesh=maxi)
 
 
-def random_smooth_zero_mean(mesh, rng, modes=6):
-    """Continuous zero-mean radial test field from a low-order basis."""
+def random_smooth_zero_mean(mesh, rng):
+    """Continuous zero-mean radial test field from six cos/sin modes."""
     x = (mesh.r - mesh.r0) / (mesh.R - mesh.r0)
     h = np.zeros(mesh.nr)
-    for k in range(1, modes + 1):
+    for k in range(1, 7):
         h += rng.standard_normal() / k * np.cos(np.pi * k * x)
         h += rng.standard_normal() / k * np.sin(np.pi * k * x)
     h -= mesh.mean(h)

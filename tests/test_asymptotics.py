@@ -88,6 +88,25 @@ def test_fit_linear_ci():
     assert fit.ci < 0.01
 
 
+def test_fit_ci_quantile_is_student_t(monkeypatch):
+    # the CI's scipy.special quantile equals scipy.stats' t.ppf bit for bit
+    from scipy.stats import t
+    for n in range(3, 14):
+        x = np.linspace(0.01, 0.1, n)
+        y = 0.3 + 2.0 * x + 1e-3 * np.random.default_rng(n).standard_normal(n)
+        ci = asym.fit_linear(x, y).ci
+        dofs = []
+
+        def reference(dof, prob):
+            dofs.append(dof)
+            return t.ppf(0.975, dof)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(asym, "stdtrit", reference)
+            assert asym.fit_linear(x, y).ci == ci
+        assert dofs == [n - 2]
+
+
 # -- norm rates ---------------------------------------------------------------
 
 def test_predicted_rates_match_printed_table(pack226, pack_log6):

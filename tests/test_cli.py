@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from lanedual import cli
+from lanedual import cli, groundstate
+from lanedual.neumann import NeumannSolver, NonZeroMeanError
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -65,6 +66,21 @@ def test_invalid_pack_is_config_error(tmp_path):
     code, report, _ = run_cli(["solve", "--p", "1", "--q", "1", "--N", "6"],
                               tmp_path)
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("owner, name, error", [
+    (NeumannSolver, "check_mean", NonZeroMeanError),  # a ValueError in K
+    (groundstate, "shoot", groundstate.BracketError)])
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, owner, name,
+                                     error):
+    def fail(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(owner, name, fail)
+    code, report, _ = run_cli(["solve", "--p", "2", "--N", "6", "--nr", "64",
+                               "--restarts", "1"], tmp_path)
+    assert code == cli.EXIT_CONVERGENCE
+    assert report["results"]["error"] == "forced"
 
 
 def test_missing_exponents_is_config_error(tmp_path):

@@ -1,0 +1,77 @@
+"""Start-up: each entry point imports only what it runs. The import sets
+are read in fresh interpreters; the lazily resolved names in-process."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import lanedual
+from lanedual import acceptance, cli, groundstate, symmetry
+
+SRC = os.path.dirname(os.path.dirname(lanedual.__file__))
+SHOOTER = {"scipy.integrate", "lanedual.groundstate"}
+
+
+def _modules_after(code, cwd):
+    """sys.modules of a fresh interpreter after it runs `code`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, cwd=cwd, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_no_scipy(tmp_path):
+    loaded = _modules_after("import lanedual", tmp_path)
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_cli_import_loads_no_engines(tmp_path):
+    loaded = _modules_after("import lanedual.cli", tmp_path)
+    assert not loaded & (SHOOTER | {"scipy.stats", "lanedual.asymptotics"})
+
+
+def test_verify_quick_loads_no_shooter(tmp_path):
+    loaded = _modules_after(
+        "from lanedual import cli\n"
+        "assert cli.main(['verify', '--quick', '--outdir', 'out']) == 0",
+        tmp_path)
+    assert not loaded & (SHOOTER | {"scipy.stats"})
+
+
+def test_slope_fit_loads_no_stats(tmp_path):
+    loaded = _modules_after(
+        "import numpy as np\n"
+        "from lanedual import asymptotics\n"
+        "eps = np.geomspace(0.1, 0.001, 6)\n"
+        "asymptotics.fit_loglog(eps, eps ** 2)", tmp_path)
+    assert "lanedual.asymptotics" in loaded
+    assert "scipy.stats" not in loaded
+
+
+def test_package_exports_resolve():
+    namespace = {}
+    exec("from lanedual import *", namespace)
+    for name in lanedual.__all__:
+        assert namespace[name] is getattr(lanedual, name)
+    assert lanedual.shoot is groundstate.shoot
+
+
+@pytest.mark.parametrize("module", [lanedual, cli, acceptance])
+def test_unknown_attribute_raises(module):
+    with pytest.raises(AttributeError):
+        module.no_such_name
+
+
+def test_aliases_follow_the_owning_module(monkeypatch):
+    assert cli.shoot is groundstate.shoot
+    assert cli.sym is symmetry
+    assert cli.ShootingError is groundstate.ShootingError
+    assert acceptance.shoot is groundstate.shoot
+    monkeypatch.setattr(groundstate, "shoot", lambda *a, **kw: None)
+    assert cli.shoot is acceptance.shoot is groundstate.shoot
