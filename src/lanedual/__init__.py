@@ -13,6 +13,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 
+class NumericalError(RuntimeError):
+    """A numerical failure: a solve, fixed point or shoot that did not
+    deliver, as opposed to a bad configuration. The CLI exits 3 on it."""
+
+
 def lazy_getattr(modname, names):
     """PEP 562 ``__getattr__`` of module `modname`: `names` maps a name to
     "submodule" or "submodule.attr" of this package, imported on use. Nothing
@@ -37,7 +42,8 @@ _EXPORTS = {
                     "scaled_quantities"),
     "dualsolve": ("DualReport", "maximize_D", "rayleigh_ratio", "energy"),
 }
-__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__ = ["NumericalError"] + [name for names in _EXPORTS.values()
+                                for name in names]
 __getattr__ = lazy_getattr(__name__, {name: f"{sub}.{name}"
                                       for sub, names in _EXPORTS.items()
                                       for name in names})

@@ -29,12 +29,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import __version__, lazy_getattr
+from . import NumericalError, __version__, lazy_getattr
 from . import dualsolve as ds
 from . import mesh as msh
 from .exponents import (admissibility, derived_constants, hyperbola_partner,
                         threshold_constant)
-from .neumann import NonZeroMeanError
 
 # Each subcommand imports the engines it runs inside its own body; these
 # names stay readable as module attributes.
@@ -236,6 +235,7 @@ def cmd_solve(cfg, report, outdir):
     report.results.update(rep.summary())
     report.results["restart_stop_reasons"] = [trace.stop_reason
                                               for trace in rep.traces]
+    report.results["work"] = rep.work()
     chk = rep.solution_checks()
     report.check("energy identity", chk["energy_rel"] <= ds.ENERGY_GATE,
                  f"rel error {chk['energy_rel']:.3e}")
@@ -426,17 +426,11 @@ def run(cfg):
     t0 = time.time()
     try:
         COMMANDS[cfg.subcommand](cfg, report, outdir)
-    except (ValueError, RuntimeError) as e:
-        # only a loaded groundstate can have raised a ShootingError, so a
-        # command that never shoots need not import it here
-        gs = sys.modules.get(f"{__package__}.groundstate")
-        if isinstance(e, (ds.ConvergenceError, NonZeroMeanError)) or (
-                gs is not None and isinstance(e, gs.ShootingError)):
+    except (NumericalError, ValueError) as e:
+        if isinstance(e, NumericalError):
             code, kind = EXIT_CONVERGENCE, "numerical failure"
-        elif isinstance(e, ValueError):
-            code, kind = EXIT_CONFIG, "config error"
         else:
-            raise
+            code, kind = EXIT_CONFIG, "config error"
         report.results["error"] = str(e)
         report.timings["seconds"] = time.time() - t0
         report.dump(outdir)

@@ -10,12 +10,23 @@ rescaling of f and g; zero mean is automatic because int |K_t h|^(t-1)
 K_t h = 0 by construction of the constant shift. A step is accepted only
 if the quotient does not decrease; otherwise the damping factor is halved
 and the blend retried.
+
+An accepted undamped step is accelerated without a K solve, since K of a
+linear combination of g's is the same combination of the K g's already
+at hand. First the type-II Anderson mix of the last few sweeps (Walker &
+Ni, SIAM J. Numer. Anal. 49, 2011) replaces the step when its quotient is
+no lower; that guard falls back to the plain sweep (Zhang, O'Donoghue &
+Boyd, SIAM J. Optim. 30, 2020) and keeps the ascent monotone, so a
+restart can still leave a saddle. Then the step is extrapolated at
+doubling factors while the quotient keeps rising.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import NumericalError
 from .exponents import threshold_constant
 from .neumann import NeumannSolver, signed_power
 
@@ -27,21 +38,37 @@ ENERGY_GATE, RESIDUAL_GATE, COMPAT_GATE = 1e-6, 1e-5, 1e-8
 # first converged restart in menu order within TIE_RTOL of it is reported,
 # so that roundoff does not pick among tied (e.g. mirror-image) optima.
 NEAR_RTOL, TIE_RTOL = 1e-8, 1e-12
+# Relative roundoff noise of the quotient: a step may lower Q by this much
+# and still be accepted, and an extrapolation must raise Q by more.
+Q_NOISE = 1e-12
+# The Anderson mix combines the last ANDERSON_DEPTH + 1 undamped sweeps;
+# the extrapolation factor doubles from 2 up to OMEGA_MAX.
+ANDERSON_DEPTH, OMEGA_MAX = 2, 64.0
 
 
 @dataclass
 class IterationTrace:
     """One restart of the fixed point. `stop_reason` says why its loop ended:
-    "converged" (quotient stable and the EL gate met), "damping-floor"
-    (the damping factor fell below 1e-14), "el-residual" (sweeps ran out
-    while the quotient had settled but the EL gate failed) or "max_iter"
-    (sweeps ran out with the quotient still moving). A restart that did
-    not stop on "converged" still counts as converged when its final EL
-    residual meets the gate."""
+    "converged" (a sweep moved the quotient by at most tol and met the EL
+    gate), "damping-floor" (the damping factor fell below 1e-14),
+    "el-residual" (sweeps ran out while the quotient had settled but the
+    EL gate failed) or "max_iter" (sweeps ran out with the quotient still
+    moving). A restart that did not stop on "converged" still counts as
+    converged when its final EL residual meets the gate. The counters
+    (sweeps, mixes, extrapolations, rejected) are deterministic work
+    counts for the report."""
     iterations: list = field(default_factory=list)  # (sweep, Q, tau)
     converged: bool = False
     el_residual: float = np.inf
     stop_reason: str = ""
+    mixes: int = 0            # accepted steps replaced by the Anderson mix
+    extrapolations: int = 0   # extrapolated candidates taken, one per factor
+    rejected: int = 0         # steps refused, each followed by more damping
+
+    @property
+    def sweeps(self):
+        """Passes of the loop, accepted or rejected."""
+        return len(self.iterations) + self.rejected
 
 
 @dataclass
@@ -68,6 +95,16 @@ class DualReport:
     pointwise_mismatch: float = np.nan
     u_nodal: bool = False
     v_nodal: bool = False
+    k_solves: int = 0                   # K solves made by maximize_D
+
+    def work(self):
+        """Deterministic work counters: the K solves of the whole solve,
+        then sweeps, mixes, extrapolations and rejected steps per restart,
+        in menu order."""
+        return {"k_solves": self.k_solves,
+                **{key: [getattr(trace, key) for trace in self.traces]
+                   for key in ("sweeps", "mixes", "extrapolations",
+                               "rejected")}}
 
     def solution_checks(self):
         """The gated quantities of the recovered solution, and nodality."""
@@ -113,7 +150,7 @@ class DualReport:
         return out
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError):
     def __init__(self, msg, traces=None):
         super().__init__(msg)
         self.traces = traces or []
@@ -125,7 +162,7 @@ def rayleigh_ratio(solver, f, g, pack):
     nf = mesh.norm_Ls(f, pack.alpha)
     ng = mesh.norm_Ls(g, pack.beta)
     if nf == 0.0 or ng == 0.0:
-        raise ValueError("rayleigh_ratio called with a zero field")
+        raise NumericalError("rayleigh_ratio called with a zero field")
     return mesh.inner(f, solver.solve_K(g, check_mean=False)) / (nf * ng)
 
 
@@ -145,6 +182,42 @@ def _sweep(solver, pack, g, Kg, kappas):
     return fn, gn
 
 
+def _scaled(mesh, pack, f, g, Kg):
+    """(f, g, K g) scaled to unit L^alpha and L^beta norms, with their
+    quotient; None for a zero or non-finite candidate."""
+    nf, ng = mesh.norm_Ls(f, pack.alpha), mesh.norm_Ls(g, pack.beta)
+    if not (nf > 0.0 and ng > 0.0 and np.isfinite(nf * ng)):
+        return None
+    f, g, Kg = f / nf, g / ng, Kg / ng
+    return f, g, Kg, mesh.inner(f, Kg)
+
+
+def _anderson(mesh, pack, history):
+    """Type-II Anderson mix of the undamped sweeps in history, each a
+    (g, G(g), f, K G(g)) tuple: the weights a, summing to 1, minimize the
+    W-weighted L2 norm of sum a_i (G(g_i) - g_i) (normal equations in the
+    differences of those residuals), and the mix is sum a_i (f_i, G(g_i),
+    K G(g_i)), scaled. K of the mix is the same mix of K values, so it
+    costs no solve. None for a short history, or for residuals so nearly
+    dependent that the mix's roundoff, about eps * sum |a_i| relative,
+    would reach the quotient's noise and void the Q guard."""
+    if len(history) < 2:
+        return None
+    res = [gn - g for g, gn, _, _ in history]
+    cols = [res[-1] - r for r in res[:-1]]
+    gram = [[mesh.inner(c, d) for d in cols] for c in cols]
+    try:
+        gamma = np.linalg.solve(gram, [mesh.inner(c, res[-1]) for c in cols])
+    except np.linalg.LinAlgError:
+        return None
+    a = [*gamma, 1.0 - gamma.sum()]
+    if not np.sum(np.abs(a)) * np.finfo(float).eps < Q_NOISE:
+        return None
+    _, g_out, f_out, Kg_out = zip(*history)
+    return _scaled(mesh, pack, *(sum(ai * v for ai, v in zip(a, vecs))
+                                 for vecs in (f_out, g_out, Kg_out)))
+
+
 def _el_residual(solver, pack, f, g, Kg, Q, guess):
     solver.check_mean(g)
     lhs = Kg + solver.kappa_shift(Kg, pack.p, guess).kappa
@@ -152,13 +225,39 @@ def _el_residual(solver, pack, f, g, Kg, Q, guess):
     return solver.mesh.norm_Ls(lhs - rhs, pack.p + 1.0) / Q
 
 
+def _accelerate(mesh, pack, prev, step, history, trace):
+    """The accepted undamped step, improved at no K solve: replaced by the
+    Anderson mix of `history` when the mix's quotient is no lower, then
+    extrapolated from `prev` along the step, at factors 2, 4, ... up to
+    OMEGA_MAX, while each factor raises the quotient above its noise."""
+    mix = _anderson(mesh, pack, history)
+    if mix is not None and mix[3] >= step[3]:
+        step = mix
+        trace.mixes += 1
+    base = step[:3]
+    omega = 2.0
+    while omega <= OMEGA_MAX:
+        trial = _scaled(mesh, pack, *(a + omega * (b - a)
+                                      for a, b in zip(prev, base)))
+        if trial is None or not trial[3] > step[3] + Q_NOISE * abs(step[3]):
+            break
+        trace.extrapolations += 1
+        step = trial
+        omega *= 2.0
+    return step
+
+
 def _fixed_point(solver, pack, f0, g0, max_iter, tol, el_tol):
     """Damped fixed point from (f0, g0); returns (Q, f, g, trace).
 
-    Each sweep makes two K solves: K f for the g half-step, and K g for
-    the quotient, which the next sweep reuses. A rejected step keeps the
-    undamped sweep, since f and g did not change, and retries only the
-    blend and its quotient.
+    Each sweep makes at most two K solves: K f for the g half-step, and
+    K g for the quotient, which the next sweep reuses. A rejected step
+    keeps the undamped sweep, since f and g did not change, and retries
+    only the blend and its quotient. An accepted undamped step is then
+    improved without a K solve by _accelerate, which only ever raises Q
+    and so lets a restart leave a saddle. The Euler-Lagrange residual (a
+    kappa shift, no K solve) is checked on every sweep whose quotient
+    moved by at most tol.
     """
     mesh = solver.mesh
     f = np.array(f0, dtype=float)
@@ -170,12 +269,10 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol, el_tol):
     Kg = solver.solve_K(g, check_mean=False)
     Q = mesh.inner(f, Kg)
     trace = IterationTrace()
-    tau, accepted, stable, settled = 1.0, 0, 0, False
+    tau, accepted, settled = 1.0, 0, False
     kappas = [None, None]
     undamped = None
-    # accept slack sits above the roundoff noise of the quotient so that
-    # machine-converged iterates are not spuriously rejected
-    slack = 1e-12
+    history = deque(maxlen=ANDERSON_DEPTH + 1)
     for sweep in range(max_iter):
         if undamped is None:
             undamped = _sweep(solver, pack, g, Kg, kappas)
@@ -187,27 +284,31 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol, el_tol):
             gn /= mesh.norm_Ls(gn, pack.beta)
         Kgn = solver.solve_K(gn, check_mean=False)
         Qn = mesh.inner(fn, Kgn)
-        if Qn >= Q * (1.0 - slack):
-            dq = abs(Qn - Q)
-            f, g, Kg, Q = fn, gn, Kgn, Qn
+        if Qn >= Q * (1.0 - Q_NOISE):
+            step = fn, gn, Kgn, Qn
+            if tau == 1.0:
+                history.append((g, gn, fn, Kgn))
+                step = _accelerate(mesh, pack, (f, g, Kg), step, history,
+                                   trace)
+            dq = abs(step[3] - Q)
+            f, g, Kg, Q = step
             undamped = None
             trace.iterations.append((sweep, Q, tau))
             accepted += 1
             if accepted >= 3:
                 tau, accepted = 1.0, 0
             if dq <= tol * abs(Q):
-                stable += 1
-            else:
-                stable, settled = 0, False
-            if stable >= 5:
                 el = _el_residual(solver, pack, f, g, Kg, Q, kappas[0])
                 if el <= el_tol:
                     trace.converged = True
                     trace.el_residual = el
                     trace.stop_reason = "converged"
                     break
-                stable, settled = 0, True
+                settled = True
+            else:
+                settled = False
         else:
+            trace.rejected += 1
             tau *= 0.5
             accepted = 0
             if tau < 1e-14:
@@ -266,6 +367,7 @@ def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
     solver = (solver_or_mesh if isinstance(solver_or_mesh, NeumannSolver)
               else NeumannSolver(solver_or_mesh))
     mesh = solver.mesh
+    k_solves = solver.k_solves
     inits = _init_menu(solver, pack, restarts, seed, list(extra_inits))
     results = [(name, *_fixed_point(solver, pack, f0, g0, max_iter, tol,
                                     el_tol))
@@ -291,6 +393,7 @@ def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
         threshold=threshold_constant(pack, S) if S else np.nan,
     )
     recover_solution(solver, report)
+    report.k_solves = solver.k_solves - k_solves
     return report
 
 

@@ -32,6 +32,7 @@ from scipy.integrate import solve_ivp, simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from . import NumericalError
 from .mesh import sphere_area
 
 R_START = 1e-6          # series handoff radius
@@ -43,7 +44,7 @@ REGIME_TOL = 1e-10      # classify q vs N/(N-2)
 PLATEAU_DRIFT = 0.02
 
 
-class ShootingError(RuntimeError):
+class ShootingError(NumericalError):
     pass
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lanedual import cli, groundstate
+from lanedual import dualsolve as ds
 from lanedual.neumann import NeumannSolver, NonZeroMeanError
 
 
@@ -57,6 +58,13 @@ def test_solve_subcommand_energy_identity(tmp_path):
     res = report["results"]
     assert res["energy_rel_error"] <= 1e-6
     assert res["restart_stop_reasons"] == ["converged"] * 3
+    # per restart: one K solve to start, two per sweep, one per rejected
+    # step; the eigenfunction, the noise and the recovery add the rest
+    work = res["work"]
+    assert all(len(work[key]) == 3 for key in ("sweeps", "mixes",
+                                                "extrapolations", "rejected"))
+    assert work["k_solves"] > sum(1 + 2 * n - r for n, r in
+                                  zip(work["sweeps"], work["rejected"]))
     names = [item["name"] for item in report["invariants"]]
     assert "energy identity" in names
     assert all(item["passed"] for item in report["invariants"])
@@ -70,7 +78,8 @@ def test_invalid_pack_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("owner, name, error", [
     (NeumannSolver, "check_mean", NonZeroMeanError),  # a ValueError in K
-    (groundstate, "shoot", groundstate.BracketError)])
+    (groundstate, "shoot", groundstate.BracketError),
+    (ds, "maximize_D", ds.ConvergenceError)])
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, owner, name,
                                      error):
     def fail(*args, **kwargs):
@@ -83,22 +92,40 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, owner, name,
     assert report["results"]["error"] == "forced"
 
 
+def test_zero_field_exits_3(tmp_path, monkeypatch):
+    # a zero field reaching the quotient is a numerical failure, not a
+    # config error, though the arguments were valid
+    def zero_quotient(mesh, pack, **kw):
+        z = np.zeros(mesh.nnodes)
+        return ds.rayleigh_ratio(ds.NeumannSolver(mesh), z, z, pack)
+
+    monkeypatch.setattr(ds, "maximize_D", zero_quotient)
+    code, report, _ = run_cli(["solve", "--p", "2", "--N", "6", "--nr", "64"],
+                              tmp_path)
+    assert code == cli.EXIT_CONVERGENCE
+    assert "zero field" in report["results"]["error"]
+
+
 def test_missing_exponents_is_config_error(tmp_path):
     code, _, _ = run_cli(["bubble", "--N", "6"], tmp_path)
     assert code == cli.EXIT_CONFIG
 
 
 def test_determinism_byte_identical_reports(tmp_path):
-    argv = ["sweep", "--p", "2", "--N", "6", "--eps-hi", "0.01",
-            "--eps-lo", "0.0003", "--eps-count", "6", "--seed", "3",
-            "--r-max", "100"]
-    _, rep1, _ = run_cli(argv, tmp_path, "a")
-    _, rep2, _ = run_cli(argv, tmp_path, "b")
-    for rep in (rep1, rep2):
-        rep.pop("timings")
-        rep["config"].pop("outdir")  # the only run-specific config field
-    assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2,
-                                                          sort_keys=True)
+    # the solve report carries the work counters under results.work
+    for argv in (["sweep", "--p", "2", "--N", "6", "--eps-hi", "0.01",
+                  "--eps-lo", "0.0003", "--eps-count", "6", "--seed", "3",
+                  "--r-max", "100"],
+                 ["solve", "--p", "2", "--N", "6", "--nr", "64",
+                  "--restarts", "3", "--seed", "3"]):
+        _, rep1, _ = run_cli(argv, tmp_path, f"a-{argv[0]}")
+        _, rep2, _ = run_cli(argv, tmp_path, f"b-{argv[0]}")
+        for rep in (rep1, rep2):
+            rep.pop("timings")
+            rep["config"].pop("outdir")  # the only run-specific config field
+        assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2,
+                                                              sort_keys=True)
+    assert rep1["results"]["work"]["k_solves"] > 0
 
 
 def test_report_embeds_config_and_build(tmp_path):

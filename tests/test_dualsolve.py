@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from lanedual import NumericalError
 from lanedual import dualsolve as ds
 from lanedual import mesh as msh
+from lanedual import symmetry as sym
 from lanedual.exponents import derived_constants
 from lanedual.neumann import (NeumannSolver, NonZeroMeanError,
                               dense_eigenpairs, signed_power)
@@ -61,7 +63,7 @@ def test_ratio_swap_symmetry(annulus_solver, pack226):
 
 def test_ratio_rejects_zero_field(annulus_solver, pack226):
     z = np.zeros(annulus_solver.mesh.nnodes)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         ds.rayleigh_ratio(annulus_solver, z, z, pack226)
 
 
@@ -122,12 +124,98 @@ def test_fixed_point_makes_two_solves_per_sweep(monkeypatch, kind, pqN):
         _, _, _, trace = ds._fixed_point(sol, pack, phi, phi, 4000, 1e-10,
                                          1e-8)
         assert trace.converged and trace.stop_reason == "converged"
-        passes = trace.iterations[-1][0] + 1  # accepted and rejected
-        accepted = len(trace.iterations)
-        assert len(calls) == 1 + 2 * accepted + (passes - accepted)
+        assert trace.sweeps == trace.iterations[-1][0] + 1
+        assert len(calls) == 1 + 2 * trace.sweeps - trace.rejected
         if spoil:
-            assert passes > accepted
-            assert len(sweeps) == accepted
+            assert trace.rejected > 0
+            assert len(sweeps) == trace.sweeps - trace.rejected
+
+
+def test_mixing_and_extrapolation_cost_no_solve(monkeypatch):
+    # from noise on the (3,3,4) ball both accelerations are taken, and the
+    # count stays within the two solves per sweep of the plain iteration
+    pack = derived_constants(3.0, 3.0, 4)
+    sol = NeumannSolver(msh.build("axisym-ball", 4, 0.0, 1.0, 64, 32))
+    (_, f0, g0), = ds._init_menu(sol, pack, 2, 0, [])[1:]
+    calls = _counting_solves(monkeypatch)
+    before = sol.k_solves
+    _, _, _, trace = ds._fixed_point(sol, pack, f0, g0, 4000, 1e-10, 1e-8)
+    assert trace.converged
+    assert trace.mixes > 0 and trace.extrapolations > 0
+    assert len(calls) <= 2 * trace.sweeps + 1
+    assert sol.k_solves - before == len(calls)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_axisym_ball_334_restarts_leave_the_saddle(seed):
+    # the noise restarts pass near a saddle at Q ~ 0.14; without the
+    # accelerations they took 66-105 sweeps to reach the optimum
+    pack = derived_constants(3.0, 3.0, 4)
+    mesh = msh.build("axisym-ball", 4, 0.0, 1.0, 96, 72)
+    rep = ds.maximize_D(mesh, pack, restarts=4, seed=seed)
+    D_ref = 0.2432808791102159
+    for (name, D, ok), trace in zip(rep.restarts, rep.traces):
+        if name.startswith("noise"):
+            assert ok and trace.stop_reason == "converged"
+            assert abs(D / D_ref - 1.0) <= 1e-12
+            assert trace.sweeps <= 60
+
+
+def test_mix_with_lower_quotient_is_refused(monkeypatch, annulus_solver,
+                                            pack226):
+    m = annulus_solver.mesh
+    _, phi = annulus_solver.first_eigenfunction()
+    prev = ds._scaled(m, pack226, phi, phi, annulus_solver.solve_K(phi))
+    fn, gn = ds._sweep(annulus_solver, pack226, prev[1], prev[2],
+                       [None, None])
+    plain = ds._scaled(m, pack226, fn, gn, annulus_solver.solve_K(gn))
+    assert prev[3] < plain[3]
+
+    def accelerate(step, mix):
+        monkeypatch.setattr(ds, "_anderson", lambda *args: mix)
+        trace = ds.IterationTrace()
+        return ds._accelerate(m, pack226, prev[:3], step, [], trace), trace
+
+    # a mix below the plain step is refused: the result is the no-mix one
+    ref, _ = accelerate(plain, None)
+    out, trace = accelerate(plain, prev)
+    assert trace.mixes == 0
+    assert all(np.array_equal(a, b) for a, b in zip(out, ref))
+    # a mix above it is taken
+    out, trace = accelerate(prev, plain)
+    assert trace.mixes == 1 and out[3] >= plain[3]
+
+
+def test_anderson_refuses_dependent_residuals(annulus_solver, pack226):
+    m = annulus_solver.mesh
+    rng = np.random.default_rng(0)
+    g, gn, f, Kg = (rng.standard_normal(m.nnodes) for _ in range(4))
+    assert ds._anderson(m, pack226, [(g, gn, f, Kg)]) is None  # too short
+    # equal residuals: singular normal equations
+    assert ds._anderson(m, pack226, [(g, gn, f, Kg)] * 2) is None
+    # parallel residuals: weights near 1e9, whose roundoff would swamp Q
+    near = (g, gn + 1e-9 * (gn - g), f, Kg)
+    assert ds._anderson(m, pack226, [(g, gn, f, Kg), near]) is None
+    # independent ones mix
+    other = tuple(rng.standard_normal(m.nnodes) for _ in range(4))
+    assert ds._anderson(m, pack226, [(g, gn, f, Kg), other]) is not None
+
+
+def test_lifted_restart_does_not_descend(pack226):
+    # the lifted radial optimum is a critical point of the axisymmetric
+    # quotient: the EL check of its first sweep stops its restart there,
+    # never below its start
+    gap = sym.symmetry_gap(pack226, 1.0, 2.0, nr=64, ntheta=32, restarts=2,
+                           estimate_noise=False)
+    lift = (np.repeat(gap.rad_report.f, 32), np.repeat(gap.rad_report.g, 32))
+    start = ds.rayleigh_ratio(NeumannSolver(gap.mesh), *lift, pack226)
+    axi = gap.axi_report
+    k = next(k for k, (name, _, _) in enumerate(axi.restarts)
+             if name.startswith("user"))
+    _, D, ok = axi.restarts[k]
+    assert ok and D >= start
+    assert axi.traces[k].sweeps == 1
+    assert gap.gap >= 0.0
 
 
 def test_stop_reasons(annulus_solver, pack226, monkeypatch):
