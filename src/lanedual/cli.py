@@ -259,7 +259,7 @@ def cmd_solve(cfg, report, outdir):
     _write_csv(outdir, "solution.csv", "r,theta,f,g,u,v",
                list(zip(rr, tt, rep.f, rep.g, rep.u, rep.v)))
     for k, trace in enumerate(rep.traces):
-        _write_csv(outdir, f"trace_{k}.csv", "iteration,quotient,damping",
+        _write_csv(outdir, f"trace_{k}.csv", "iteration,quotient",
                    trace.iterations)
     return EXIT_OK
 

@@ -2,23 +2,27 @@
 solutions.
 
 The quotient Q(f, g) = int(f K g) / (||f||_alpha ||g||_beta) is maximized
-by a damped fixed-point sweep derived from the stationarity relations
-K_p g = D |f|^(1/p-1) f, K_q f = D |g|^(1/q-1) g: each half-step applies
-K_t, takes the signed power, and renormalizes. The product normalization
-is used inside the iteration because it is invariant under independent
-rescaling of f and g; zero mean is automatic because int |K_t h|^(t-1)
-K_t h = 0 by construction of the constant shift. A step is accepted only
-if the quotient does not decrease; otherwise the damping factor is halved
-and the blend retried.
+by alternating maximization, the sweep derived from the stationarity
+relations K_p g = D |f|^(1/p-1) f, K_q f = D |g|^(1/q-1) g: each half-step
+applies K_t, takes the signed power, and renormalizes. Each half-step is
+the exact maximizer over its variable. For zero-mean f, int(f K g) =
+int(f (K g + kappa)) for every constant kappa, and Hoelder's inequality
+with exponents alpha and p + 1 is an equality at f proportional to
+|K_p g|^(p-1) K_p g, which is zero-mean by the choice of kappa in K_p. So
+Q(f', g') >= Q(f', g) >= Q(f, g) in exact arithmetic (the monotone l^p
+power method; D. W. Boyd, Linear Algebra Appl. 9, 1974), every sweep is
+taken, and only roundoff can lower the quotient. The product
+normalization is invariant under independent rescaling of f and g.
 
-An accepted undamped step is accelerated without a K solve, since K of a
-linear combination of g's is the same combination of the K g's already
-at hand. First the type-II Anderson mix of the last few sweeps (Walker &
-Ni, SIAM J. Numer. Anal. 49, 2011) replaces the step when its quotient is
-no lower; that guard falls back to the plain sweep (Zhang, O'Donoghue &
-Boyd, SIAM J. Optim. 30, 2020) and keeps the ascent monotone, so a
-restart can still leave a saddle. Then the step is extrapolated at
-doubling factors while the quotient keeps rising.
+Each sweep is then accelerated without a K solve, since K of a linear
+combination of g's is the same combination of the K g's already at hand.
+These candidates are not maximizers, so each is taken only when its
+quotient is no lower. First the type-II Anderson mix of the last few
+sweeps (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) replaces the step;
+that guard falls back to the plain sweep (Zhang, O'Donoghue & Boyd, SIAM
+J. Optim. 30, 2020) and keeps the ascent monotone, so a restart can still
+leave a saddle. Then the step is extrapolated at doubling factors while
+the quotient keeps rising.
 """
 
 from collections import deque
@@ -38,37 +42,40 @@ ENERGY_GATE, RESIDUAL_GATE, COMPAT_GATE = 1e-6, 1e-5, 1e-8
 # first converged restart in menu order within TIE_RTOL of it is reported,
 # so that roundoff does not pick among tied (e.g. mirror-image) optima.
 NEAR_RTOL, TIE_RTOL = 1e-8, 1e-12
-# Relative roundoff noise of the quotient: a step may lower Q by this much
-# and still be accepted, and an extrapolation must raise Q by more.
+# Relative roundoff noise of the quotient: an extrapolation must raise Q
+# by more, and an Anderson mix's own roundoff must stay below it.
 Q_NOISE = 1e-12
-# The Anderson mix combines the last ANDERSON_DEPTH + 1 undamped sweeps;
-# the extrapolation factor doubles from 2 up to OMEGA_MAX.
+# The Anderson mix combines the last ANDERSON_DEPTH + 1 sweeps; the
+# extrapolation factor doubles from 2 up to OMEGA_MAX.
 ANDERSON_DEPTH, OMEGA_MAX = 2, 64.0
+# Gate on the relative Euler-Lagrange residual of a restart's iterate
+EL_TOL = 1e-8
 
 
 @dataclass
 class IterationTrace:
-    """One restart of the fixed point. `stop_reason` says why its loop ended:
-    "converged" (a sweep moved the quotient by at most tol and met the EL
-    gate), "damping-floor" (the damping factor fell below 1e-14),
-    "el-residual" (sweeps ran out while the quotient had settled but the
-    EL gate failed) or "max_iter" (sweeps ran out with the quotient still
-    moving). A restart that did not stop on "converged" still counts as
-    converged when its final EL residual meets the gate. The counters
-    (sweeps, mixes, extrapolations, rejected) are deterministic work
-    counts for the report."""
-    iterations: list = field(default_factory=list)  # (sweep, Q, tau)
+    """One restart of the fixed point. Each sweep is an exact alternating
+    maximization (see the module docstring), so each is taken.
+    `stop_reason` says why its loop ended: "converged" (a sweep moved the
+    quotient by at most tol and met the EL gate), "el-residual" (sweeps
+    ran out while the quotient had settled but the EL gate failed),
+    "max_iter" (sweeps ran out with the quotient still moving) or
+    "non-finite" (a sweep's quotient was NaN or infinite; the restart
+    keeps the last finite iterate). A restart that did not stop on
+    "converged" still counts as converged when the EL residual of its
+    final iterate meets the gate. The counters (sweeps, mixes,
+    extrapolations) are deterministic work counts for the report."""
+    iterations: list = field(default_factory=list)  # (sweep, Q)
     converged: bool = False
     el_residual: float = np.inf
     stop_reason: str = ""
-    mixes: int = 0            # accepted steps replaced by the Anderson mix
+    mixes: int = 0            # sweeps replaced by the Anderson mix
     extrapolations: int = 0   # extrapolated candidates taken, one per factor
-    rejected: int = 0         # steps refused, each followed by more damping
 
     @property
     def sweeps(self):
-        """Passes of the loop, accepted or rejected."""
-        return len(self.iterations) + self.rejected
+        """Sweeps taken; a non-finite one ends the restart uncounted."""
+        return len(self.iterations)
 
 
 @dataclass
@@ -99,12 +106,10 @@ class DualReport:
 
     def work(self):
         """Deterministic work counters: the K solves of the whole solve,
-        then sweeps, mixes, extrapolations and rejected steps per restart,
-        in menu order."""
+        then sweeps, mixes and extrapolations per restart, in menu order."""
         return {"k_solves": self.k_solves,
                 **{key: [getattr(trace, key) for trace in self.traces]
-                   for key in ("sweeps", "mixes", "extrapolations",
-                               "rejected")}}
+                   for key in ("sweeps", "mixes", "extrapolations")}}
 
     def solution_checks(self):
         """The gated quantities of the recovered solution, and nodality."""
@@ -123,6 +128,7 @@ class DualReport:
                 and chk["compat"] <= COMPAT_GATE and chk["nodal"])
 
     def summary(self):
+        energy_rel = self.solution_checks()["energy_rel"]
         out = {
             "p": self.pack.p, "q": self.pack.q, "N": self.pack.N,
             "mesh": self.mesh_descr,
@@ -133,9 +139,8 @@ class DualReport:
             "near_optimal_restarts": self.near_optimal,
             "energy": self.energy,
             "c_pred": self.c_pred,
-            "energy_rel_error": (abs(self.energy - self.c_pred)
-                                 / abs(self.energy)
-                                 if np.isfinite(self.energy) else None),
+            "energy_rel_error": (energy_rel if np.isfinite(energy_rel)
+                                 else None),
             "residual_u": self.residual_u,
             "residual_v": self.residual_v,
             "compat_u": self.compat_u,
@@ -166,14 +171,28 @@ def rayleigh_ratio(solver, f, g, pack):
     return mesh.inner(f, solver.solve_K(g, check_mean=False)) / (nf * ng)
 
 
-def _sweep(solver, pack, g, Kg, kappas):
-    """The undamped sweep f = K_p g, then g = K_q f, normalized, from the
-    K g already at hand. kappas holds the last shift of each half-step,
-    the start of the next root-find, and is updated in place."""
-    mesh = solver.mesh
+def _shift(solver, pack, g, Kg, kappas):
+    """K_p g = K g + kappa for the zero-mean g, from the K g at hand. The
+    EL check of the iterate and the next sweep's f half-step share it.
+    kappas holds the last shift of each half-step, the start of the next
+    root-find, and is updated in place."""
     solver.check_mean(g)
     kappas[0] = solver.kappa_shift(Kg, pack.p, kappas[0]).kappa
-    fn = signed_power(Kg + kappas[0], pack.p)
+    return Kg + kappas[0]
+
+
+def _el_residual(mesh, pack, f, Kpg, Q):
+    """Relative Euler-Lagrange residual ||K_p g - Q |f|^(1/p-1) f||_(p+1)
+    / Q of an iterate, from the K_p g of _shift."""
+    return mesh.norm_Ls(Kpg - Q * signed_power(f, 1.0 / pack.p),
+                        pack.p + 1.0) / Q
+
+
+def _sweep(solver, pack, Kpg, kappas):
+    """The sweep f = K_p g, then g = K_q f, each half-step the signed power
+    normalized, from the K_p g of _shift; kappas[1] is updated in place."""
+    mesh = solver.mesh
+    fn = signed_power(Kpg, pack.p)
     fn /= mesh.norm_Ls(fn, pack.alpha)
     Kf = solver.solve_K(fn)
     kappas[1] = solver.kappa_shift(Kf, pack.q, kappas[1]).kappa
@@ -193,7 +212,7 @@ def _scaled(mesh, pack, f, g, Kg):
 
 
 def _anderson(mesh, pack, history):
-    """Type-II Anderson mix of the undamped sweeps in history, each a
+    """Type-II Anderson mix of the sweeps in history, each a
     (g, G(g), f, K G(g)) tuple: the weights a, summing to 1, minimize the
     W-weighted L2 norm of sum a_i (G(g_i) - g_i) (normal equations in the
     differences of those residuals), and the mix is sum a_i (f_i, G(g_i),
@@ -218,15 +237,8 @@ def _anderson(mesh, pack, history):
                                  for vecs in (f_out, g_out, Kg_out)))
 
 
-def _el_residual(solver, pack, f, g, Kg, Q, guess):
-    solver.check_mean(g)
-    lhs = Kg + solver.kappa_shift(Kg, pack.p, guess).kappa
-    rhs = Q * signed_power(f, 1.0 / pack.p)
-    return solver.mesh.norm_Ls(lhs - rhs, pack.p + 1.0) / Q
-
-
 def _accelerate(mesh, pack, prev, step, history, trace):
-    """The accepted undamped step, improved at no K solve: replaced by the
+    """The plain sweep's step, improved at no K solve: replaced by the
     Anderson mix of `history` when the mix's quotient is no lower, then
     extrapolated from `prev` along the step, at factors 2, 4, ... up to
     OMEGA_MAX, while each factor raises the quotient above its noise."""
@@ -247,17 +259,16 @@ def _accelerate(mesh, pack, prev, step, history, trace):
     return step
 
 
-def _fixed_point(solver, pack, f0, g0, max_iter, tol, el_tol):
-    """Damped fixed point from (f0, g0); returns (Q, f, g, trace).
+def _fixed_point(solver, pack, f0, g0, max_iter, tol):
+    """Alternating maximization from (f0, g0); returns (Q, f, g, trace).
 
-    Each sweep makes at most two K solves: K f for the g half-step, and
-    K g for the quotient, which the next sweep reuses. A rejected step
-    keeps the undamped sweep, since f and g did not change, and retries
-    only the blend and its quotient. An accepted undamped step is then
-    improved without a K solve by _accelerate, which only ever raises Q
-    and so lets a restart leave a saddle. The Euler-Lagrange residual (a
-    kappa shift, no K solve) is checked on every sweep whose quotient
-    moved by at most tol.
+    Each sweep makes two K solves: K f for the g half-step, and K g for the
+    quotient, which the next sweep reuses. Each sweep is an exact
+    alternating maximization and is taken; _accelerate then improves it
+    without a K solve, and its Q guard is the only ascent test. One kappa
+    shift of K g per iterate serves both the next f half-step and the
+    Euler-Lagrange residual, which is checked on every sweep whose
+    quotient moved by at most tol and on the final iterate.
     """
     mesh = solver.mesh
     f = np.array(f0, dtype=float)
@@ -269,59 +280,34 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol, el_tol):
     Kg = solver.solve_K(g, check_mean=False)
     Q = mesh.inner(f, Kg)
     trace = IterationTrace()
-    tau, accepted, settled = 1.0, 0, False
     kappas = [None, None]
-    undamped = None
+    Kpg = _shift(solver, pack, g, Kg, kappas)
     history = deque(maxlen=ANDERSON_DEPTH + 1)
+    settled = False
     for sweep in range(max_iter):
-        if undamped is None:
-            undamped = _sweep(solver, pack, g, Kg, kappas)
-        fn, gn = undamped
-        if tau < 1.0:
-            fn = (1.0 - tau) * f + tau * fn
-            fn /= mesh.norm_Ls(fn, pack.alpha)
-            gn = (1.0 - tau) * g + tau * gn
-            gn /= mesh.norm_Ls(gn, pack.beta)
+        fn, gn = _sweep(solver, pack, Kpg, kappas)
         Kgn = solver.solve_K(gn, check_mean=False)
         Qn = mesh.inner(fn, Kgn)
-        if Qn >= Q * (1.0 - Q_NOISE):
-            step = fn, gn, Kgn, Qn
-            if tau == 1.0:
-                history.append((g, gn, fn, Kgn))
-                step = _accelerate(mesh, pack, (f, g, Kg), step, history,
-                                   trace)
-            dq = abs(step[3] - Q)
-            f, g, Kg, Q = step
-            undamped = None
-            trace.iterations.append((sweep, Q, tau))
-            accepted += 1
-            if accepted >= 3:
-                tau, accepted = 1.0, 0
-            if dq <= tol * abs(Q):
-                el = _el_residual(solver, pack, f, g, Kg, Q, kappas[0])
-                if el <= el_tol:
-                    trace.converged = True
-                    trace.el_residual = el
-                    trace.stop_reason = "converged"
-                    break
-                settled = True
-            else:
-                settled = False
-        else:
-            trace.rejected += 1
-            tau *= 0.5
-            accepted = 0
-            if tau < 1e-14:
-                trace.stop_reason = "damping-floor"
+        if not np.isfinite(Qn):
+            trace.stop_reason = "non-finite"
+            break
+        history.append((g, gn, fn, Kgn))
+        step = _accelerate(mesh, pack, (f, g, Kg), (fn, gn, Kgn, Qn),
+                           history, trace)
+        settled = abs(step[3] - Q) <= tol * abs(step[3])
+        f, g, Kg, Q = step
+        trace.iterations.append((sweep, Q))
+        Kpg = _shift(solver, pack, g, Kg, kappas)
+        if settled:
+            trace.el_residual = _el_residual(mesh, pack, f, Kpg, Q)
+            if trace.el_residual <= EL_TOL:
+                trace.stop_reason = "converged"
                 break
-    if not trace.converged:
-        if not trace.stop_reason:
-            trace.stop_reason = "el-residual" if settled else "max_iter"
-        # a damping death at the noise floor is still a solution if the
-        # stationarity relations hold
-        el = _el_residual(solver, pack, f, g, Kg, Q, kappas[0])
-        trace.el_residual = el
-        trace.converged = el <= el_tol
+    if not trace.stop_reason:
+        trace.stop_reason = "el-residual" if settled else "max_iter"
+    if not settled:  # the final iterate's residual is not yet known
+        trace.el_residual = _el_residual(mesh, pack, f, Kpg, Q)
+    trace.converged = trace.el_residual <= EL_TOL
     return Q, f, g, trace
 
 
@@ -356,7 +342,7 @@ def _demeaned_noise(mesh, rng):
 
 
 def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
-               el_tol=1e-8, seed=0, extra_inits=(), S=None):
+               seed=0, extra_inits=(), S=None):
     """Best dual quotient over the restart menu; returns a DualReport of
     the first converged restart, in menu order, within TIE_RTOL of it.
 
@@ -369,8 +355,7 @@ def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
     mesh = solver.mesh
     k_solves = solver.k_solves
     inits = _init_menu(solver, pack, restarts, seed, list(extra_inits))
-    results = [(name, *_fixed_point(solver, pack, f0, g0, max_iter, tol,
-                                    el_tol))
+    results = [(name, *_fixed_point(solver, pack, f0, g0, max_iter, tol))
                for name, f0, g0 in inits]
 
     converged = [res for res in results if res[4].converged]
@@ -434,7 +419,6 @@ def recover_solution(solver, report):
     report.compat_v = float(abs(mesh.integrate(src_v)) / scale_v)
     report.u_nodal = bool(np.any(u > 0) and np.any(u < 0))
     report.v_nodal = bool(np.any(v > 0) and np.any(v < 0))
-    return u, v, (report.residual_u, report.residual_v)
 
 
 def energy(mesh, u, v, pack):

@@ -22,8 +22,10 @@ MEAN_TOL = 1e-8
 KAPPA_XTOL, KAPPA_RTOL = 1e-15, 8.9e-16
 _EPS = np.finfo(float).eps
 # L2 change of the normalized iterate that ends the inverse iteration; the
-# Rayleigh quotient has settled to ~1e-15 by then
-EIG_TOL = 1e-10
+# Rayleigh quotient has settled to ~1e-15 by then. EIG_ITERS caps it.
+EIG_TOL, EIG_ITERS = 1e-10, 60
+# Floor on |v| in |v|^t, against signed-zero issues for exponents below 1
+POWER_FLOOR = 1e-300
 
 
 class NonZeroMeanError(NumericalError, ValueError):
@@ -37,10 +39,9 @@ class KtShift:
     residual: float
 
 
-def signed_power(values, expo, floor=1e-300):
-    """|v|^expo * sign(v) with a floor on |v| against signed-zero issues
-    for exponents below 1."""
-    a = np.maximum(np.abs(values), floor)
+def signed_power(values, expo):
+    """|v|^expo * sign(v), with |v| floored at POWER_FLOOR."""
+    a = np.maximum(np.abs(values), POWER_FLOOR)
     return np.sign(values) * a ** expo
 
 
@@ -116,8 +117,8 @@ class NeumannSolver:
         step_old = hi - lo
         for _ in range(200):
             x = values + kap
-            # |x|^(t-1), floored as in signed_power, gives F and F'
-            a = np.maximum(np.abs(x), 1e-300) ** (t - 1.0)
+            # |x|^(t-1) gives F and F'
+            a = np.maximum(np.abs(x), POWER_FLOOR) ** (t - 1.0)
             ax = a * x
             res = float(w @ ax)
             if abs(res) <= 4.0 * _EPS * float(w @ np.abs(ax)):
@@ -145,16 +146,16 @@ class NeumannSolver:
         return u + shift.kappa
 
     # -- spectral helpers ------------------------------------------------
-    def first_eigenfunction(self, iters=60):
+    def first_eigenfunction(self):
         """First nonconstant Neumann eigenfunction by inverse iteration
         with K (normalized in L2), stopped once an iteration moves the
-        iterate by at most EIG_TOL in L2, or after `iters` iterations.
+        iterate by at most EIG_TOL in L2, or after EIG_ITERS iterations.
         Returns (eigenvalue, eigenfunction)."""
         mesh = self.mesh
         v = mesh.node_r() * np.cos(mesh.node_theta()) + 0.5 * mesh.node_r()
         v = v - mesh.mean(v)
         v /= mesh.norm_Ls(v, 2)
-        for _ in range(iters):
+        for _ in range(EIG_ITERS):
             # K is positive on zero-mean fields, so the iterate keeps its
             # sign and the plain difference measures the change
             vn = self.solve_K(v, check_mean=False)

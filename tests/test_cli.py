@@ -58,16 +58,26 @@ def test_solve_subcommand_energy_identity(tmp_path):
     res = report["results"]
     assert res["energy_rel_error"] <= 1e-6
     assert res["restart_stop_reasons"] == ["converged"] * 3
-    # per restart: one K solve to start, two per sweep, one per rejected
-    # step; the eigenfunction, the noise and the recovery add the rest
+    # per restart: one K solve to start and two per sweep; the
+    # eigenfunction, the noise and the recovery add the rest
     work = res["work"]
+    assert set(work) == {"k_solves", "sweeps", "mixes", "extrapolations"}
     assert all(len(work[key]) == 3 for key in ("sweeps", "mixes",
-                                                "extrapolations", "rejected"))
-    assert work["k_solves"] > sum(1 + 2 * n - r for n, r in
-                                  zip(work["sweeps"], work["rejected"]))
+                                                "extrapolations"))
+    assert work["k_solves"] > sum(1 + 2 * n for n in work["sweeps"])
     names = [item["name"] for item in report["invariants"]]
     assert "energy identity" in names
     assert all(item["passed"] for item in report["invariants"])
+
+
+def test_solve_near_lower_end_of_hyperbola(tmp_path):
+    # p = 0.525 near 2/(N-2) = 0.5, q = 90.5: every restart converges
+    code, report, _ = run_cli(
+        ["solve", "--p", "0.525", "--N", "6", "--mesh", "radial-annulus",
+         "--r0", "1", "--R", "2", "--nr", "257", "--restarts", "4",
+         "--seed", "1"], tmp_path)
+    assert code == cli.EXIT_OK
+    assert report["results"]["restart_stop_reasons"] == ["converged"] * 4
 
 
 def test_invalid_pack_is_config_error(tmp_path):
