@@ -64,18 +64,15 @@ class IterationTrace:
     keeps the last finite iterate). A restart that did not stop on
     "converged" still counts as converged when the EL residual of its
     final iterate meets the gate. The counters (sweeps, mixes,
-    extrapolations) are deterministic work counts for the report."""
+    extrapolations) are deterministic work counts for the report; each
+    sweep made two K solves, so a restart made 1 + 2 * sweeps."""
     iterations: list = field(default_factory=list)  # (sweep, Q)
     converged: bool = False
     el_residual: float = np.inf
     stop_reason: str = ""
+    sweeps: int = 0           # sweeps made, a final non-finite one included
     mixes: int = 0            # sweeps replaced by the Anderson mix
     extrapolations: int = 0   # extrapolated candidates taken, one per factor
-
-    @property
-    def sweeps(self):
-        """Sweeps taken; a non-finite one ends the restart uncounted."""
-        return len(self.iterations)
 
 
 @dataclass
@@ -288,6 +285,7 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol):
         fn, gn = _sweep(solver, pack, Kpg, kappas)
         Kgn = solver.solve_K(gn, check_mean=False)
         Qn = mesh.inner(fn, Kgn)
+        trace.sweeps += 1
         if not np.isfinite(Qn):
             trace.stop_reason = "non-finite"
             break
