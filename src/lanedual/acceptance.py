@@ -238,7 +238,7 @@ def criterion_9_radial_monotonicity(shared):
 
 def criterion_10_cherrier_probe(shared):
     """Boundary-bubble families approach 2^(2/N)/S, interior families 1/S,
-    both within 3%."""
+    both within asymptotics.LEADING_CONSTANT_TOL (3%)."""
     from . import asymptotics as asym
     prof = shared.profile(2.0, 2.0, 6)
     T = threshold_constant(prof.pack, prof.S)
@@ -247,7 +247,8 @@ def criterion_10_cherrier_probe(shared):
     lead_i = asym.cherrier_probe(prof, "interior", eps)[-1]["leading"]["0.0"]
     err_b = abs(lead_b / T - 1.0)
     err_i = abs(lead_i * prof.S - 1.0)
-    ok = err_b <= 0.03 and err_i <= 0.03
+    ok = (err_b <= asym.LEADING_CONSTANT_TOL
+          and err_i <= asym.LEADING_CONSTANT_TOL)
     return CheckResult(
         "10 sharpness probe", ok,
         f"boundary {lead_b:.5f} vs {T:.5f} ({100 * err_b:.2f}%); interior "

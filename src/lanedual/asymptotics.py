@@ -27,6 +27,11 @@ from .mesh import sphere_area
 NORM_RATE_TOL = 0.02
 NORM_RATE_LOG_TOL = 0.05
 BOUNDARY_RATE_TOL = 0.05
+# relative gap allowed between the sharpness probe's leading constant at
+# the smallest eps and its target, 2^(2/N)/S (boundary) or 1/S (interior)
+LEADING_CONSTANT_TOL = 0.03
+# a bubble core must span at least CORE_CELLS mesh cells to be resolved
+CORE_CELLS = 8
 
 
 # -- spherical-cap quadrature ------------------------------------------------
@@ -207,15 +212,15 @@ def boundary_pairing(profile, eps, R=1.0):
     return sphere_area(N - 1) * R ** (N - 1) * float(simpson(integrand, x=th))
 
 
-def boundary_normal_norm(profile, eps, R=1.0, component="U"):
-    """||d_nu(W_eps)||_{L^{2(N-1)/N}} on the boundary sphere."""
+def boundary_normal_norm(profile, eps, R=1.0):
+    """||d_nu(U_eps)||_{L^{2(N-1)/N}} on the boundary sphere."""
     N = profile.pack.N
     expo = 2.0 * (N - 1.0) / N
     th = _boundary_grid(eps, R)
     dist = 2.0 * R * np.sin(th / 2.0)
     geom = R * (1.0 - np.cos(th)) / dist
-    dfun = profile.dU_eps if component == "U" else profile.dV_eps
-    vals = np.abs(dfun(dist, eps) * geom) ** expo * np.sin(th) ** (N - 2)
+    dU = profile.dU_eps(dist, eps)
+    vals = np.abs(dU * geom) ** expo * np.sin(th) ** (N - 2)
     raw = sphere_area(N - 1) * R ** (N - 1) * float(simpson(vals, x=th))
     return raw ** (1.0 / expo)
 
@@ -265,17 +270,17 @@ def bubble_fields(mesh, profile, eps):
     return profile.U_eps(dist, eps), profile.V_eps(dist, eps)
 
 
-def min_resolvable_eps(mesh, profile, cells=8):
-    """Smallest eps whose bubble core spans >= `cells` mesh cells near the
+def min_resolvable_eps(mesh, profile):
+    """Smallest eps whose bubble core spans >= CORE_CELLS mesh cells near the
     north pole; smaller requests should be refused, not extrapolated."""
     half = profile.eval_U(profile.r[1:]) <= 0.5 * profile.shoot_d
     r_core = profile.r[1:][half][0] if half.any() else 1.0
     dr = mesh.r[-1] - mesh.r[-2]
     dth = (mesh.theta[1] - mesh.theta[0]) * mesh.R if mesh.is_axisym else 0.0
-    return cells * max(dr, dth) / r_core
+    return CORE_CELLS * max(dr, dth) / r_core
 
 
-def test_function_ratio(solver, profile, eps, cells=8):
+def test_function_ratio(solver, profile, eps):
     """Quotient int(Ut K Vt) / (||Ut||_alpha ||Vt||_beta) on the ball for
     the zero-mean boundary-bubble test pair.
 
@@ -286,7 +291,7 @@ def test_function_ratio(solver, profile, eps, cells=8):
     pack = profile.pack
     if not (mesh.kind == "axisym-ball"):
         raise ValueError("test_function_ratio runs on an axisym-ball mesh")
-    lo = min_resolvable_eps(mesh, profile, cells)
+    lo = min_resolvable_eps(mesh, profile)
     if eps < lo:
         raise ValueError(f"eps = {eps:.3g} under-resolved on this mesh "
                          f"(minimum {lo:.3g}); refine instead of "
@@ -302,12 +307,12 @@ def test_function_ratio(solver, profile, eps, cells=8):
     return num / den
 
 
-def expansion_sweep(solver, profile, S, eps_grid, cells=8):
+def expansion_sweep(solver, profile, S, eps_grid):
     """ratio(eps) - threshold, with a linear fit whose slope should be
     positive with CI excluding zero."""
     T = threshold_constant(profile.pack, S)
     eps_grid = np.sort(np.asarray(eps_grid, float))[::-1]
-    vals = np.array([test_function_ratio(solver, profile, e, cells)
+    vals = np.array([test_function_ratio(solver, profile, e)
                      for e in eps_grid])
     fit = fit_linear(eps_grid, vals - T)
     passed = fit.slope > 0 and fit.slope - fit.ci > 0

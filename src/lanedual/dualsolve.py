@@ -50,6 +50,10 @@ Q_NOISE = 1e-12
 ANDERSON_DEPTH, OMEGA_MAX = 2, 64.0
 # Gate on the relative Euler-Lagrange residual of a restart's iterate
 EL_TOL = 1e-8
+# A sweep that moves the quotient by at most SETTLE_RTOL (relative) has
+# settled, and its EL residual is checked; a restart makes at most
+# MAX_SWEEPS sweeps.
+SETTLE_RTOL, MAX_SWEEPS = 1e-10, 4000
 
 
 @dataclass
@@ -57,11 +61,11 @@ class IterationTrace:
     """One restart of the fixed point. Each sweep is an exact alternating
     maximization (see the module docstring), so each is taken.
     `stop_reason` says why its loop ended: "converged" (a sweep moved the
-    quotient by at most tol and met the EL gate), "el-residual" (sweeps
-    ran out while the quotient had settled but the EL gate failed),
-    "max_iter" (sweeps ran out with the quotient still moving) or
-    "non-finite" (a sweep's quotient was NaN or infinite; the restart
-    keeps the last finite iterate). A restart that did not stop on
+    quotient by at most SETTLE_RTOL and met the EL gate), "el-residual"
+    (sweeps ran out while the quotient had settled but the EL gate
+    failed), "max_iter" (MAX_SWEEPS ran out with the quotient still
+    moving) or "non-finite" (a sweep's quotient was NaN or infinite; the
+    restart keeps the last finite iterate). A restart that did not stop on
     "converged" still counts as converged when the EL residual of its
     final iterate meets the gate. The counters (sweeps, mixes,
     extrapolations) are deterministic work counts for the report; each
@@ -256,7 +260,7 @@ def _accelerate(mesh, pack, prev, step, history, trace):
     return step
 
 
-def _fixed_point(solver, pack, f0, g0, max_iter, tol):
+def _fixed_point(solver, pack, f0, g0):
     """Alternating maximization from (f0, g0); returns (Q, f, g, trace).
 
     Each sweep makes two K solves: K f for the g half-step, and K g for the
@@ -265,7 +269,7 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol):
     without a K solve, and its Q guard is the only ascent test. One kappa
     shift of K g per iterate serves both the next f half-step and the
     Euler-Lagrange residual, which is checked on every sweep whose
-    quotient moved by at most tol and on the final iterate.
+    quotient moved by at most SETTLE_RTOL and on the final iterate.
     """
     mesh = solver.mesh
     f = np.array(f0, dtype=float)
@@ -281,7 +285,7 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol):
     Kpg = _shift(solver, pack, g, Kg, kappas)
     history = deque(maxlen=ANDERSON_DEPTH + 1)
     settled = False
-    for sweep in range(max_iter):
+    for sweep in range(MAX_SWEEPS):
         fn, gn = _sweep(solver, pack, Kpg, kappas)
         Kgn = solver.solve_K(gn, check_mean=False)
         Qn = mesh.inner(fn, Kgn)
@@ -292,7 +296,7 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol):
         history.append((g, gn, fn, Kgn))
         step = _accelerate(mesh, pack, (f, g, Kg), (fn, gn, Kgn, Qn),
                            history, trace)
-        settled = abs(step[3] - Q) <= tol * abs(step[3])
+        settled = abs(step[3] - Q) <= SETTLE_RTOL * abs(step[3])
         f, g, Kg, Q = step
         trace.iterations.append((sweep, Q))
         Kpg = _shift(solver, pack, g, Kg, kappas)
@@ -309,26 +313,20 @@ def _fixed_point(solver, pack, f0, g0, max_iter, tol):
     return Q, f, g, trace
 
 
-def _init_menu(solver, pack, restarts, seed, extra_inits):
-    """Initialization menu: eigenfunction pair, random smooth noise, and
-    (radial meshes) flip-&-rearrange symmetrized noise."""
+def _init_menu(solver, restarts, seed, extra_inits):
+    """Initialization menu, the same on every mesh: "eigenfunction" (the
+    first nonconstant Neumann eigenfunction as both f and g), then
+    "noise-0", "noise-1", ... up to `restarts` entries (f and g each K of
+    its own draw of demeaned white noise, demeaned again), then "user-0",
+    "user-1", ... from extra_inits."""
     mesh = solver.mesh
     rng = np.random.default_rng(seed)
-    inits = []
-    _, phi = solver.first_eigenfunction()
-    inits.append(("eigenfunction", phi.copy(), phi.copy()))
+    phi = solver.first_eigenfunction()
+    inits = [("eigenfunction", phi.copy(), phi.copy())]
     for k in range(max(0, restarts - len(inits) - len(extra_inits))):
         f = solver.solve_K(_demeaned_noise(mesh, rng), check_mean=False)
         g = solver.solve_K(_demeaned_noise(mesh, rng), check_mean=False)
-        f -= mesh.mean(f)
-        g -= mesh.mean(g)
-        if not mesh.is_axisym and k % 2 == 1:
-            from .symmetry import RadialProfile
-            f = RadialProfile(mesh, f).star_transform().h
-            g = RadialProfile(mesh, g).star_transform().h
-            inits.append((f"star-noise-{k}", f, g))
-        else:
-            inits.append((f"noise-{k}", f, g))
+        inits.append((f"noise-{k}", f - mesh.mean(f), g - mesh.mean(g)))
     for j, (f, g) in enumerate(extra_inits):
         inits.append((f"user-{j}", np.asarray(f, float), np.asarray(g, float)))
     return inits
@@ -339,8 +337,8 @@ def _demeaned_noise(mesh, rng):
     return h - mesh.mean(h)
 
 
-def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
-               seed=0, extra_inits=(), S=None):
+def maximize_D(solver_or_mesh, pack, restarts=8, seed=0, extra_inits=(),
+               S=None):
     """Best dual quotient over the restart menu; returns a DualReport of
     the first converged restart, in menu order, within TIE_RTOL of it.
 
@@ -352,8 +350,8 @@ def maximize_D(solver_or_mesh, pack, restarts=8, max_iter=4000, tol=1e-10,
               else NeumannSolver(solver_or_mesh))
     mesh = solver.mesh
     k_solves = solver.k_solves
-    inits = _init_menu(solver, pack, restarts, seed, list(extra_inits))
-    results = [(name, *_fixed_point(solver, pack, f0, g0, max_iter, tol))
+    inits = _init_menu(solver, restarts, seed, list(extra_inits))
+    results = [(name, *_fixed_point(solver, pack, f0, g0))
                for name, f0, g0 in inits]
 
     converged = [res for res in results if res[4].converged]

@@ -147,10 +147,11 @@ class NeumannSolver:
 
     # -- spectral helpers ------------------------------------------------
     def first_eigenfunction(self):
-        """First nonconstant Neumann eigenfunction by inverse iteration
-        with K (normalized in L2), stopped once an iteration moves the
-        iterate by at most EIG_TOL in L2, or after EIG_ITERS iterations.
-        Returns (eigenvalue, eigenfunction)."""
+        """First nonconstant Neumann eigenfunction, zero-mean and of unit
+        L2 norm, by inverse iteration with K: stopped once an iteration
+        moves the iterate by at most EIG_TOL in L2, or after EIG_ITERS
+        iterations. Its eigenvalue is not computed; dense_eigenpairs
+        gives it on meshes small enough for a dense solve."""
         mesh = self.mesh
         v = mesh.node_r() * np.cos(mesh.node_theta()) + 0.5 * mesh.node_r()
         v = v - mesh.mean(v)
@@ -165,10 +166,7 @@ class NeumannSolver:
             v = vn
             if change <= EIG_TOL:
                 break
-        # one Rayleigh-quotient refinement pass
-        u = self.solve_K(v, check_mean=False)
-        lam = mesh.inner(v, v) / mesh.inner(v, u)
-        return float(lam), v
+        return v
 
 
 def dense_eigenpairs(mesh, k=6):

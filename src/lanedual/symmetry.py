@@ -1,15 +1,16 @@
-"""Flip-&-rearrange transform and symmetry diagnostics.
+"""Flip-&-rearrange ("star") transform and symmetry diagnostics.
 
-Radial transforms operate on cell-centered equal-volume meshes
-(build_equal_volume), where every node carries the same quadrature weight:
-the decreasing rearrangement is then a pure permutation of node values, so
-norm preservation and idempotence hold to roundoff instead of to grid
-resolution. The cumulative integral is the inclusive mass cumsum, exact
-for piecewise-constant fields, which makes the sign bookkeeping of the
-flip exact as well.
+The star transform is defined on cell-centered equal-volume radial meshes
+(build_equal_volume) only, where every node carries the same quadrature
+weight: the decreasing rearrangement is then a pure permutation of node
+values, so norm preservation and idempotence hold to roundoff instead of
+to grid resolution. A RadialProfile on any other mesh is refused. The
+cumulative integral is the inclusive mass cumsum, exact for
+piecewise-constant fields, which makes the sign bookkeeping of the flip
+exact as well.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +27,20 @@ FS_TOL = 1e-4  # monotonicity violation allowed, relative to max |u|, |v|
 
 @dataclass
 class RadialProfile:
-    """Radial grid function with its cumulative integral machinery."""
+    """Radial grid function on an equal-volume mesh, with its cumulative
+    integral, flip and star transform."""
 
     mesh: object
     h: np.ndarray
-    _cum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float).ravel()
+        w = self.mesh.w
         if self.mesh.is_axisym:
             raise ValueError("RadialProfile requires a radial mesh")
+        if not np.ptp(w) <= 1e-12 * w[0]:
+            raise ValueError("RadialProfile requires equal cell volumes "
+                             "(mesh.build_equal_volume)")
         if self.h.size != self.mesh.nr:
             raise ValueError("value count does not match the mesh")
 
@@ -45,9 +50,7 @@ class RadialProfile:
         Exact for fields that are constant per cell; the final entry equals
         integrate(h).
         """
-        if self._cum is None:
-            self._cum = np.cumsum(self.mesh.w * self.h)
-        return self._cum
+        return np.cumsum(self.mesh.w * self.h)
 
     def flip_F(self):
         """Sign flip on the sublevel set {cumulative <= 0}.
@@ -66,60 +69,22 @@ class RadialProfile:
         return RadialProfile(self.mesh, sign * self.h)
 
     def star_transform(self):
-        """Flip then volume-measure decreasing rearrangement, mapped back
-        through the volume coordinate.
-
-        On equal-weight meshes this is an exact permutation; on general
-        meshes the rearranged step function is averaged over each node's
-        volume slot (mass-preserving, slightly smoothing at slot
-        boundaries).
-        """
-        flipped = self.flip_F()
-        vals = flipped.h
+        """Flip, then the decreasing rearrangement in the volume measure.
+        The cells have equal volumes, so the rearrangement is the
+        permutation that sorts the flipped values in decreasing order,
+        and it preserves every L^s norm exactly."""
+        vals = self.flip_F().h
         order = np.argsort(-vals, kind="stable")  # ties keep radial order
-        w = self.mesh.w
-        if np.allclose(w, w[0], rtol=1e-12, atol=0):
-            out = np.empty_like(vals)
-            out[np.arange(vals.size)] = vals[order]
-            return RadialProfile(self.mesh, out)
-        return RadialProfile(self.mesh,
-                             _slot_average(vals[order], w[order], w))
-
-    def norm(self, s):
-        return self.mesh.norm_Ls(self.h, s)
-
-
-def _slot_average(sorted_vals, sorted_w, slot_w):
-    """Average the step function (sorted_vals on blocks sorted_w) over
-    consecutive slots of widths slot_w (same total mass)."""
-    n = len(slot_w)
-    out = np.zeros(n)
-    i = 0
-    remaining = sorted_w[0]
-    for k in range(n):
-        need = slot_w[k]
-        acc = 0.0
-        while need > 1e-300:
-            take = min(need, remaining)
-            acc += take * sorted_vals[i]
-            need -= take
-            remaining -= take
-            if remaining <= 1e-300 and i + 1 < len(sorted_vals):
-                i += 1
-                remaining = sorted_w[i]
-            elif remaining <= 1e-300:
-                break
-        out[k] = acc / slot_w[k]
-    return out
+        return RadialProfile(self.mesh, vals[order])
 
 
 def star_properties(mesh, pack, rng, pairs):
     """Worst star-transform properties over `pairs` random smooth zero-mean
-    pairs (f drawn before g) on a radial mesh: the relative norm drift
-    in L^alpha and L^beta, the monotonicity excess of int f K g over
-    int f* K g* (relative to the sum of their sizes), and the idempotence
-    error max|f** - f*| / max|f*|. Returns {name: (worst, passed)} with
-    the names and gates of STAR_GATES.
+    pairs (f drawn before g) on an equal-volume radial mesh: the relative
+    norm drift in L^alpha and L^beta, the monotonicity excess of
+    int f K g over int f* K g* (relative to the sum of their sizes), and
+    the idempotence error max|f** - f*| / max|f*|. Returns
+    {name: (worst, passed)} with the names and gates of STAR_GATES.
     """
     solver = NeumannSolver(mesh)
     worst = {"norm": 0.0, "mono": -np.inf, "idem": 0.0}
@@ -130,7 +95,8 @@ def star_properties(mesh, pack, rng, pairs):
         pg = RadialProfile(mesh, g).star_transform()
         for s in (pack.alpha, pack.beta):
             worst["norm"] = max(worst["norm"],
-                                abs(pf.norm(s) / mesh.norm_Ls(f, s) - 1.0))
+                                abs(mesh.norm_Ls(pf.h, s)
+                                    / mesh.norm_Ls(f, s) - 1.0))
         lhs = mesh.inner(f, solver.solve_K(g, check_mean=False))
         rhs = mesh.inner(pf.h, solver.solve_K(pg.h, check_mean=False))
         worst["mono"] = max(worst["mono"],

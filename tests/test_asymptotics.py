@@ -199,8 +199,7 @@ def test_ratio_feeds_maximizer(ball_solver_226, profile226, pack226):
     Ut = Ue ** pack226.p
     Vt = Ve ** pack226.q
     rep = maximize_D(ball_solver_226, pack226, restarts=0, seed=0,
-                     extra_inits=[(Ut - m.mean(Ut), Vt - m.mean(Vt))],
-                     max_iter=600)
+                     extra_inits=[(Ut - m.mean(Ut), Vt - m.mean(Vt))])
     assert rep.D >= ratio - 1e-10
 
 

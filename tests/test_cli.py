@@ -37,6 +37,38 @@ def test_config_file_rejects_unknown_key(tmp_path):
         cli.parse_config_file(path)
 
 
+@pytest.mark.parametrize("args, cfg_text", [
+    (["solve", "--bogus", "1"], None),       # unknown flag
+    (["solve", "--nr", "abc"], None),        # flag value of the wrong type
+    (["solve", "--tol", "1e-8"], None),      # a constant, not an option
+    (["--config", "{cfg}", "solve"], None),  # no such file
+    (["--config", "{cfg}", "solve"], "nr = abc\n"),     # bad value
+    (["--config", "{cfg}", "solve"], "tol = 1e-10\n"),  # unknown key
+    (["--config", "{cfg}", "solve"], "quick = on\n"),    # not a boolean
+], ids=["unknown-flag", "bad-flag-value", "removed-flag", "missing-file",
+        "bad-file-value", "removed-key", "bad-file-bool"])
+def test_bad_configuration_exits_4(tmp_path, capsys, args, cfg_text):
+    cfg = tmp_path / "run.cfg"
+    if cfg_text is not None:
+        cfg.write_text(cfg_text)
+    code = cli.main([arg.format(cfg=cfg) for arg in args]
+                    + ["--p", "2", "--N", "6",
+                       "--outdir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if cfg_text is not None:
+        assert f"{cfg}:1: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--restarts" in capsys.readouterr().out
+
+
 def test_bubble_subcommand(tmp_path):
     code, report, outdir = run_cli(
         ["bubble", "--p", "3", "--N", "4", "--r-max", "100"], tmp_path)

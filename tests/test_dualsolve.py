@@ -71,9 +71,15 @@ def test_ratio_rejects_zero_field(annulus_solver, pack226):
 
 def test_maximizer_dominates_eigenfunction_pair(annulus_solver, pack226,
                                                 report226):
-    _, phi = annulus_solver.first_eigenfunction()
+    phi = annulus_solver.first_eigenfunction()
     ratio = ds.rayleigh_ratio(annulus_solver, phi, phi, pack226)
     assert report226.D >= ratio - 1e-12
+
+
+def test_radial_restart_menu(report226):
+    # the menu is the same on every mesh: eigenfunction, then plain noise
+    assert [name for name, _, _ in report226.restarts] == \
+        ["eigenfunction", "noise-0", "noise-1", "noise-2"]
 
 
 def test_quotient_trace_monotone(report226):
@@ -107,9 +113,9 @@ def test_fixed_point_makes_two_solves_per_sweep(monkeypatch, kind, pqN):
     pack = derived_constants(*pqN)
     r0 = 1.0 if kind.endswith("annulus") else 0.0
     sol = NeumannSolver(msh.build(kind, pqN[2], r0, r0 + 1.0, 64, 32))
-    _, phi = sol.first_eigenfunction()
+    phi = sol.first_eigenfunction()
     calls = _counting_solves(monkeypatch)
-    _, _, _, trace = ds._fixed_point(sol, pack, phi, phi, 4000, 1e-10)
+    _, _, _, trace = ds._fixed_point(sol, pack, phi, phi)
     assert trace.converged and trace.stop_reason == "converged"
     assert trace.sweeps == trace.iterations[-1][0] + 1
     assert len(calls) == 1 + 2 * trace.sweeps
@@ -120,10 +126,10 @@ def test_mixing_and_extrapolation_cost_no_solve(monkeypatch):
     # count stays within the two solves per sweep of the plain iteration
     pack = derived_constants(3.0, 3.0, 4)
     sol = NeumannSolver(msh.build("axisym-ball", 4, 0.0, 1.0, 64, 32))
-    (_, f0, g0), = ds._init_menu(sol, pack, 2, 0, [])[1:]
+    (_, f0, g0), = ds._init_menu(sol, 2, 0, [])[1:]
     calls = _counting_solves(monkeypatch)
     before = sol.k_solves
-    _, _, _, trace = ds._fixed_point(sol, pack, f0, g0, 4000, 1e-10)
+    _, _, _, trace = ds._fixed_point(sol, pack, f0, g0)
     assert trace.converged
     assert trace.mixes > 0 and trace.extrapolations > 0
     assert len(calls) == 2 * trace.sweeps + 1
@@ -148,7 +154,7 @@ def test_axisym_ball_334_restarts_leave_the_saddle(seed):
 def test_mix_with_lower_quotient_is_refused(monkeypatch, annulus_solver,
                                             pack226):
     m = annulus_solver.mesh
-    _, phi = annulus_solver.first_eigenfunction()
+    phi = annulus_solver.first_eigenfunction()
     prev = ds._scaled(m, pack226, phi, phi, annulus_solver.solve_K(phi))
     kappas = [None, None]
     fn, gn = ds._sweep(annulus_solver, pack226,
@@ -205,18 +211,19 @@ def test_lifted_restart_does_not_descend(pack226):
 
 
 def test_stop_reasons(annulus_solver, pack226, monkeypatch):
-    _, phi = annulus_solver.first_eigenfunction()
+    phi = annulus_solver.first_eigenfunction()
 
-    def run(max_iter=4000):
-        return ds._fixed_point(annulus_solver, pack226, phi, phi, max_iter,
-                               1e-10)
+    def run(max_sweeps=ds.MAX_SWEEPS):
+        with monkeypatch.context() as mp:
+            mp.setattr(ds, "MAX_SWEEPS", max_sweeps)
+            return ds._fixed_point(annulus_solver, pack226, phi, phi)
 
     assert run()[3].stop_reason == "converged"
-    assert run(max_iter=3)[3].stop_reason == "max_iter"
+    assert run(max_sweeps=3)[3].stop_reason == "max_iter"
     # the quotient settles but no iterate meets an EL gate of 0
     with monkeypatch.context() as mp:
         mp.setattr(ds, "EL_TOL", 0.0)
-        trace = run(max_iter=200)[3]
+        trace = run(max_sweeps=200)[3]
     assert trace.stop_reason == "el-residual" and not trace.converged
     # a NaN third sweep ends the restart on the last finite iterate, whose
     # EL residual decides convergence; its two K solves are counted
@@ -256,9 +263,9 @@ def test_mean_check_on_reused_K_g(monkeypatch, annulus_solver, pack226):
         return fn, gn + 1e-3
 
     monkeypatch.setattr(ds, "_sweep", off_mean)
-    _, phi = annulus_solver.first_eigenfunction()
+    phi = annulus_solver.first_eigenfunction()
     with pytest.raises(NonZeroMeanError):
-        ds._fixed_point(annulus_solver, pack226, phi, phi, 4000, 1e-10)
+        ds._fixed_point(annulus_solver, pack226, phi, phi)
 
 
 @pytest.mark.parametrize("p, N", [(1.05, 4), (0.7, 5), (0.525, 6),
@@ -335,7 +342,7 @@ def test_biharmonic_pack_converges_and_matches_gradient_oracle(pack195):
         grad = grad - w * np.sum(grad) / m.volume  # chain through projection
         return -np.log(T) + np.log(B), grad
 
-    _, phi = sol.first_eigenfunction()
+    phi = sol.first_eigenfunction()
     res = minimize(J_and_grad, phi / m.norm_Ls(phi, alpha), jac=True,
                    method="L-BFGS-B",
                    options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-14,
@@ -371,9 +378,10 @@ def test_energy_zero_fields(annulus_solver, pack226):
 
 def test_energy_manufactured_value(annulus_solver, pack226):
     # (u, v) = (phi/lam, phi): cross term is ||phi||_2^2, norms in closed
-    # quadrature form
+    # quadrature form; lam from the dense eigensolve (oracle)
     m = annulus_solver.mesh
-    lam, phi = annulus_solver.first_eigenfunction()
+    phi = annulus_solver.first_eigenfunction()
+    lam = dense_eigenpairs(m, k=2)[0][1]
     u = phi / lam
     v = phi
     val = ds.energy(m, u, v, pack226)

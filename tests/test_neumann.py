@@ -112,8 +112,10 @@ def test_solve_K_zero_mean_and_symmetry(annulus, solver):
 
 
 def test_quadratic_form_positive_on_first_mode(solver):
-    lam, phi = solver.first_eigenfunction()
+    # <phi, K phi> = ||phi||^2 / lam, lam from the dense eigensolve (oracle)
+    phi = solver.first_eigenfunction()
     m = solver.mesh
+    lam = dense_eigenpairs(m, k=2)[0][1]
     val = m.inner(phi, solver.solve_K(phi, check_mean=False))
     assert val > 0
     assert val == pytest.approx(m.norm_Ls(phi, 2) ** 2 / lam, rel=1e-6)

@@ -44,6 +44,18 @@ def test_verify_quick_loads_no_shooter(tmp_path):
     assert not loaded & (SHOOTER | {"scipy.stats"})
 
 
+def test_radial_dual_solve_loads_no_symmetry(tmp_path):
+    # the restart menu has no star-transformed restarts: the dual layer
+    # does not depend on the symmetry layer
+    loaded = _modules_after(
+        "from lanedual import dualsolve, exponents, mesh\n"
+        "m = mesh.build('radial-annulus', 6, 1.0, 2.0, 64)\n"
+        "dualsolve.maximize_D(m, exponents.derived_constants(2.0, 2.0, 6),\n"
+        "                     restarts=4, seed=0)", tmp_path)
+    assert "lanedual.dualsolve" in loaded
+    assert "lanedual.symmetry" not in loaded
+
+
 def test_slope_fit_loads_no_stats(tmp_path):
     loaded = _modules_after(
         "import numpy as np\n"
