@@ -33,7 +33,7 @@ from . import NumericalError, __version__, lazy_getattr
 from . import dualsolve as ds
 from . import mesh as msh
 from .exponents import (admissibility, derived_constants, hyperbola_partner,
-                        threshold_constant)
+                        require_finite, threshold_constant)
 
 # Each subcommand imports the engines it runs inside its own body; these
 # names stay readable as module attributes.
@@ -72,8 +72,11 @@ class RunConfig:
     outdir: str = "runs"
 
     def pack(self):
-        if self.p is None and self.q is None:
+        given = {name: value for name, value in (("p", self.p), ("q", self.q))
+                 if value is not None}
+        if not given:
             raise ConfigError("need at least one of p, q")
+        require_finite(**given)
         if self.p is not None and self.q is not None:
             return derived_constants(self.p, self.q, self.N, snap=True)
         if self.p is not None:
@@ -216,6 +219,7 @@ def cmd_bubble(cfg, report, outdir):
         "S": prof.S, "a": prof.a, "b": prof.b,
         "regime": prof.regime, "regime_V": prof.regime_V,
         "norms": {k: v for k, v in quant.items() if v is not None},
+        "work": prof.work,
     })
     report.check("tail ratios bounded",
                  np.isfinite(prof.a) and np.isfinite(prof.b)

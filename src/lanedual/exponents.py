@@ -5,6 +5,7 @@ so the dual weights and scaling exponents are computed in exactly one place.
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 HYPERBOLA_TOL = 1e-10
 
@@ -42,10 +43,11 @@ class ExponentPack:
     sq: float
 
     def __post_init__(self):
+        require_finite(p=self.p, q=self.q)
         res = hyperbola_residual(self.p, self.q, self.N)
-        if res > HYPERBOLA_TOL:
+        if not res <= HYPERBOLA_TOL:
             raise OffHyperbolaError(self.p, self.q, self.N, res)
-        if self.p * self.q <= 1.0:
+        if not self.p * self.q > 1.0:
             raise ValueError(f"pq = {self.p * self.q} must exceed 1")
 
     @property
@@ -60,6 +62,18 @@ def threshold_constant(pack, S):
     return 2.0 ** (2.0 / pack.N) / S
 
 
+def require_finite(**exponents):
+    """Raise ValueError naming the first exponent that is NaN or infinite.
+
+    Every comparison with NaN is false, so this module writes each range
+    check to fail on NaN as well; this check runs first, so that the
+    message names the exponent.
+    """
+    for name, value in exponents.items():
+        if not isfinite(value):
+            raise ValueError(f"exponent {name} = {value} is not finite")
+
+
 def hyperbola_residual(p, q, N):
     return abs(1.0 / (p + 1.0) + 1.0 / (q + 1.0) - (N - 2.0) / N)
 
@@ -71,7 +85,8 @@ def hyperbola_partner(p, N):
     """
     if N < 4 or int(N) != N:
         raise ValueError(f"dimension N = {N} must be an integer >= 4")
-    if p <= 2.0 / (N - 2.0):
+    require_finite(p=p)
+    if not p > 2.0 / (N - 2.0):
         raise ValueError(
             f"p = {p} <= 2/(N-2) = {2.0 / (N - 2.0):.6g}: partner exponent "
             "would be nonpositive or infinite"
@@ -90,13 +105,14 @@ def derived_constants(p, q, N, snap=False):
     genuinely off-hyperbola input is still rejected with the measured
     residual.
     """
+    require_finite(p=p, q=q)
     N = int(N)
     if snap:
-        if hyperbola_residual(p, q, N) > SNAP_TOL:
+        if not hyperbola_residual(p, q, N) <= SNAP_TOL:
             raise OffHyperbolaError(p, q, N, hyperbola_residual(p, q, N))
         q = hyperbola_partner(p, N)
     res = hyperbola_residual(p, q, N)
-    if res > HYPERBOLA_TOL:
+    if not res <= HYPERBOLA_TOL:
         raise OffHyperbolaError(p, q, N, res)
     alpha = (p + 1.0) / p
     beta = (q + 1.0) / q
@@ -125,7 +141,7 @@ def admissibility(p, q, N):
     conditions are simply ``uncovered``.
     """
     res = hyperbola_residual(p, q, N)
-    if res > HYPERBOLA_TOL:
+    if not res <= HYPERBOLA_TOL:
         raise OffHyperbolaError(p, q, N, res)
     lo = min(p, q)
     if N >= 6:

@@ -18,17 +18,27 @@ miss has a noise floor of ~1e-13 relative in d, and at (p, q, N) =
 (1, 9, 5) S moves by ~1.5e5 times the relative shift of d*, so a root
 1.7e-13 off the dyadic point moves S by 2.5e-8.
 
+Every run goes through this module's :func:`solve_ivp`, a DOP853 written
+out on Python floats for the four components. It keeps scipy's
+``solve_ivp(method="DOP853")`` tableau, initial step, step controller,
+error norm, dense-output event location and t_eval sampling, and exists
+for its per-step cost: scipy's spends about 80% of a run in numpy
+machinery on 4-vectors, and on floats a shoot takes about a third of
+scipy's time.
+
 Improper integrals (Sobolev constant, bubble moments) are evaluated on the
 stored profile plus an analytic tail from the fitted decay law; brute
 truncation is never used because the slow-decay moments converge too
 slowly near the admissibility boundary.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
-from math import copysign
+from math import copysign, inf, isfinite, nextafter, sqrt
 
 import numpy as np
-from scipy.integrate import solve_ivp, simpson
+from scipy.integrate import simpson
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -91,6 +101,10 @@ class BubbleProfile:
     a_offset: float = 0.0
     b_offset: float = 0.0
     S: float = 0.0
+    # deterministic work of the shoot: its integrations (the scan, the
+    # bisection and the sampled run, over every r_max tried) and their
+    # right-hand-side calls
+    work: dict = field(default_factory=dict)
     _splines: dict = field(default_factory=dict, repr=False)
 
     # -- pointwise evaluation --------------------------------------------
@@ -204,41 +218,277 @@ def _initial_state(pack, d):
 
 
 def _rhs(pack):
-    p, q, N = pack.p, pack.q, pack.N
+    p, q, N = float(pack.p), float(pack.q), pack.N
 
-    # Python floats: each integration runs ~15% faster than on numpy
-    # scalars, with bit-identical trajectories
     def rhs(r, y):
-        U, dU, V, dV = y.tolist()
-        return [dU,
+        U, dU, V, dV = y
+        return (dU,
                 -copysign(abs(V) ** q, V) - (N - 1) * dU / r,
                 dV,
-                -copysign(abs(U) ** p, U) - (N - 1) * dV / r]
+                -copysign(abs(U) ** p, U) - (N - 1) * dV / r)
 
     return rhs
 
 
-def _integrate(pack, d, r_max, rtol, t_eval=None):
+# -- DOP853 on Python floats (see the module docstring) -------------------
+#
+# Only the order of the stage sums differs from scipy's (its BLAS orders
+# them otherwise), so the two agree to rounding, amplified where a run is
+# unstable: from d* to r = 4 both take the same number of steps and end
+# within 1e-13 relative, and the shoots find the same d*.
+
+def _nonzero(row):
+    return tuple((j, a) for j, a in enumerate(row.tolist()) if a)
+
+
+_A = [_nonzero(row) for row in dop853_coefficients.A]
+_C = dop853_coefficients.C.tolist()
+_B = _nonzero(dop853_coefficients.B)
+_E3 = _nonzero(dop853_coefficients.E3)
+_E5 = _nonzero(dop853_coefficients.E5)
+_D = [_nonzero(row) for row in dop853_coefficients.D]
+_N_STAGES = dop853_coefficients.N_STAGES          # 12 RHS calls a step
+_N_STAGES_EXTENDED = dop853_coefficients.N_STAGES_EXTENDED
+_N_DENSE = _N_STAGES_EXTENDED - _N_STAGES - 1     # 3 more for the interpolant
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+ERROR_EXPONENT = -1.0 / 8.0   # -1 / (error estimator order 7 + 1)
+ATOL = 1e-300                 # error control is relative only
+EVENT_XTOL = 4 * np.finfo(float).eps
+_MESSAGES = {
+    0: "The solver successfully reached the end of the integration "
+       "interval.",
+    1: "A termination event occurred.",
+    -1: "Required step size is less than spacing between numbers.",
+}
+
+
+@dataclass
+class IvpResult:
+    """One run of :func:`solve_ivp`: samples `t` and `y` (4 x n), the radii
+    `t_events` at which U and V reached zero, `status` (0 reached the end,
+    1 stopped at a zero, -1 step size underflow), its `message`, and
+    `nfev`, the right-hand-side calls."""
+
+    t: np.ndarray
+    y: np.ndarray
+    t_events: list
+    status: int
+    message: str
+    nfev: int
+
+
+def _combine(K, row):
+    """sum_j a_j K_j over the nonzero tableau entries (j, a_j) of a row."""
+    s0 = s1 = s2 = s3 = 0.0
+    for j, a in row:
+        k0, k1, k2, k3 = K[j]
+        s0 += k0 * a
+        s1 += k1 * a
+        s2 += k2 * a
+        s3 += k3 * a
+    return s0, s1, s2, s3
+
+
+def _rms(v0, v1, v2, v3):
+    return sqrt(v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3) / 2.0
+
+
+def _initial_step(fun, t0, y, f, t_bound, rtol):
+    """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4)."""
+    interval = t_bound - t0
+    s0, s1, s2, s3 = (ATOL + abs(v) * rtol for v in y)
+    d0 = _rms(y[0] / s0, y[1] / s1, y[2] / s2, y[3] / s3)
+    d1 = _rms(f[0] / s0, f[1] / s1, f[2] / s2, f[3] / s3)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, tuple(v + h0 * g for v, g in zip(y, f)))
+    d2 = _rms((f1[0] - f[0]) / s0, (f1[1] - f[1]) / s1,
+              (f1[2] - f[2]) / s2, (f1[3] - f[3]) / s3) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, interval)
+
+
+def _rk_step(fun, t, y, f, h):
+    """One step of size h from (t, y) with y' = f: (y_new, stages), the
+    stages ending with f(t + h, y_new)."""
+    y0, y1, y2, y3 = y
+    K = [f]
+    for s in range(1, _N_STAGES):
+        d0, d1, d2, d3 = _combine(K, _A[s])
+        K.append(fun(t + _C[s] * h,
+                     (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)))
+    b0, b1, b2, b3 = _combine(K, _B)
+    y_new = (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3)
+    K.append(fun(t + h, y_new))
+    return y_new, K
+
+
+def _error_norm(K, h, y, y_new, rtol):
+    """The step's error estimate: the 5th-order estimate damped by the
+    3rd-order one, in the RMS norm scaled by rtol * max(|y|, |y_new|)."""
+    n5 = n3 = 0.0
+    for e5, e3, a, b in zip(_combine(K, _E5), _combine(K, _E3), y, y_new):
+        scale = ATOL + max(abs(a), abs(b)) * rtol
+        e5 /= scale
+        e3 /= scale
+        n5 += e5 * e5
+        n3 += e3 * e3
+    if n5 == 0 and n3 == 0:
+        return 0.0
+    return abs(h) * n5 / sqrt((n5 + 0.01 * n3) * 4)
+
+
+def _dense_coefficients(fun, K, t_old, h, y_old, y):
+    """The 7 coefficient rows of the 7th-order interpolant over the step
+    [t_old, t_old + h] that ended at y; appends the extra stages to K."""
+    y0, y1, y2, y3 = y_old
+    for s in range(_N_STAGES + 1, _N_STAGES_EXTENDED):
+        d0, d1, d2, d3 = _combine(K, _A[s])
+        K.append(fun(t_old + _C[s] * h,
+                     (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)))
+    f_old, f = K[0], K[_N_STAGES]
+    dy = [a - b for a, b in zip(y, y_old)]
+    return [dy,
+            [h * a - b for a, b in zip(f_old, dy)],
+            [2 * b - h * (a + c) for a, b, c in zip(f, dy, f_old)],
+            *([h * v for v in _combine(K, row)] for row in _D)]
+
+
+def _dense_value(F, t_old, h, y_old, c, t):
+    """Component c of the interpolant F at the radius t."""
+    x = (t - t_old) / h
+    v = 0.0
+    for i, row in enumerate(reversed(F)):
+        v += row[c]
+        v *= x if i % 2 == 0 else 1 - x
+    return v + y_old[c]
+
+
+def _dense_values(F, t_old, h, y_old, t):
+    """The interpolant F at the radii t, as a 4 x len(t) array."""
+    x = ((t - t_old) / h)[:, None]
+    y = np.zeros((len(t), 4))
+    for i, row in enumerate(np.array(F)[::-1]):
+        y += row
+        y *= x if i % 2 == 0 else 1 - x
+    y += y_old
+    return y.T
+
+
+def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
+    """Integrate y' = fun(t, y) for the four components (U, U', V, V')
+    from t_span[0] up to t_span[1] > t_span[0], stopping at the first zero
+    of U or V; returns an :class:`IvpResult`.
+
+    This is scipy's ``solve_ivp(fun, t_span, y0, method="DOP853",
+    rtol=rtol, atol=1e-300, events=(U, V), t_eval=t_eval)`` with both
+    events terminal; `fun` takes and returns 4-tuples of floats. Without
+    `t_eval` each step end is sampled; with it, the radii of the sorted
+    `t_eval` up to the stop, on the dense output.
+    """
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    y = tuple(float(v) for v in y0)
+    if not all(map(isfinite, y)):
+        raise ValueError("All components of the initial state y0 must be "
+                         "finite.")
+    if not t < t_bound:
+        raise ValueError(f"t_span = {t_span} is not increasing")
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol)
+    nfev = 2
+    ts, ys = ([t], [y]) if t_eval is None else ([], [])
+    i_eval = 0
+    t_events = ([], [])
+    status = None
+    while status is None:
+        # one accepted step, or status -1 (scipy's RungeKutta._step_impl)
+        min_step = 10 * (nextafter(t, inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            y_new, K = _rk_step(fun, t, y, f, h)
+            nfev += _N_STAGES
+            error_norm = _error_norm(K, h, y, y_new, rtol)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs = h * factor
+                break
+            h_abs = h * max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, K[-1]
+        if t >= t_bound:
+            status = 0
+        F = None
+        crossed = [e for e in (0, 1)
+                   if y_old[2 * e] <= 0 <= y[2 * e]
+                   or y_old[2 * e] >= 0 >= y[2 * e]]
+        if crossed:
+            F = _dense_coefficients(fun, K, t_old, h, y_old, y)
+            nfev += _N_DENSE
+            roots = [brentq(lambda r, c=2 * e: _dense_value(F, t_old, h,
+                                                             y_old, c, r),
+                            t_old, t, xtol=EVENT_XTOL, rtol=EVENT_XTOL)
+                     for e in crossed]
+            first = roots.index(min(roots))
+            t = roots[first]
+            t_events[crossed[first]].append(t)
+            y = tuple(_dense_value(F, t_old, h, y_old, c, t)
+                      for c in range(4))
+            status = 1
+        if t_eval is None:
+            ts.append(t)
+            ys.append(y)
+            continue
+        i_new = int(np.searchsorted(t_eval, t, side="right"))
+        if i_new > i_eval:
+            if F is None:
+                F = _dense_coefficients(fun, K, t_old, h, y_old, y)
+                nfev += _N_DENSE
+            ts.append(t_eval[i_eval:i_new])
+            ys.append(_dense_values(F, t_old, h, y_old, ts[-1]))
+            i_eval = i_new
+    if t_eval is None:
+        t_arr, y_arr = np.array(ts), np.array(ys).T
+    else:
+        t_arr = np.concatenate(ts) if ts else np.empty(0)
+        y_arr = np.hstack(ys) if ys else np.empty((4, 0))
+    return IvpResult(t=t_arr, y=y_arr,
+                     t_events=[np.array(te) for te in t_events],
+                     status=status, message=_MESSAGES[status], nfev=nfev)
+
+
+def _integrate(pack, d, r_max, rtol, work, t_eval=None):
+    """One run from U(0) = d to r_max or the first zero of U or V, by the
+    in-house DOP853 (:func:`solve_ivp`, scipy's step controller on Python
+    floats); counts the run and its RHS calls into `work`."""
     r0, y0 = _initial_state(pack, d)
-
-    def ev_U(r, y):
-        return y[0]
-
-    def ev_V(r, y):
-        return y[2]
-
-    ev_U.terminal = True
-    ev_V.terminal = True
-    sol = solve_ivp(_rhs(pack), (r0, r_max), y0, method="DOP853",
-                    rtol=rtol, atol=1e-300, events=(ev_U, ev_V),
-                    t_eval=t_eval)
+    sol = solve_ivp(_rhs(pack), (r0, r_max), y0, rtol=rtol, t_eval=t_eval)
+    work["integrations"] += 1
+    work["rhs_evals"] += sol.nfev
     if sol.status == -1:
         raise ShootingError(f"integrator step-size failure at d={d}: "
                             f"{sol.message}")
     return sol
 
 
-def _miss(pack, d, r_max, rtol):
+def _miss(pack, d, r_max, rtol, work):
     """Signed miss of the run from U(0) = d: negative when d is too small,
     positive when it is too large.
 
@@ -249,7 +499,7 @@ def _miss(pack, d, r_max, rtol):
     |c0| at the crossing: 17 and 22 integrations per shoot at
     (2.75, 1.5, 6) and (1, 9, 5), against 21 and 32.
     """
-    sol = _integrate(pack, d, r_max, rtol)
+    sol = _integrate(pack, d, r_max, rtol, work)
     U, dU, V, dV = sol.y[:, -1]
     r = sol.t[-1]
     # projected flattening offsets: W + lam(r) r W' annihilates the
@@ -294,28 +544,31 @@ def shoot(pack, r_max=400.0, tol=1e-12, rtol=1e-11):
     """
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol = {tol} outside (0, 1e-4]")
+    work = Counter()
     for _ in range(3):
         try:
-            return _shoot_fixed(pack, r_max, tol, rtol)
+            return _shoot_fixed(pack, r_max, tol, rtol, work)
         except TailError:
             r_max *= 2.0
-    return _shoot_fixed(pack, r_max, tol, rtol)
+    return _shoot_fixed(pack, r_max, tol, rtol, work)
 
 
-def _shoot_fixed(pack, r_max, tol, rtol):
-    lo, hi, scanned = _bracket(pack, r_max, min(1e-8, rtol * 100))
-    d_star = _bisect(pack, lo, hi, scanned, r_max, tol, rtol)
-    return _profile(pack, d_star, r_max, rtol)
+def _shoot_fixed(pack, r_max, tol, rtol, work):
+    lo, hi, scanned = _bracket(pack, r_max, min(1e-8, rtol * 100), work)
+    d_star = _bisect(pack, lo, hi, scanned, r_max, tol, rtol, work)
+    prof = _profile(pack, d_star, r_max, rtol, work)
+    prof.work = dict(work)
+    return prof
 
 
-def _bracket(pack, r_max, rtol):
+def _bracket(pack, r_max, rtol, work):
     """(lo, hi, misses) around d*: geometric scan from d = 1 in steps of
     1.4; misses maps each scanned d, lo and hi among them, to its miss."""
     d = 1.0
     d_low = d_high = None
     misses = {}
     for _ in range(120):
-        misses[d] = _miss(pack, d, r_max, rtol)
+        misses[d] = _miss(pack, d, r_max, rtol, work)
         if misses[d] <= 0:
             d_low = d
             d *= 1.4
@@ -331,7 +584,7 @@ def _bracket(pack, r_max, rtol):
         f"; end classifications: {labels[0]}, {labels[1]}")
 
 
-def _bisect(pack, lo, hi, scanned, r_max, tol, rtol):
+def _bisect(pack, lo, hi, scanned, r_max, tol, rtol, work):
     """Sign bisection of [lo, hi] on the miss, steered by Brent.
 
     brentq runs first, to a quarter of the bisection's final width,
@@ -349,7 +602,7 @@ def _bisect(pack, lo, hi, scanned, r_max, tol, rtol):
 
     def miss(d):
         if d not in misses:
-            misses[d] = _miss(pack, d, r_max, rtol)
+            misses[d] = _miss(pack, d, r_max, rtol, work)
         return misses[d]
 
     def steer(d):
@@ -372,10 +625,10 @@ def _bisect(pack, lo, hi, scanned, r_max, tol, rtol):
     return 0.5 * (lo + hi)
 
 
-def _profile(pack, d_star, r_max, rtol):
+def _profile(pack, d_star, r_max, rtol, work):
     """Sample the run from U(0) = d_star and fit its constants."""
     r_grid = np.geomspace(R_START, r_max, 4000)
-    sol = _integrate(pack, d_star, r_max, rtol, t_eval=r_grid)
+    sol = _integrate(pack, d_star, r_max, rtol, work, t_eval=r_grid)
     # drop any trailing samples where the near-critical run lost positivity
     keep = (sol.y[0] > 0) & (sol.y[2] > 0)
     n = int(np.argmin(keep)) if not keep.all() else sol.t.size

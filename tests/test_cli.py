@@ -153,11 +153,32 @@ def test_missing_exponents_is_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("name", ["p", "q"])
+def test_nonfinite_exponent_is_config_error(tmp_path, capsys, name):
+    # rejected before the shooter integrates anything
+    code, report, _ = run_cli(["solve", f"--{name}", "nan", "--N", "6"],
+                              tmp_path)
+    assert code == cli.EXIT_CONFIG
+    message = f"exponent {name} = nan is not finite"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert report["results"]["error"] == message
+
+
+def test_bubble_reports_shooter_work(tmp_path):
+    code, report, _ = run_cli(["bubble", "--p", "2", "--N", "6"], tmp_path)
+    assert code == cli.EXIT_OK
+    work = report["results"]["work"]
+    assert work["integrations"] == 4
+    assert work["rhs_evals"] > 4 * 12
+
+
 def test_determinism_byte_identical_reports(tmp_path):
-    # the solve report carries the work counters under results.work
+    # the bubble and solve reports carry work counters under
+    # results.work
     for argv in (["sweep", "--p", "2", "--N", "6", "--eps-hi", "0.01",
                   "--eps-lo", "0.0003", "--eps-count", "6", "--seed", "3",
                   "--r-max", "100"],
+                 ["bubble", "--p", "2", "--N", "6", "--r-max", "100"],
                  ["solve", "--p", "2", "--N", "6", "--nr", "64",
                   "--restarts", "3", "--seed", "3"]):
         _, rep1, _ = run_cli(argv, tmp_path, f"a-{argv[0]}")

@@ -116,3 +116,26 @@ def test_pack_rejects_pq_below_one():
     with pytest.raises((ValueError, OffHyperbolaError)):
         ExponentPack(p=0.5, q=0.5, N=4, alpha=3.0, beta=3.0,
                      gamma1=0.5, gamma2=0.5, gamma=1.5, sp=1, sq=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_exponents_rejected_by_name(bad):
+    # a NaN passes every `>` and `<=` range check, so each check must fail
+    # on it; the message names the exponent
+    for call, name in ((lambda: derived_constants(bad, 2.0, 6), "p"),
+                       (lambda: derived_constants(2.0, bad, 6), "q"),
+                       (lambda: derived_constants(2.0, bad, 6, snap=True),
+                        "q"),
+                       (lambda: hyperbola_partner(bad, 6), "p"),
+                       (lambda: pack_from_p(bad, 6), "p"),
+                       (lambda: ExponentPack(
+                           p=bad, q=0.5, N=6, alpha=1.0, beta=3.0,
+                           gamma1=0.75, gamma2=0.25, gamma=0.75, sp=0.0,
+                           sq=4.0), "p")):
+        with pytest.raises(ValueError, match=f"exponent {name} = "):
+            call()
+
+
+def test_nan_is_off_the_hyperbola():
+    with pytest.raises(OffHyperbolaError):
+        admissibility(np.nan, 2.0, 6)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -122,12 +124,13 @@ R_MAX, RTOL, TOL = 400.0, 1e-11, 1e-12   # shoot's defaults at r_max = 400
 def sign_bisection(pack):
     """Reference: plain bisection on the sign of the miss from the scan
     bracket, with the shooter's stopping rule and no Brent steering."""
-    lo, hi, _ = gs._bracket(pack, R_MAX, min(1e-8, RTOL * 100))
+    work = Counter()
+    lo, hi, _ = gs._bracket(pack, R_MAX, min(1e-8, RTOL * 100), work)
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi) or hi - lo <= max(TOL * mid, 4 * np.spacing(mid)):
             return 0.5 * (lo + hi)
-        if gs._miss(pack, mid, R_MAX, RTOL) > 0:
+        if gs._miss(pack, mid, R_MAX, RTOL, work) > 0:
             hi = mid
         else:
             lo = mid
@@ -139,26 +142,28 @@ def test_shoot_matches_plain_sign_bisection(profile, request):
     prof = request.getfixturevalue(profile)
     d_ref = sign_bisection(prof.pack)
     assert prof.shoot_d == d_ref
-    assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, RTOL).S
+    assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, RTOL, Counter()).S
 
 
-@pytest.mark.parametrize("pqN, most", [((3.0, 3.0, 4), 5),
-                                       ((2.0, 2.0, 6), 5),
-                                       ((2.75, 1.5, 6), 18),
-                                       ((1.0, 9.0, 5), 23)])
-def test_shoot_integration_count(monkeypatch, pqN, most):
+@pytest.mark.parametrize("pqN, count", [((3.0, 3.0, 4), 4),
+                                        ((2.0, 2.0, 6), 4),
+                                        ((2.75, 1.5, 6), 17),
+                                        ((1.0, 9.0, 5), 22)])
+def test_shoot_integration_count(monkeypatch, pqN, count):
     # a plain sign bisection makes 42, 42, 42 and 44 integrations here;
     # Brent from ends integrated again at the bisection's rtol made 6, 6,
     # 19 and 24
-    calls = []
+    integrate, calls = gs.solve_ivp, []
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return solve_ivp(*args, **kwargs)
+        calls.append(integrate(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(gs, "solve_ivp", counting)
-    shoot(derived_constants(*pqN), r_max=R_MAX)
-    assert len(calls) <= most
+    prof = shoot(derived_constants(*pqN), r_max=R_MAX)
+    assert len(calls) == count
+    assert prof.work == {"integrations": count,
+                         "rhs_evals": sum(sol.nfev for sol in calls)}
 
 
 def projected_offset_difference(pack, sol):
@@ -186,10 +191,10 @@ def test_miss_sign_matches_crossing_label(profile, request, monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(gs, "_integrate", recording)
-    kinds = set()
+    kinds, work = set(), Counter()
     for delta in (1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11):
         for d in (prof.shoot_d * (1 - delta), prof.shoot_d * (1 + delta)):
-            miss = gs._miss(pack, d, R_MAX, RTOL)
+            miss = gs._miss(pack, d, R_MAX, RTOL, work)
             sol = runs[-1]
             if sol.t_events[0].size:
                 kinds.add("U")
@@ -202,6 +207,108 @@ def test_miss_sign_matches_crossing_label(profile, request, monkeypatch):
                 c0 = projected_offset_difference(pack, sol)
                 assert (miss > 0) == (c0 > 0), (d, miss, c0)
     assert kinds == {"U", "V", "r_max"}
+
+
+# -- the integrator, against scipy's DOP853 -----------------------------------
+
+# d* and S at r_max = 400 as shot through scipy's solve_ivp(method="DOP853")
+SCIPY_D_STAR = {(3.0, 3.0, 4): 1.0000000000003637,
+                (2.0, 2.0, 6): 1.0000000000003637,
+                (2.75, 1.5, 6): 1.1000754602555385,
+                (1.0, 9.0, 5): 0.4879500364765932}
+SCIPY_S = {(3.0, 3.0, 4): 10.260398640786528,
+           (2.0, 2.0, 6): 19.259456665720048,
+           (2.75, 1.5, 6): 18.72122540869203,
+           (1.0, 9.0, 5): 10.118468870716608}
+PROFILES = {(3.0, 3.0, 4): "profile334", (2.0, 2.0, 6): "profile226",
+            (2.75, 1.5, 6): "profile_log6", (1.0, 9.0, 5): "profile195"}
+
+
+def run_both(pqN, d, r_end, t_eval=None):
+    """The run of the shooter from U(0) = d through gs.solve_ivp, and the
+    same run through scipy's solve_ivp."""
+    pack = derived_constants(*pqN)
+    r0, y0 = gs._initial_state(pack, d)
+
+    def ev_U(r, y):
+        return y[0]
+
+    def ev_V(r, y):
+        return y[2]
+
+    ev_U.terminal = ev_V.terminal = True
+    ours = gs.solve_ivp(gs._rhs(pack), (r0, r_end), y0, rtol=RTOL,
+                        t_eval=t_eval)
+    ref = solve_ivp(gs._rhs(pack), (r0, r_end), y0, method="DOP853",
+                    rtol=RTOL, atol=1e-300, events=(ev_U, ev_V),
+                    t_eval=t_eval)
+    return ours, ref
+
+
+@pytest.mark.parametrize("pqN", SCIPY_D_STAR)
+def test_dop853_steps_as_scipy(pqN):
+    ours, ref = run_both(pqN, SCIPY_D_STAR[pqN], 4.0)
+    assert ours.status == ref.status == 0
+    assert ours.t.size == ref.t.size
+    assert ours.nfev == ref.nfev and isinstance(ours.nfev, int)
+    assert np.max(np.abs(ours.y[:, -1] / ref.y[:, -1] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+@pytest.mark.parametrize("pqN", SCIPY_D_STAR)
+def test_dop853_crossing_as_scipy(pqN, shift):
+    # too small a d: U crosses zero; too large: V does
+    ours, ref = run_both(pqN, SCIPY_D_STAR[pqN] * (1.0 + shift), R_MAX)
+    assert ours.status == ref.status == 1
+    sizes = [0, 1] if shift > 0 else [1, 0]
+    assert [te.size for te in ours.t_events] == sizes
+    assert [te.size for te in ref.t_events] == sizes
+    r_cross = np.concatenate(ours.t_events)[0]
+    assert r_cross == ours.t[-1]
+    assert r_cross == pytest.approx(np.concatenate(ref.t_events)[0],
+                                    rel=1e-10)
+
+
+@pytest.mark.parametrize("pqN", SCIPY_D_STAR)
+def test_dop853_t_eval_as_scipy(pqN):
+    # Samples sit inside steps on the 7th-order interpolant, whose own
+    # error is ~1e-11 at rtol 1e-11; the first step sizes follow
+    # roundoff-level error estimates, so sample agreement is bounded by
+    # the interpolant's error, not by rounding.
+    grid = np.geomspace(gs.R_START, 4.0, 500)
+    ours, ref = run_both(pqN, SCIPY_D_STAR[pqN], 4.0, t_eval=grid)
+    assert np.array_equal(ours.t, grid) and ours.y.shape == (4, grid.size)
+    scale = np.max(np.abs(ref.y), axis=1, keepdims=True)
+    assert np.max(np.abs(ours.y - ref.y) / scale) <= 1e-10
+    assert ours.nfev == ref.nfev
+
+
+def test_dop853_step_size_failure_as_scipy():
+    # U' = U^2 from U(0) = 1 blows up at t = 1
+    def rhs(t, y):
+        return (y[0] * y[0], 0.0, 0.0, 0.0)
+
+    y0 = (1.0, 0.0, 1.0, 0.0)
+    ours = gs.solve_ivp(rhs, (0.0, 2.0), y0, rtol=RTOL)
+    ref = solve_ivp(rhs, (0.0, 2.0), y0, method="DOP853", rtol=RTOL,
+                    atol=1e-300)
+    assert ours.status == ref.status == -1
+    assert ours.message == ref.message
+    assert ours.t[-1] == pytest.approx(ref.t[-1], rel=1e-12)
+
+
+def test_dop853_rejects_nonfinite_initial_state(pack226):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gs.solve_ivp(gs._rhs(pack226), (gs.R_START, 1.0),
+                         (bad, 0.0, 1.0, 0.0), rtol=RTOL)
+
+
+@pytest.mark.parametrize("pqN", SCIPY_D_STAR)
+def test_shoot_unchanged_from_scipy_integrator(pqN, request):
+    prof = request.getfixturevalue(PROFILES[pqN])
+    assert prof.shoot_d == SCIPY_D_STAR[pqN]
+    assert prof.S == pytest.approx(SCIPY_S[pqN], rel=1e-8)
 
 
 # -- fitted constants -------------------------------------------------------
