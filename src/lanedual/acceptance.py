@@ -16,7 +16,7 @@ from . import dualsolve as ds
 from . import lazy_getattr
 from . import mesh as msh
 from . import symmetry as sym
-from .exponents import derived_constants, pack_from_p, threshold_constant
+from .exponents import derived_constants, pack_from_p
 from .neumann import NeumannSolver, dense_eigenpairs
 
 # The quick battery never shoots: the criteria import the shooter and the
@@ -49,14 +49,19 @@ class _Shared:
         return self._cache[key]
 
     def radial_annulus_report(self, p, q, N):
+        # no verdict on a radial report reads S, so nothing is shot here
         key = ("rad", p, q, N)
         if key not in self._cache:
-            prof = self.profile(p, q, N)
             mesh = msh.build("radial-annulus", N, 1.0, 2.0, 257)
-            rep = ds.maximize_D(mesh, prof.pack, restarts=4,
-                                seed=self.seed, S=prof.S)
+            rep = ds.maximize_D(mesh, derived_constants(p, q, N), restarts=4,
+                                seed=self.seed)
             self._cache[key] = (mesh, rep)
         return self._cache[key]
+
+
+def _all_pass(rep):
+    """Whether every verdict of the DualReport rep passes."""
+    return all(passed for passed, _ in rep.verdicts().values())
 
 
 def _explicit_bubble(r, N):
@@ -114,7 +119,7 @@ def criterion_3_dual_energy_identity(shared):
     for (p, q, N) in ((2.0, 2.0, 6), (3.0, 3.0, 4)):
         _, rep = shared.radial_annulus_report(p, q, N)
         rows[f"({p:g},{q:g},{N})"] = rep.solution_checks()
-        ok = ok and rep.solution_passes()
+        ok = ok and _all_pass(rep)
     detail = "; ".join(
         f"{k}: energy {v['energy_rel']:.1e}, residual {v['residual']:.1e}, "
         f"compat {v['compat']:.1e}" for k, v in rows.items())
@@ -130,13 +135,12 @@ def criterion_4_compactness_threshold(shared):
         mesh = msh.build("axisym-ball", N, 0.0, 1.0, 96, 72)
         rep = ds.maximize_D(mesh, prof.pack, restarts=4, seed=shared.seed,
                             S=prof.S)
-        margin = rep.D / rep.threshold - 1.0
         rows[f"({p:g},{q:g},{N})"] = {"D": rep.D,
                                       "threshold": rep.threshold,
-                                      "margin": margin}
-        ok = ok and margin >= 0.01
-    detail = "; ".join(f"{k}: margin {v['margin'] * 100:.1f}% (need >= 1%)"
-                       for k, v in rows.items())
+                                      "margin": rep.threshold_margin}
+        ok = ok and rep.verdicts()["above compactness threshold"][0]
+    detail = "; ".join(f"{k}: margin {v['margin'] * 100:.1f}% (need >= "
+                       f"{ds.THRESHOLD_MARGIN:.0%})" for k, v in rows.items())
     return CheckResult("4 compactness threshold", ok, detail, rows)
 
 
@@ -172,14 +176,12 @@ def criterion_6_norm_rate_sweeps(shared):
         rec = asym.norm_rate_sweep(prof, quantity, eps)
         rows[f"(2,2,6) {quantity}"] = {"fitted": rec.fitted_slope,
                                        "predicted": rec.predicted_slope}
-        ok = ok and (abs(rec.fitted_slope / rec.predicted_slope - 1)
-                     <= asym.NORM_RATE_TOL)
+        ok = ok and rec.passed
     prof_log = shared.profile(2.75, 1.5, 6)
     rec = asym.norm_rate_sweep(prof_log, "U_1", eps)
     rows["(2.75,1.5,6) U_1 (log)"] = {"fitted": rec.fitted_slope,
                                       "predicted": rec.predicted_slope}
-    ok = ok and (abs(rec.fitted_slope / rec.predicted_slope - 1)
-                 <= asym.NORM_RATE_LOG_TOL)
+    ok = ok and rec.passed
     detail = "; ".join(f"{k}: {v['fitted']:.3f} vs {v['predicted']:.3f}"
                        for k, v in rows.items())
     return CheckResult("6 norm-rate sweeps", ok, detail, rows)
@@ -241,20 +243,16 @@ def criterion_10_cherrier_probe(shared):
     both within asymptotics.LEADING_CONSTANT_TOL (3%)."""
     from . import asymptotics as asym
     prof = shared.profile(2.0, 2.0, 6)
-    T = threshold_constant(prof.pack, prof.S)
     eps = np.geomspace(0.1, 0.01, 5)
-    lead_b = asym.cherrier_probe(prof, "boundary", eps)[-1]["leading"]["0.0"]
-    lead_i = asym.cherrier_probe(prof, "interior", eps)[-1]["leading"]["0.0"]
-    err_b = abs(lead_b / T - 1.0)
-    err_i = abs(lead_i * prof.S - 1.0)
-    ok = (err_b <= asym.LEADING_CONSTANT_TOL
-          and err_i <= asym.LEADING_CONSTANT_TOL)
+    bnd = asym.leading_constant(prof, "boundary", eps)
+    itr = asym.leading_constant(prof, "interior", eps)
     return CheckResult(
-        "10 sharpness probe", ok,
-        f"boundary {lead_b:.5f} vs {T:.5f} ({100 * err_b:.2f}%); interior "
-        f"{lead_i:.5f} vs {1 / prof.S:.5f} ({100 * err_i:.2f}%)",
-        {"boundary": lead_b, "interior": lead_i, "threshold": T,
-         "inv_S": 1.0 / prof.S})
+        "10 sharpness probe", bnd.passed and itr.passed,
+        f"boundary {bnd.leading:.5f} vs {bnd.target:.5f} "
+        f"({100 * bnd.rel_err:.2f}%); interior {itr.leading:.5f} vs "
+        f"{itr.target:.5f} ({100 * itr.rel_err:.2f}%)",
+        {"boundary": bnd.leading, "interior": itr.leading,
+         "threshold": bnd.target, "inv_S": itr.target})
 
 
 def criterion_11_biharmonic_window(shared):
@@ -262,7 +260,7 @@ def criterion_11_biharmonic_window(shared):
     with all identity checks of criterion 3."""
     _, rep = shared.radial_annulus_report(1.0, 9.0, 5)
     chk = rep.solution_checks()
-    ok = rep.converged and rep.solution_passes()
+    ok = rep.converged and _all_pass(rep)
     return CheckResult(
         "11 biharmonic window", ok,
         f"(1,9,5): converged={rep.converged}, energy {chk['energy_rel']:.1e},"

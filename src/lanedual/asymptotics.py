@@ -176,7 +176,10 @@ def predicted_norm_rate(pack, quantity):
 
 def norm_rate_sweep(profile, quantity, eps_grid, R_domain=1.0):
     """Fitted log-log slope of a truncated bubble norm vs the predicted
-    rate; log-corrected regimes are fitted with the log power pinned."""
+    rate; log-corrected regimes are fitted with the log power pinned. It
+    passes when |slope - predicted| <= tol |predicted|, with tol
+    NORM_RATE_TOL, or NORM_RATE_LOG_TOL for a log-corrected rate, whatever
+    the fit's CI: a noisy fit does not widen the tolerance."""
     from .groundstate import scaled_quantities
     pack = profile.pack
     pred, log_power, prov = predicted_norm_rate(pack, quantity)
@@ -185,7 +188,7 @@ def norm_rate_sweep(profile, quantity, eps_grid, R_domain=1.0):
                      for e in eps_grid])
     fit = fit_loglog(eps_grid, vals, log_power=log_power)
     tol = NORM_RATE_LOG_TOL if log_power else NORM_RATE_TOL
-    passed = abs(fit.slope - pred) <= max(tol * abs(pred), fit.ci)
+    passed = abs(fit.slope - pred) <= tol * abs(pred)
     return SweepRecord(quantity=quantity, eps=eps_grid, values=vals,
                        fitted_slope=fit.slope, slope_ci=fit.ci,
                        predicted_slope=pred, provenance=prov,
@@ -327,6 +330,28 @@ def expansion_sweep(solver, profile, S, eps_grid):
 
 
 # -- sharpness probe ---------------------------------------------------------
+
+@dataclass
+class LeadingConstant:
+    """A sharpness probe judged: its leading constant (C_lo = 0) at the
+    smallest eps against the family's target."""
+    rows: list           # cherrier_probe's rows
+    leading: float
+    target: float        # 2^(2/N)/S (boundary) or 1/S (interior)
+    rel_err: float
+    passed: bool         # rel_err <= LEADING_CONSTANT_TOL
+
+
+def leading_constant(profile, family, eps_grid, R=1.0):
+    """cherrier_probe over eps_grid, judged against the family's target."""
+    rows = cherrier_probe(profile, family, eps_grid, R=R)
+    lead = rows[-1]["leading"]["0.0"]
+    target = (threshold_constant(profile.pack, profile.S)
+              if family == "boundary" else 1.0 / profile.S)
+    err = abs(lead / target - 1.0)
+    return LeadingConstant(rows, lead, target, err,
+                           err <= LEADING_CONSTANT_TOL)
+
 
 def cherrier_probe(profile, family, eps_grid, C_lo_grid=(0.0, 1.0, 10.0),
                    R=1.0):

@@ -11,12 +11,15 @@ artifacts into the output directory.
 Configuration is plain key=value text overridable by CLI flags; a fixed
 seed makes runs byte-identical up to the timing fields. Exit codes:
 0 pass, 2 invariant failure, 3 numerical/convergence failure, 4 config
-error (an unknown flag or key, a bad value, an unreadable config file).
+error (an unknown flag or key, a bad value such as restarts < 1, an
+unreadable config file).
 
 Start-up: this module loads mesh, dualsolve and exponents (numpy and
 scipy.sparse.linalg); each subcommand imports the rest in its own body.
-All but symmetry and verify --quick load the shooter (scipy.integrate);
-sweep, probe-cherrier and the full verify also load asymptotics.
+bubble, sweep, probe-cherrier, the full verify and solve on an
+axisymmetric mesh load the shooter (scipy.integrate); symmetry, verify
+--quick and solve on a radial mesh do not. sweep, probe-cherrier and the
+full verify also load asymptotics.
 """
 
 import argparse
@@ -70,6 +73,10 @@ class RunConfig:
     quick: bool = False
     seed: int = 0
     outdir: str = "runs"
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ConfigError(f"restarts = {self.restarts} must be >= 1")
 
     def pack(self):
         given = {name: value for name, value in (("p", self.p), ("q", self.q))
@@ -244,34 +251,23 @@ def _build_mesh(cfg):
 
 
 def cmd_solve(cfg, report, outdir):
-    from .groundstate import shoot
     pack = cfg.pack()
     mesh = _build_mesh(cfg)
-    prof = shoot(pack, r_max=cfg.r_max)
+    S = None
+    if mesh.is_axisym:
+        # the threshold claim concerns the unrestricted optimum; the
+        # radially constrained quotient sits below it by symmetry breaking,
+        # so a radial run neither shoots nor judges it
+        from .groundstate import shoot
+        S = shoot(pack, r_max=cfg.r_max).S
     rep = ds.maximize_D(mesh, pack, restarts=cfg.restarts, seed=cfg.seed,
-                        S=prof.S)
+                        S=S)
     report.results.update(rep.summary())
     report.results["restart_stop_reasons"] = [trace.stop_reason
                                               for trace in rep.traces]
     report.results["work"] = rep.work()
-    chk = rep.solution_checks()
-    report.check("energy identity", chk["energy_rel"] <= ds.ENERGY_GATE,
-                 f"rel error {chk['energy_rel']:.3e}")
-    report.check("pde residuals", chk["residual"] <= ds.RESIDUAL_GATE,
-                 f"u: {rep.residual_u:.3e} v: {rep.residual_v:.3e}")
-    report.check("compatibility integrals", chk["compat"] <= ds.COMPAT_GATE,
-                 f"u: {rep.compat_u:.3e} v: {rep.compat_v:.3e}")
-    report.check("nodal solutions", chk["nodal"])
-    if mesh.is_axisym:
-        # the threshold claim concerns the unrestricted optimum; the
-        # radially constrained quotient sits below it by symmetry breaking
-        report.check("above compactness threshold",
-                     rep.D > rep.threshold,
-                     f"D={rep.D:.6g} threshold={rep.threshold:.6g}")
-    else:
-        report.results["threshold_note"] = (
-            "radial runs report D_rad; the compactness threshold applies "
-            "to the unrestricted quotient")
+    for name, (passed, detail) in rep.verdicts().items():
+        report.check(name, passed, detail)
     rr = mesh.node_r()
     tt = mesh.node_theta()
     _write_csv(outdir, "solution.csv", "r,theta,f,g,u,v",
@@ -341,20 +337,15 @@ def cmd_probe_cherrier(cfg, report, outdir):
     from .groundstate import shoot
     pack = cfg.pack()
     prof = shoot(pack, r_max=cfg.r_max)
-    grid = cfg.eps_grid()
-    T = threshold_constant(pack, prof.S)
-    rows = asym.cherrier_probe(prof, cfg.family, grid, R=cfg.R)
+    lead = asym.leading_constant(prof, cfg.family, cfg.eps_grid(), R=cfg.R)
     report.results["family"] = cfg.family
-    report.results["threshold"] = T
+    report.results["threshold"] = threshold_constant(pack, prof.S)
     report.results["interior_constant"] = 1.0 / prof.S
-    report.results["rows"] = rows
-    lead = rows[-1]["leading"]["0.0"]
-    target = T if cfg.family == "boundary" else 1.0 / prof.S
-    report.check("leading constant approach",
-                 abs(lead / target - 1) <= asym.LEADING_CONSTANT_TOL,
-                 f"leading {lead:.6g} target {target:.6g}")
+    report.results["rows"] = lead.rows
+    report.check("leading constant approach", lead.passed,
+                 f"leading {lead.leading:.6g} target {lead.target:.6g}")
     _write_csv(outdir, "cherrier.csv", "eps,leading_c0",
-               [(row["eps"], row["leading"]["0.0"]) for row in rows])
+               [(row["eps"], row["leading"]["0.0"]) for row in lead.rows])
     return EXIT_OK
 
 

@@ -34,10 +34,13 @@ from . import NumericalError
 from .exponents import threshold_constant
 from .neumann import NeumannSolver, signed_power
 
-# Gates on a recovered solution, shared by `lanedual solve` and acceptance
-# criteria 3 and 11: relative error of the energy identity, relative PDE
-# residual, and compatibility integrals.
+# Gates on a recovered solution, read by `lanedual solve` and acceptance
+# criteria 3 and 11 through DualReport.verdicts: relative error of the
+# energy identity, relative PDE residual, and compatibility integrals.
 ENERGY_GATE, RESIDUAL_GATE, COMPAT_GATE = 1e-6, 1e-5, 1e-8
+# Least relative margin D / (2^(2/N)/S) - 1 of the compactness threshold,
+# read by axisymmetric `lanedual solve` runs and acceptance criterion 4
+THRESHOLD_MARGIN = 0.01
 # Restarts within NEAR_RTOL (relative) of the best D are near-optimal. The
 # first converged restart in menu order within TIE_RTOL of it is reported,
 # so that roundoff does not pick among tied (e.g. mirror-image) optima.
@@ -121,38 +124,49 @@ class DualReport:
             "nodal": self.u_nodal and self.v_nodal,
         }
 
-    def solution_passes(self):
-        """Whether the recovered solution meets every gate and is nodal."""
+    @property
+    def threshold_margin(self):
+        """D / (2^(2/N)/S) - 1, NaN when no S filled `threshold`."""
+        return self.D / self.threshold - 1.0
+
+    def verdicts(self):
+        """Every gated claim on this report, by name: (passed, detail). The
+        compactness threshold is judged only when S filled `threshold`."""
         chk = self.solution_checks()
-        return (chk["energy_rel"] <= ENERGY_GATE
-                and chk["residual"] <= RESIDUAL_GATE
-                and chk["compat"] <= COMPAT_GATE and chk["nodal"])
+        out = {
+            "energy identity": (chk["energy_rel"] <= ENERGY_GATE,
+                                f"rel error {chk['energy_rel']:.3e}"),
+            "pde residuals": (chk["residual"] <= RESIDUAL_GATE,
+                              f"u: {self.residual_u:.3e} "
+                              f"v: {self.residual_v:.3e}"),
+            "compatibility integrals": (chk["compat"] <= COMPAT_GATE,
+                                        f"u: {self.compat_u:.3e} "
+                                        f"v: {self.compat_v:.3e}"),
+            "nodal solutions": (chk["nodal"], ""),
+        }
+        if np.isfinite(self.threshold):
+            out["above compactness threshold"] = (
+                self.threshold_margin >= THRESHOLD_MARGIN,
+                f"D={self.D:.6g} threshold={self.threshold:.6g}")
+        return out
 
     def summary(self):
         energy_rel = self.solution_checks()["energy_rel"]
         out = {
             "p": self.pack.p, "q": self.pack.q, "N": self.pack.N,
-            "mesh": self.mesh_descr,
-            "D": self.D,
-            "converged": self.converged,
-            "el_residual": self.el_residual,
-            "restart_optima": self.restarts,
+            "mesh": self.mesh_descr, "D": self.D, "converged": self.converged,
+            "el_residual": self.el_residual, "restart_optima": self.restarts,
             "near_optimal_restarts": self.near_optimal,
-            "energy": self.energy,
-            "c_pred": self.c_pred,
+            "energy": self.energy, "c_pred": self.c_pred,
             "energy_rel_error": (energy_rel if np.isfinite(energy_rel)
                                  else None),
-            "residual_u": self.residual_u,
-            "residual_v": self.residual_v,
-            "compat_u": self.compat_u,
-            "compat_v": self.compat_v,
-            "pointwise_mismatch": self.pointwise_mismatch,
-            "u_nodal": self.u_nodal,
-            "v_nodal": self.v_nodal,
+            **{key: getattr(self, key) for key in (
+                "residual_u", "residual_v", "compat_u", "compat_v",
+                "pointwise_mismatch", "u_nodal", "v_nodal")},
         }
         if np.isfinite(self.threshold):
             out["threshold"] = self.threshold
-            out["threshold_margin"] = self.D / self.threshold - 1.0
+            out["threshold_margin"] = self.threshold_margin
         return out
 
 
@@ -344,7 +358,8 @@ def maximize_D(solver_or_mesh, pack, restarts=8, seed=0, extra_inits=(),
 
     extra_inits is a sequence of (f0, g0) pairs appended to the menu (used
     e.g. to lift a radial optimum into an axisymmetric run). S, when given,
-    fills the compactness threshold 2^(2/N)/S for the report.
+    fills the compactness threshold 2^(2/N)/S, and the report's verdicts
+    then judge it.
     """
     solver = (solver_or_mesh if isinstance(solver_or_mesh, NeumannSolver)
               else NeumannSolver(solver_or_mesh))

@@ -3,7 +3,8 @@ pass/fail line per criterion."""
 
 import pytest
 
-from lanedual import acceptance
+from lanedual import acceptance, groundstate
+from lanedual import dualsolve as ds
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +68,27 @@ def test_quick_battery_all_pass(shared):
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: "
               f"{res.detail}")
     assert all(res.passed for res in results)
+
+
+def test_criterion_4_needs_the_threshold_margin(shared, monkeypatch):
+    # D 0.5% above the threshold fails the verdict `lanedual solve` reads
+    def half_percent(mesh, pack, **kw):
+        return ds.DualReport(pack, {}, D=1.0, f=None, g=None, converged=True,
+                             el_residual=0.0, restarts=[], near_optimal=[],
+                             traces=[], threshold=1.0 / 1.005)
+
+    monkeypatch.setattr(ds, "maximize_D", half_percent)
+    res = acceptance.criterion_4_compactness_threshold(shared)
+    assert not res.passed
+    assert "margin 0.5% (need >= 1%)" in res.detail
+
+
+def test_radial_annulus_reports_do_not_shoot(monkeypatch):
+    # criteria 3, 9 and 11 read no S, so their radial solves need no shoot
+    def fail(*args, **kwargs):
+        raise AssertionError("shot")
+
+    monkeypatch.setattr(groundstate, "shoot", fail)
+    mesh, rep = acceptance._Shared(seed=0).radial_annulus_report(1.0, 9.0, 5)
+    assert rep.converged and mesh.nnodes == 257
+    assert "above compactness threshold" not in rep.verdicts()

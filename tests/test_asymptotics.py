@@ -143,6 +143,23 @@ def test_norm_rate_sweep_log_regime(profile_log6):
     assert rec.fitted_slope == pytest.approx(2.4, rel=0.05)
 
 
+def test_norm_rate_sweep_does_not_widen_to_the_ci(monkeypatch, profile226):
+    # a noisy V_1 sweep of slope about 2.15 against the predicted 2: its CI
+    # covers the prediction, but the miss is above NORM_RATE_TOL
+    from lanedual import groundstate
+
+    def noisy(profile, eps, R_domain):
+        return {"V_1": eps ** 2.15 * np.exp(0.3 * np.sin(7.0 * np.log(eps)))}
+
+    monkeypatch.setattr(groundstate, "scaled_quantities", noisy)
+    rec = asym.norm_rate_sweep(profile226, "V_1",
+                               np.geomspace(0.01, 0.0003, 7))
+    miss = abs(rec.fitted_slope - rec.predicted_slope)
+    assert rec.predicted_slope == pytest.approx(2.0)
+    assert asym.NORM_RATE_TOL * 2.0 < miss <= rec.slope_ci
+    assert rec.passed is False
+
+
 def test_sweep_record_serializable(profile226):
     eps = np.geomspace(0.05, 0.001, 6)
     rec = asym.norm_rate_sweep(profile226, "V_1", eps)

@@ -62,6 +62,17 @@ def test_bad_configuration_exits_4(tmp_path, capsys, args, cfg_text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_restarts_below_1_is_config_error(tmp_path, capsys, value):
+    # rejected before any work runs, not run as the eigenfunction alone
+    code = cli.main(["solve", "--p", "2", "--N", "6", "--restarts", value,
+                     "--outdir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: restarts = {value} "
+                                       "must be >= 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--help"])
@@ -128,8 +139,11 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, owner, name,
         raise error("forced")
 
     monkeypatch.setattr(owner, name, fail)
-    code, report, _ = run_cli(["solve", "--p", "2", "--N", "6", "--nr", "64",
-                               "--restarts", "1"], tmp_path)
+    # an axisymmetric solve shoots for S, a radial one does not
+    code, report, _ = run_cli(["solve", "--p", "2", "--N", "6", "--mesh",
+                               "axisym-ball", "--R", "1", "--nr", "64",
+                               "--ntheta", "32", "--restarts", "1"],
+                              tmp_path)
     assert code == cli.EXIT_CONVERGENCE
     assert report["results"]["error"] == "forced"
 
@@ -283,6 +297,39 @@ def test_solve_axisym_ball_threshold(tmp_path):
     names = [item["name"] for item in report["invariants"]]
     assert "above compactness threshold" in names
     assert all(item["passed"] for item in report["invariants"])
+
+
+def test_solve_radial_reports_no_threshold(tmp_path):
+    code, report, _ = run_cli(
+        ["solve", "--p", "2", "--N", "6", "--nr", "64", "--restarts", "1"],
+        tmp_path)
+    assert code == cli.EXIT_OK
+    assert not {"threshold", "threshold_margin",
+                "threshold_note"} & set(report["results"])
+    assert [item["name"] for item in report["invariants"]] == [
+        "energy identity", "pde residuals", "compatibility integrals",
+        "nodal solutions"]
+
+
+def test_solve_threshold_needs_the_margin(tmp_path, monkeypatch):
+    # D 0.5% above the threshold is above it, but short of the 1% margin
+    # that acceptance criterion 4 requires too
+    maximize_D = ds.maximize_D
+
+    def half_percent(*args, **kw):
+        rep = maximize_D(*args, **kw)
+        rep.threshold = rep.D / 1.005
+        return rep
+
+    monkeypatch.setattr(ds, "maximize_D", half_percent)
+    code, report, _ = run_cli(
+        ["solve", "--p", "2", "--N", "6", "--mesh", "axisym-ball",
+         "--R", "1", "--nr", "64", "--ntheta", "32", "--restarts", "1"],
+        tmp_path)
+    assert code == cli.EXIT_INVARIANT
+    failed = [item["name"] for item in report["invariants"]
+              if not item["passed"]]
+    assert failed == ["above compactness threshold"]
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):

@@ -280,7 +280,21 @@ def test_large_q_packs_converge(p, N):
                         restarts=4, seed=1)
     assert [t.stop_reason for t in rep.traces] == ["converged"] * 4
     assert rep.k_solves <= 150
-    assert rep.solution_passes()
+    verdicts = rep.verdicts()
+    assert "above compactness threshold" not in verdicts  # no S given
+    assert all(passed for passed, _ in verdicts.values())
+
+
+def test_threshold_verdict_needs_the_margin(pack226):
+    # 0.5% above the threshold is above it, but short of THRESHOLD_MARGIN
+    rep = ds.DualReport(pack226, {}, D=1.0, f=None, g=None, converged=True,
+                        el_residual=0.0, restarts=[], near_optimal=[],
+                        traces=[], threshold=1.0 / 1.005)
+    passed, detail = rep.verdicts()["above compactness threshold"]
+    assert not passed
+    assert rep.threshold_margin == pytest.approx(0.005)
+    rep.threshold = 1.0 / 1.0101
+    assert rep.verdicts()["above compactness threshold"][0]
 
 
 def test_restarts_agree(annulus_solver, pack226):

@@ -44,6 +44,16 @@ def test_verify_quick_loads_no_shooter(tmp_path):
     assert not loaded & (SHOOTER | {"scipy.stats"})
 
 
+def test_radial_solve_loads_no_shooter(tmp_path):
+    # no verdict on a radial mesh reads S, so the radial solve does not shoot
+    loaded = _modules_after(
+        "from lanedual import cli\n"
+        "assert cli.main(['solve', '--p', '2', '--N', '6', '--nr', '64',\n"
+        "                 '--restarts', '1', '--outdir', 'out']) == 0",
+        tmp_path)
+    assert not loaded & SHOOTER
+
+
 def test_radial_dual_solve_loads_no_symmetry(tmp_path):
     # the restart menu has no star-transformed restarts: the dual layer
     # does not depend on the symmetry layer
