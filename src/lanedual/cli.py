@@ -101,6 +101,7 @@ class ConfigError(ValueError):
 
 
 _FIELD_TYPES = {f.name: f.type for f in RunConfig.__dataclass_fields__.values()}
+_CHOICES = {"mesh_kind": list(msh.KINDS), "family": ["boundary", "interior"]}
 
 
 def parse_config_file(path):
@@ -395,28 +396,16 @@ def make_parser():
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--q", type=float)
-        sp.add_argument("--N", type=int, default=None)
-        sp.add_argument("--mesh", dest="mesh_kind", default=None,
-                        choices=list(msh.KINDS))
-        sp.add_argument("--r0", type=float, default=None)
-        sp.add_argument("--R", type=float, default=None)
-        sp.add_argument("--nr", type=int, default=None)
-        sp.add_argument("--ntheta", type=int, default=None)
-        sp.add_argument("--theta-grading", dest="theta_grading", type=float,
-                        default=None)
-        sp.add_argument("--r-max", dest="r_max", type=float, default=None)
-        sp.add_argument("--restarts", type=int, default=None)
-        sp.add_argument("--eps-hi", dest="eps_hi", type=float, default=None)
-        sp.add_argument("--eps-lo", dest="eps_lo", type=float, default=None)
-        sp.add_argument("--eps-count", dest="eps_count", type=int,
-                        default=None)
-        sp.add_argument("--family", choices=("boundary", "interior"),
-                        default=None)
-        sp.add_argument("--quick", action="store_true", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--outdir", default=None)
+        for key, typ in _FIELD_TYPES.items():
+            if key in ("subcommand", "radial_spacing"):  # no flag
+                continue
+            flag = "--" + {"mesh_kind": "mesh"}.get(key, key).replace("_", "-")
+            if typ is bool:
+                sp.add_argument(flag, dest=key, action="store_true",
+                                default=None)
+            else:
+                sp.add_argument(flag, dest=key, choices=_CHOICES.get(key),
+                                type={int: int, str: str}.get(typ, float))
     return ap
 
 
