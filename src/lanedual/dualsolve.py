@@ -32,6 +32,7 @@ import numpy as np
 
 from . import NumericalError
 from .exponents import threshold_constant
+from .mesh import weighted_sum
 from .neumann import NeumannSolver, signed_power
 
 # Gates on a recovered solution, read by `lanedual solve` and acceptance
@@ -441,7 +442,7 @@ def energy(mesh, u, v, pack):
     """
     u = np.ravel(u)
     v = np.ravel(v)
-    cross = float(u @ (mesh.stiffness() @ v))
+    cross = weighted_sum(u, mesh.stiffness() @ v)
     return (cross
             - mesh.norm_Ls(u, pack.p + 1) ** (pack.p + 1) / (pack.p + 1)
             - mesh.norm_Ls(v, pack.q + 1) ** (pack.q + 1) / (pack.q + 1))

@@ -35,6 +35,12 @@ def sphere_area(N):
     return N * unit_ball_volume(N)
 
 
+def weighted_sum(w, x):
+    """sum_i w_i x_i, summed in an order that does not depend on the BLAS
+    thread count: a BLAS dot (w @ x) splits a long sum across threads."""
+    return float(np.einsum("i,i->", w, x))
+
+
 def _cell_integrals(faces, dens):
     """8-point Gauss-Legendre integral of dens over each cell."""
     gx, gw = np.polynomial.legendre.leggauss(8)
@@ -140,7 +146,7 @@ class Mesh:
 
     # -- quadrature -----------------------------------------------------
     def integrate(self, u):
-        return float(self.w @ np.ravel(u))
+        return weighted_sum(self.w, np.ravel(u))
 
     def mean(self, u):
         return self.integrate(u) / self.volume
@@ -148,10 +154,10 @@ class Mesh:
     def norm_Ls(self, u, s):
         if s < 1:
             raise ValueError(f"Lebesgue exponent s = {s} must be >= 1")
-        return float((self.w @ np.abs(np.ravel(u)) ** s) ** (1.0 / s))
+        return weighted_sum(self.w, np.abs(np.ravel(u)) ** s) ** (1.0 / s)
 
     def inner(self, u, v):
-        return float(self.w @ (np.ravel(u) * np.ravel(v)))
+        return weighted_sum(self.w, np.ravel(u) * np.ravel(v))
 
     # -- operators ------------------------------------------------------
     def stiffness(self):

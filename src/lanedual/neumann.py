@@ -16,6 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import NumericalError
+from .mesh import weighted_sum
 
 MEAN_TOL = 1e-8
 # x-tolerance of the kappa root, xtol + rtol * |kappa| (brentq's defaults)
@@ -107,7 +108,7 @@ class NeumannSolver:
         values = np.ravel(values)
         if t == 1.0:
             kap = -self.mesh.mean(values)
-            res = float(w @ (values + kap))
+            res = weighted_sum(w, values + kap)
             return KtShift(t=t, kappa=kap, residual=res)
         lo, hi = -values.max(), -values.min()
         if lo == hi:  # constant field
@@ -120,8 +121,8 @@ class NeumannSolver:
             # |x|^(t-1) gives F and F'
             a = np.maximum(np.abs(x), POWER_FLOOR) ** (t - 1.0)
             ax = a * x
-            res = float(w @ ax)
-            if abs(res) <= 4.0 * _EPS * float(w @ np.abs(ax)):
+            res = weighted_sum(w, ax)
+            if abs(res) <= 4.0 * _EPS * weighted_sum(w, np.abs(ax)):
                 break
             if res > 0.0:
                 hi = kap
@@ -130,7 +131,7 @@ class NeumannSolver:
             xtol = KAPPA_XTOL + KAPPA_RTOL * abs(kap)
             if hi - lo <= xtol:
                 break
-            step = res / (t * float(w @ a))
+            step = res / (t * weighted_sum(w, a))
             if not lo < kap - step < hi or abs(step) > 0.5 * abs(step_old):
                 step = kap - 0.5 * (lo + hi)
             elif abs(step) < xtol:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -441,3 +445,29 @@ def test_report_summary_roundtrip(report226):
     assert s["u_nodal"] is True
     import json
     json.dumps(s)  # serializable
+
+
+SOLVE_BITS = """
+import hashlib
+from lanedual import dualsolve, exponents, mesh
+m = mesh.build("radial-annulus", 6, 1.0, 2.0, 12000)
+rep = dualsolve.maximize_D(m, exponents.derived_constants(2.0, 2.0, 6),
+                           restarts=2, seed=0)
+print(rep.D.hex(), rep.energy.hex(),
+      hashlib.sha256(rep.u.tobytes() + rep.v.tobytes()).hexdigest())
+"""
+
+
+def test_solve_bits_do_not_depend_on_blas_threads():
+    # above about 10,000 terms a BLAS dot splits its sum across threads;
+    # every weighted sum goes through mesh.weighted_sum instead
+    src = os.path.dirname(os.path.dirname(ds.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out.append(subprocess.run([sys.executable, "-c", SOLVE_BITS],
+                                  capture_output=True, text=True, env=env,
+                                  check=True).stdout)
+    assert out[0] == out[1]
