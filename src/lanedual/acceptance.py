@@ -59,11 +59,6 @@ class _Shared:
         return self._cache[key]
 
 
-def _all_pass(rep):
-    """Whether every verdict of the DualReport rep passes."""
-    return all(passed for passed, _ in rep.verdicts().values())
-
-
 def _explicit_bubble(r, N):
     return ((N * (N - 2.0)) ** ((N - 2.0) / 4.0)
             / (1.0 + r ** 2) ** ((N - 2.0) / 2.0))
@@ -119,7 +114,7 @@ def criterion_3_dual_energy_identity(shared):
     for (p, q, N) in ((2.0, 2.0, 6), (3.0, 3.0, 4)):
         _, rep = shared.radial_annulus_report(p, q, N)
         rows[f"({p:g},{q:g},{N})"] = rep.solution_checks()
-        ok = ok and _all_pass(rep)
+        ok = ok and rep.passes()
     detail = "; ".join(
         f"{k}: energy {v['energy_rel']:.1e}, residual {v['residual']:.1e}, "
         f"compat {v['compat']:.1e}" for k, v in rows.items())
@@ -171,17 +166,14 @@ def criterion_6_norm_rate_sweeps(shared):
     eps = np.geomspace(0.01, 0.0003, 7)
     rows = {}
     ok = True
-    prof = shared.profile(2.0, 2.0, 6)
-    for quantity in ("V_1", "U_1"):
-        rec = asym.norm_rate_sweep(prof, quantity, eps)
-        rows[f"(2,2,6) {quantity}"] = {"fitted": rec.fitted_slope,
-                                       "predicted": rec.predicted_slope}
+    for pqN, quantity, label in (((2.0, 2.0, 6), "V_1", "(2,2,6) V_1"),
+                                 ((2.0, 2.0, 6), "U_1", "(2,2,6) U_1"),
+                                 ((2.75, 1.5, 6), "U_1",
+                                  "(2.75,1.5,6) U_1 (log)")):
+        rec = asym.norm_rate_sweep(shared.profile(*pqN), quantity, eps)
+        rows[label] = {"fitted": rec.fitted_slope,
+                       "predicted": rec.predicted_slope}
         ok = ok and rec.passed
-    prof_log = shared.profile(2.75, 1.5, 6)
-    rec = asym.norm_rate_sweep(prof_log, "U_1", eps)
-    rows["(2.75,1.5,6) U_1 (log)"] = {"fitted": rec.fitted_slope,
-                                      "predicted": rec.predicted_slope}
-    ok = ok and rec.passed
     detail = "; ".join(f"{k}: {v['fitted']:.3f} vs {v['predicted']:.3f}"
                        for k, v in rows.items())
     return CheckResult("6 norm-rate sweeps", ok, detail, rows)
@@ -260,7 +252,7 @@ def criterion_11_biharmonic_window(shared):
     with all identity checks of criterion 3."""
     _, rep = shared.radial_annulus_report(1.0, 9.0, 5)
     chk = rep.solution_checks()
-    ok = rep.converged and _all_pass(rep)
+    ok = rep.converged and rep.passes()
     return CheckResult(
         "11 biharmonic window", ok,
         f"(1,9,5): converged={rep.converged}, energy {chk['energy_rel']:.1e},"

@@ -333,8 +333,8 @@ def expansion_sweep(solver, profile, S, eps_grid):
 
 @dataclass
 class LeadingConstant:
-    """A sharpness probe judged: its leading constant (C_lo = 0) at the
-    smallest eps against the family's target."""
+    """The sharpness probe's leading constant (C_lo = 0) at its smallest eps,
+    judged against the family's target."""
     rows: list           # cherrier_probe's rows
     leading: float
     target: float        # 2^(2/N)/S (boundary) or 1/S (interior)

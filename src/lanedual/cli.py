@@ -132,21 +132,19 @@ def parse_config_file(path):
 
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
+# text readers by field type; the float | None fields read as float
+_READ = {int: int, str: str}
 
 
 def _coerce(key, val):
     """The config-file text `val` as the type of field `key`; ValueError
     when it is not one."""
     typ = _FIELD_TYPES[key]
-    if "bool" in str(typ):
+    if typ is bool:
         if val.lower() not in _BOOLS:
             raise ValueError(f"not a boolean: {val!r}")
         return _BOOLS[val.lower()]
-    if "int" in str(typ):
-        return int(val)
-    if "float" in str(typ):
-        return float(val)
-    return val
+    return _READ.get(typ, float)(val)
 
 
 def build_identifier():
@@ -172,9 +170,6 @@ class Report:
     def check(self, name, passed, detail=""):
         self.invariants.append({"name": name, "passed": bool(passed),
                                 "detail": str(detail)})
-
-    def all_passed(self):
-        return all(item["passed"] for item in self.invariants)
 
     def dump(self, outdir):
         os.makedirs(outdir, exist_ok=True)
@@ -238,13 +233,11 @@ def cmd_bubble(cfg, report, outdir):
     report.check("critical norms equal", abs(mU / mV - 1) < 1e-3,
                  f"|U|^(p+1) vs |V|^(q+1): {mU:.8g} vs {mV:.8g}")
     prof.to_csv(os.path.join(outdir, "profile.csv"))
-    return EXIT_OK
 
 
 def _build_mesh(cfg):
-    kinds_1d = ("radial-annulus", "radial-ball")
     r0 = 0.0 if cfg.mesh_kind.endswith("ball") else cfg.r0
-    if cfg.mesh_kind in kinds_1d:
+    if cfg.mesh_kind.startswith("radial"):
         return msh.build(cfg.mesh_kind, cfg.N, r0, cfg.R, cfg.nr)
     return msh.build(cfg.mesh_kind, cfg.N, r0, cfg.R, cfg.nr, cfg.ntheta,
                      theta_grading=cfg.theta_grading,
@@ -256,9 +249,8 @@ def cmd_solve(cfg, report, outdir):
     mesh = _build_mesh(cfg)
     S = None
     if mesh.is_axisym:
-        # the threshold claim concerns the unrestricted optimum; the
-        # radially constrained quotient sits below it by symmetry breaking,
-        # so a radial run neither shoots nor judges it
+        # the threshold concerns the unrestricted optimum, which symmetry
+        # breaking holds above the radial one: a radial run does not shoot
         from .groundstate import shoot
         S = shoot(pack, r_max=cfg.r_max).S
     rep = ds.maximize_D(mesh, pack, restarts=cfg.restarts, seed=cfg.seed,
@@ -276,7 +268,6 @@ def cmd_solve(cfg, report, outdir):
     for k, trace in enumerate(rep.traces):
         _write_csv(outdir, f"trace_{k}.csv", "iteration,quotient",
                    trace.iterations)
-    return EXIT_OK
 
 
 def cmd_symmetry(cfg, report, outdir):
@@ -307,7 +298,6 @@ def cmd_symmetry(cfg, report, outdir):
     report.results["fs_check"] = fs.as_dict()
     report.check("foliated Schwarz", fs.passed,
                  f"violation {fs.violation:.3e}")
-    return EXIT_OK
 
 
 def cmd_sweep(cfg, report, outdir):
@@ -330,7 +320,6 @@ def cmd_sweep(cfg, report, outdir):
     report.check("normal-derivative rate", bt.passed,
                  f"slope {bt.fitted_slope:.4f} vs {bt.predicted_slope:.4f}")
     _write_csv(outdir, "sweep.csv", "quantity,eps,value", rows)
-    return EXIT_OK
 
 
 def cmd_probe_cherrier(cfg, report, outdir):
@@ -347,7 +336,6 @@ def cmd_probe_cherrier(cfg, report, outdir):
                  f"leading {lead.leading:.6g} target {lead.target:.6g}")
     _write_csv(outdir, "cherrier.csv", "eps,leading_c0",
                [(row["eps"], row["leading"]["0.0"]) for row in lead.rows])
-    return EXIT_OK
 
 
 def cmd_verify(cfg, report, outdir):
@@ -365,7 +353,6 @@ def cmd_verify(cfg, report, outdir):
         report.timings["criterion_seconds"] = {res.name: res.seconds
                                                for res in results}
     report.timings["verify_seconds"] = time.time() - t0
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -405,16 +392,14 @@ def make_parser():
                                 default=None)
             else:
                 sp.add_argument(flag, dest=key, choices=_CHOICES.get(key),
-                                type={int: int, str: str}.get(typ, float))
+                                type=_READ.get(typ, float))
     return ap
 
 
 def config_from_args(argv):
     ap = make_parser()
     ns = ap.parse_args(argv)
-    values = {}
-    if ns.config:
-        values.update(parse_config_file(ns.config))
+    values = parse_config_file(ns.config) if ns.config else {}
     for key in RunConfig.__dataclass_fields__:
         arg = getattr(ns, key, None)
         if arg is not None:
@@ -444,7 +429,7 @@ def run(cfg):
         return code
     report.timings["seconds"] = time.time() - t0
     path = report.dump(outdir)
-    ok = report.all_passed()
+    ok = all(item["passed"] for item in report.invariants)
     print(f"report: {path} ({'all invariants pass' if ok else 'INVARIANT FAILURES'})")
     return EXIT_OK if ok else EXIT_INVARIANT
 

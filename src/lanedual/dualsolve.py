@@ -151,6 +151,10 @@ class DualReport:
                 f"D={self.D:.6g} threshold={self.threshold:.6g}")
         return out
 
+    def passes(self):
+        """Whether every verdict passes."""
+        return all(passed for passed, _ in self.verdicts().values())
+
     def summary(self):
         energy_rel = self.solution_checks()["energy_rel"]
         out = {

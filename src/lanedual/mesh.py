@@ -129,15 +129,10 @@ class Mesh:
         """(inner, outer) boolean masks over flattened nodes at r=r0, r=R."""
         inner = np.zeros(self.nnodes, dtype=bool)
         outer = np.zeros(self.nnodes, dtype=bool)
-        if not self.cell_centered:
-            if self.is_axisym:
-                if self.r0 > 0.0:
-                    inner[: self.ntheta] = True
-                outer[-self.ntheta:] = True
-            else:
-                if self.r0 > 0.0:
-                    inner[0] = True
-                outer[-1] = True
+        if not self.cell_centered:  # the first and last ring of nodes
+            if self.r0 > 0.0:
+                inner[:self.ntheta] = True
+            outer[-self.ntheta:] = True
         return inner, outer
 
     def interior_mask(self):
@@ -248,19 +243,16 @@ class Mesh:
 def _radial_nodes(r0, R, nr, spacing, grade):
     if spacing == "uniform":
         r = np.linspace(r0, R, nr)
-        faces = np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
-        return r, faces
-    if spacing == "boundary":
+    elif spacing == "boundary":
         # cluster nodes toward r = R with power `grade`
-        t = np.linspace(0.0, 1.0, nr)
-        r = R - (R - r0) * (1.0 - t) ** grade
+        r = R - (R - r0) * (1.0 - np.linspace(0.0, 1.0, nr)) ** grade
         r[0], r[-1] = r0, R
-        faces = np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
-        return r, faces
-    if spacing == "equal-volume":
+    elif spacing == "equal-volume":
         # cell-centered: n cells of identical N-volume, nodes at centroids
         raise ValueError("equal-volume spacing requires build_equal_volume()")
-    raise ValueError(f"unknown radial spacing {spacing!r}")
+    else:
+        raise ValueError(f"unknown radial spacing {spacing!r}")
+    return r, np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
 
 
 def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
