@@ -41,9 +41,7 @@ from .exponents import (admissibility, derived_constants, hyperbola_partner,
 # Each subcommand imports the engines it runs inside its own body; these
 # names stay readable as module attributes.
 __getattr__ = lazy_getattr(__name__, {
-    "asym": "asymptotics", "sym": "symmetry", "shoot": "groundstate.shoot",
-    "scaled_quantities": "groundstate.scaled_quantities",
-    "ShootingError": "groundstate.ShootingError"})
+    "asym": "asymptotics", "sym": "symmetry", "shoot": "groundstate.shoot"})
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2

@@ -363,8 +363,7 @@ def maximize_D(solver_or_mesh, pack, restarts=8, seed=0, extra_inits=(),
 
     extra_inits is a sequence of (f0, g0) pairs appended to the menu (used
     e.g. to lift a radial optimum into an axisymmetric run). S, when given,
-    fills the compactness threshold 2^(2/N)/S, and the report's verdicts
-    then judge it.
+    fills the compactness threshold 2^(2/N)/S for the report.
     """
     solver = (solver_or_mesh if isinstance(solver_or_mesh, NeumannSolver)
               else NeumannSolver(solver_or_mesh))

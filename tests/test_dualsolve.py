@@ -468,5 +468,5 @@ def test_solve_bits_do_not_depend_on_blas_threads():
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         out.append(subprocess.run([sys.executable, "-c", SOLVE_BITS],
                                   capture_output=True, text=True, env=env,
-                                  check=True).stdout)
+                                  check=True, timeout=300).stdout)
     assert out[0] == out[1]

@@ -93,7 +93,6 @@ def test_unknown_attribute_raises(module):
 def test_aliases_follow_the_owning_module(monkeypatch):
     assert cli.shoot is groundstate.shoot
     assert cli.sym is symmetry
-    assert cli.ShootingError is groundstate.ShootingError
     assert acceptance.shoot is groundstate.shoot
     monkeypatch.setattr(groundstate, "shoot", lambda *a, **kw: None)
     assert cli.shoot is acceptance.shoot is groundstate.shoot
