@@ -293,8 +293,7 @@ def test_threshold_verdict_needs_the_margin(pack226):
     rep = ds.DualReport(pack226, {}, D=1.0, f=None, g=None, converged=True,
                         el_residual=0.0, restarts=[], near_optimal=[],
                         traces=[], threshold=1.0 / 1.005)
-    passed, detail = rep.verdicts()["above compactness threshold"]
-    assert not passed
+    assert not rep.verdicts()["above compactness threshold"][0]
     assert rep.threshold_margin == pytest.approx(0.005)
     rep.threshold = 1.0 / 1.0101
     assert rep.verdicts()["above compactness threshold"][0]
