@@ -47,6 +47,11 @@ from .mesh import sphere_area
 
 R_START = 1e-6          # series handoff radius
 REGIME_TOL = 1e-10      # classify q vs N/(N-2)
+# shoot's tolerances: bisection to a bracket of TOL * d on runs at RTOL;
+# the scan's at SCAN_RTOL = 9.999999999999999e-10 (1e-9 moves its steps)
+TOL = 1e-12
+RTOL = 1e-11
+SCAN_RTOL = 100 * RTOL
 # Relative drift allowed across the tail-fit window. 2% admits the
 # log-regime packs, whose compensators converge like 1/log(r), and the
 # N=6 packs, whose r^(2-N) tails approach the integrator's constant-mode
@@ -130,13 +135,10 @@ class BubbleProfile:
         return self._splines[which]
 
     def _tail_exponents(self, which):
-        """(power m, log power l) of the fitted tail c * r^m * log(r)^l."""
-        N = self.pack.N
-        src = self.pack.q if which in ("U", "dU") else self.pack.p
-        m, l = decay_law(src, N)
-        if which in ("dU", "dV"):
-            m -= 1.0  # d/dr of r^m (log corrections handled in _tail)
-        return m, l
+        """(power m, log power l) of the fitted tail c * r^m * log(r)^l of
+        U or V."""
+        return decay_law(self.pack.q if which == "U" else self.pack.p,
+                         self.pack.N)
 
     def _tail(self, r, which):
         c = self.b if which in ("U", "dU") else self.a
@@ -254,26 +256,18 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1.0 / 8.0   # -1 / (error estimator order 7 + 1)
 ATOL = 1e-300                 # error control is relative only
 EVENT_XTOL = 4 * np.finfo(float).eps
-_MESSAGES = {
-    0: "The solver successfully reached the end of the integration "
-       "interval.",
-    1: "A termination event occurred.",
-    -1: "Required step size is less than spacing between numbers.",
-}
 
 
 @dataclass
 class IvpResult:
-    """One run of :func:`solve_ivp`: samples `t` and `y` (4 x n), the radii
-    `t_events` at which U and V reached zero, `status` (0 reached the end,
-    1 stopped at a zero, -1 step size underflow), its `message`, and
-    `nfev`, the right-hand-side calls."""
+    """One run of :func:`solve_ivp`: samples `t` and `y` (4 x n), the
+    component that stopped the run at its zero (`crossed`: 0 for U, 1 for
+    V, None when the run reached the end), and `nfev`, the right-hand-side
+    calls."""
 
     t: np.ndarray
     y: np.ndarray
-    t_events: list
-    status: int
-    message: str
+    crossed: int | None
     nfev: int
 
 
@@ -386,8 +380,10 @@ def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
     This is scipy's ``solve_ivp(fun, t_span, y0, method="DOP853",
     rtol=rtol, atol=1e-300, events=(U, V), t_eval=t_eval)`` with both
     events terminal; `fun` takes and returns 4-tuples of floats. Without
-    `t_eval` each step end is sampled; with it, the radii of the sorted
-    `t_eval` up to the stop, on the dense output.
+    `t_eval` the one sample is the final state; with it, the samples are
+    the radii of the sorted `t_eval` up to the stop, on the dense output.
+    Where scipy would stop with status -1 (the step size fell below the
+    spacing of floats), this raises ShootingError naming the radius.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = tuple(float(v) for v in y0)
@@ -399,19 +395,18 @@ def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol)
     nfev = 2
-    ts, ys = ([t], [y]) if t_eval is None else ([], [])
+    ts, ys = [], []
     i_eval = 0
-    t_events = ([], [])
-    status = None
-    while status is None:
-        # one accepted step, or status -1 (scipy's RungeKutta._step_impl)
+    crossed = None
+    while crossed is None and t < t_bound:
+        # one accepted step (scipy's RungeKutta._step_impl)
         min_step = 10 * (nextafter(t, inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                status = -1
-                break
+                raise ShootingError(f"integrator step size underflow at "
+                                    f"r = {t!r}")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             y_new, K = _rk_step(fun, t, y, f, h)
@@ -429,32 +424,24 @@ def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
                 break
             h_abs = h * max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-        if status == -1:
-            break
         t_old, y_old = t, y
         t, y, f = t_new, y_new, K[-1]
-        if t >= t_bound:
-            status = 0
         F = None
-        crossed = [e for e in (0, 1)
-                   if y_old[2 * e] <= 0 <= y[2 * e]
-                   or y_old[2 * e] >= 0 >= y[2 * e]]
-        if crossed:
+        zeros = [e for e in (0, 1)
+                 if y_old[2 * e] <= 0 <= y[2 * e]
+                 or y_old[2 * e] >= 0 >= y[2 * e]]
+        if zeros:
             F = _dense_coefficients(fun, K, t_old, h, y_old, y)
             nfev += _N_DENSE
             roots = [brentq(lambda r, c=2 * e: _dense_value(F, t_old, h,
                                                              y_old, c, r),
                             t_old, t, xtol=EVENT_XTOL, rtol=EVENT_XTOL)
-                     for e in crossed]
-            first = roots.index(min(roots))
-            t = roots[first]
-            t_events[crossed[first]].append(t)
+                     for e in zeros]
+            t = min(roots)
+            crossed = zeros[roots.index(t)]
             y = tuple(_dense_value(F, t_old, h, y_old, c, t)
                       for c in range(4))
-            status = 1
         if t_eval is None:
-            ts.append(t)
-            ys.append(y)
             continue
         i_new = int(np.searchsorted(t_eval, t, side="right"))
         if i_new > i_eval:
@@ -465,13 +452,9 @@ def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
             ys.append(_dense_values(F, t_old, h, y_old, ts[-1]))
             i_eval = i_new
     if t_eval is None:
-        t_arr, y_arr = np.array(ts), np.array(ys).T
-    else:
-        t_arr = np.concatenate(ts) if ts else np.empty(0)
-        y_arr = np.hstack(ys) if ys else np.empty((4, 0))
-    return IvpResult(t=t_arr, y=y_arr,
-                     t_events=[np.array(te) for te in t_events],
-                     status=status, message=_MESSAGES[status], nfev=nfev)
+        return IvpResult(np.array([t]), np.array([y]).T, crossed, nfev)
+    return IvpResult(np.concatenate(ts) if ts else np.empty(0),
+                     np.hstack(ys) if ys else np.empty((4, 0)), crossed, nfev)
 
 
 def _integrate(pack, d, r_max, rtol, work, t_eval=None):
@@ -482,9 +465,6 @@ def _integrate(pack, d, r_max, rtol, work, t_eval=None):
     sol = solve_ivp(_rhs(pack), (r0, r_max), y0, rtol=rtol, t_eval=t_eval)
     work["integrations"] += 1
     work["rhs_evals"] += sol.nfev
-    if sol.status == -1:
-        raise ShootingError(f"integrator step-size failure at d={d}: "
-                            f"{sol.message}")
     return sol
 
 
@@ -512,18 +492,18 @@ def _miss(pack, d, r_max, rtol, work):
 
     offset_U = proj(U, dU, *decay_law(pack.q, pack.N))
     offset_V = proj(V, dV, *decay_law(pack.p, pack.N))
-    if sol.t_events[0].size:
+    if sol.crossed == 0:
         return -abs(offset_U)  # U crossed zero: initial slope too small
-    if sol.t_events[1].size:
+    if sol.crossed == 1:
         return abs(offset_V)   # V crossed zero: initial slope too large
     return offset_U - offset_V
 
 
-def shoot(pack, r_max=400.0, tol=1e-12, rtol=1e-11):
+def shoot(pack, r_max=400.0):
     """Shoot the ground state; returns a fitted :class:`BubbleProfile`.
 
     d = U(0) is the dyadic bisection point of the scan bracket at which
-    the bracket width first falls to <= tol * d (or machine precision).
+    the bracket width first falls to <= TOL * d (or machine precision).
     Brent on the signed miss steers and the bisection decides: brentq
     narrows d* in a few superlinear steps, and the bisection replays from
     the scan bracket, integrating only the midpoints Brent's runs leave
@@ -542,33 +522,32 @@ def shoot(pack, r_max=400.0, tol=1e-12, rtol=1e-11):
     floor (~1e-11) soon after r ~ 1e3, so larger defaults are
     counterproductive.
     """
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol = {tol} outside (0, 1e-4]")
     work = Counter()
     for _ in range(3):
         try:
-            return _shoot_fixed(pack, r_max, tol, rtol, work)
+            return _shoot_fixed(pack, r_max, work)
         except TailError:
             r_max *= 2.0
-    return _shoot_fixed(pack, r_max, tol, rtol, work)
+    return _shoot_fixed(pack, r_max, work)
 
 
-def _shoot_fixed(pack, r_max, tol, rtol, work):
-    lo, hi, scanned = _bracket(pack, r_max, min(1e-8, rtol * 100), work)
-    d_star = _bisect(pack, lo, hi, scanned, r_max, tol, rtol, work)
-    prof = _profile(pack, d_star, r_max, rtol, work)
+def _shoot_fixed(pack, r_max, work):
+    lo, hi, scanned = _bracket(pack, r_max, work)
+    d_star = _bisect(pack, lo, hi, scanned, r_max, work)
+    prof = _profile(pack, d_star, r_max, work)
     prof.work = dict(work)
     return prof
 
 
-def _bracket(pack, r_max, rtol, work):
+def _bracket(pack, r_max, work):
     """(lo, hi, misses) around d*: geometric scan from d = 1 in steps of
-    1.4; misses maps each scanned d, lo and hi among them, to its miss."""
+    1.4 at SCAN_RTOL; misses maps each scanned d, lo and hi among them, to
+    its miss."""
     d = 1.0
     d_low = d_high = None
     misses = {}
     for _ in range(120):
-        misses[d] = _miss(pack, d, r_max, rtol, work)
+        misses[d] = _miss(pack, d, r_max, SCAN_RTOL, work)
         if misses[d] <= 0:
             d_low = d
             d *= 1.4
@@ -584,7 +563,7 @@ def _bracket(pack, r_max, rtol, work):
         f"; end classifications: {labels[0]}, {labels[1]}")
 
 
-def _bisect(pack, lo, hi, scanned, r_max, tol, rtol, work):
+def _bisect(pack, lo, hi, scanned, r_max, work):
     """Sign bisection of [lo, hi] on the miss, steered by Brent.
 
     brentq runs first, to a quarter of the bisection's final width,
@@ -593,7 +572,7 @@ def _bisect(pack, lo, hi, scanned, r_max, tol, rtol, work):
     with its own stopping rule: a midpoint at or below the largest d
     Brent saw low is low, one at or above the smallest d it saw high is
     high, and only the 0-2 midpoints inside Brent's final bracket are
-    integrated. Only runs at the bisection's rtol decide, never the
+    integrated. Only runs at RTOL decide, never the
     scan's, so the result is the dyadic midpoint a plain sign bisection
     lands on, bit for bit (the module docstring says why Brent's own root
     is not returned).
@@ -602,7 +581,7 @@ def _bisect(pack, lo, hi, scanned, r_max, tol, rtol, work):
 
     def miss(d):
         if d not in misses:
-            misses[d] = _miss(pack, d, r_max, rtol, work)
+            misses[d] = _miss(pack, d, r_max, RTOL, work)
         return misses[d]
 
     def steer(d):
@@ -611,12 +590,12 @@ def _bisect(pack, lo, hi, scanned, r_max, tol, rtol, work):
         # gives U = V and c0 = 0 exactly), so hand it the nearest low value
         return m or -np.finfo(float).tiny
 
-    brentq(steer, lo, hi, xtol=0.25 * tol * lo, disp=False)
+    brentq(steer, lo, hi, xtol=0.25 * TOL * lo, disp=False)
     d_low = max((d for d, m in misses.items() if m <= 0), default=-np.inf)
     d_high = min((d for d, m in misses.items() if m > 0), default=np.inf)
     while True:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi) or hi - lo <= max(tol * mid, 4 * np.spacing(mid)):
+        if mid in (lo, hi) or hi - lo <= max(TOL * mid, 4 * np.spacing(mid)):
             break
         if mid <= d_low or (mid < d_high and miss(mid) <= 0):
             lo = mid
@@ -625,10 +604,10 @@ def _bisect(pack, lo, hi, scanned, r_max, tol, rtol, work):
     return 0.5 * (lo + hi)
 
 
-def _profile(pack, d_star, r_max, rtol, work):
+def _profile(pack, d_star, r_max, work):
     """Sample the run from U(0) = d_star and fit its constants."""
     r_grid = np.geomspace(R_START, r_max, 4000)
-    sol = _integrate(pack, d_star, r_max, rtol, work, t_eval=r_grid)
+    sol = _integrate(pack, d_star, r_max, RTOL, work, t_eval=r_grid)
     # drop any trailing samples where the near-critical run lost positivity
     keep = (sol.y[0] > 0) & (sol.y[2] > 0)
     n = int(np.argmin(keep)) if not keep.all() else sol.t.size
@@ -687,7 +666,8 @@ def _fit_tail(vals, rw, m, l):
 
 
 def profile_constants(profile):
-    """Fit (S, a, b, regime) on the profile; raises TailError off-plateau.
+    """Fit S, a, b and the regimes into the profile; raises TailError
+    off-plateau.
 
     b (for U) and a (for V) are the coefficients of the fitted decay laws;
     each component's law is chosen by the partner exponent's regime, and
@@ -717,7 +697,6 @@ def profile_constants(profile):
     profile._splines.clear()
     moment = radial_moment(profile, "U", pack.p + 1.0, N - 1.0)
     profile.S = float((sphere_area(N) * moment) ** (2.0 / N))
-    return profile.S, profile.a, profile.b, profile.regime
 
 
 # -- quadrature with analytic tails ----------------------------------------
@@ -801,17 +780,11 @@ def scaled_quantities(profile, eps, R_domain=1.0):
         "Up_1": norm1("U", p, N - p * pack.sp),
         "Vq_1": norm1("V", q, N - q * pack.sq),
     }
-    sig_slice = sphere_area(N - 1)
-    try:
-        out["C1"] = 0.5 * sig_slice * radial_moment(profile, "U", p + 1.0,
-                                                    float(N))
-    except DivergentTailError as e:
-        out["C1"] = None
-        out["C1_divergent"] = str(e)
-    try:
-        out["C2"] = 0.5 * sig_slice * radial_moment(profile, "V", q + 1.0,
-                                                    float(N))
-    except DivergentTailError as e:
-        out["C2"] = None
-        out["C2_divergent"] = str(e)
+    for key, which, s in (("C1", "U", p + 1.0), ("C2", "V", q + 1.0)):
+        try:
+            out[key] = 0.5 * sphere_area(N - 1) * radial_moment(
+                profile, which, s, float(N))
+        except DivergentTailError as e:
+            out[key] = None
+            out[key + "_divergent"] = str(e)
     return out

@@ -8,6 +8,7 @@ from lanedual import groundstate as gs
 from lanedual.exponents import derived_constants
 from lanedual.groundstate import (
     DivergentTailError,
+    ShootingError,
     TailError,
     radial_moment,
     scaled_quantities,
@@ -104,11 +105,6 @@ def test_shoot_biharmonic_against_collocation_bvp(profile195):
     assert mism <= 1e-5
 
 
-def test_shoot_rejects_bad_tol(pack334):
-    with pytest.raises(ValueError):
-        shoot(pack334, tol=1e-3)
-
-
 def test_shoot_rmax_doubling(pack334):
     # a too-small r_max fails the plateau test and is doubled automatically
     prof = shoot(pack334, r_max=20.0)
@@ -118,14 +114,14 @@ def test_shoot_rmax_doubling(pack334):
 
 # -- root-find ---------------------------------------------------------------
 
-R_MAX, RTOL, TOL = 400.0, 1e-11, 1e-12   # shoot's defaults at r_max = 400
+R_MAX, RTOL, TOL = 400.0, gs.RTOL, gs.TOL
 
 
 def sign_bisection(pack):
     """Reference: plain bisection on the sign of the miss from the scan
     bracket, with the shooter's stopping rule and no Brent steering."""
     work = Counter()
-    lo, hi, _ = gs._bracket(pack, R_MAX, min(1e-8, RTOL * 100), work)
+    lo, hi, _ = gs._bracket(pack, R_MAX, work)
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi) or hi - lo <= max(TOL * mid, 4 * np.spacing(mid)):
@@ -142,17 +138,19 @@ def test_shoot_matches_plain_sign_bisection(profile, request):
     prof = request.getfixturevalue(profile)
     d_ref = sign_bisection(prof.pack)
     assert prof.shoot_d == d_ref
-    assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, RTOL, Counter()).S
+    assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, Counter()).S
 
 
-@pytest.mark.parametrize("pqN, count", [((3.0, 3.0, 4), 4),
-                                        ((2.0, 2.0, 6), 4),
-                                        ((2.75, 1.5, 6), 17),
-                                        ((1.0, 9.0, 5), 22)])
-def test_shoot_integration_count(monkeypatch, pqN, count):
+@pytest.mark.parametrize("pqN, count, rhs_evals",
+                         [((3.0, 3.0, 4), 4, 5912),
+                          ((2.0, 2.0, 6), 4, 8276),
+                          ((2.75, 1.5, 6), 17, 34066),
+                          ((1.0, 9.0, 5), 22, 34049)])
+def test_shoot_integration_count(monkeypatch, pqN, count, rhs_evals):
     # a plain sign bisection makes 42, 42, 42 and 44 integrations here;
     # Brent from ends integrated again at the bisection's rtol made 6, 6,
-    # 19 and 24
+    # 19 and 24. The RHS calls pin the scan's rtol too: at 1e-9 instead of
+    # gs.SCAN_RTOL the (2,2,6) and (1,9,5) shoots make 8252 and 34037.
     integrate, calls = gs.solve_ivp, []
 
     def counting(*args, **kwargs):
@@ -162,8 +160,8 @@ def test_shoot_integration_count(monkeypatch, pqN, count):
     monkeypatch.setattr(gs, "solve_ivp", counting)
     prof = shoot(derived_constants(*pqN), r_max=R_MAX)
     assert len(calls) == count
-    assert prof.work == {"integrations": count,
-                         "rhs_evals": sum(sol.nfev for sol in calls)}
+    assert sum(sol.nfev for sol in calls) == rhs_evals
+    assert prof.work == {"integrations": count, "rhs_evals": rhs_evals}
 
 
 def projected_offset_difference(pack, sol):
@@ -196,10 +194,10 @@ def test_miss_sign_matches_crossing_label(profile, request, monkeypatch):
         for d in (prof.shoot_d * (1 - delta), prof.shoot_d * (1 + delta)):
             miss = gs._miss(pack, d, R_MAX, RTOL, work)
             sol = runs[-1]
-            if sol.t_events[0].size:
+            if sol.crossed == 0:
                 kinds.add("U")
                 assert miss < 0, (d, miss)
-            elif sol.t_events[1].size:
+            elif sol.crossed == 1:
                 kinds.add("V")
                 assert miss > 0, (d, miss)
             else:
@@ -248,10 +246,15 @@ def run_both(pqN, d, r_end, t_eval=None):
 @pytest.mark.parametrize("pqN", SCIPY_D_STAR)
 def test_dop853_steps_as_scipy(pqN):
     ours, ref = run_both(pqN, SCIPY_D_STAR[pqN], 4.0)
-    assert ours.status == ref.status == 0
-    assert ours.t.size == ref.t.size
+    assert ref.status == 0 and ours.crossed is None
     assert ours.nfev == ref.nfev and isinstance(ours.nfev, int)
     assert np.max(np.abs(ours.y[:, -1] / ref.y[:, -1] - 1.0)) <= 1e-12
+
+
+def test_dop853_without_t_eval_keeps_the_final_state():
+    ours, ref = run_both((2.0, 2.0, 6), SCIPY_D_STAR[(2.0, 2.0, 6)], 4.0)
+    assert ours.t.shape == (1,) and ours.y.shape == (4, 1)
+    assert ours.t[0] == 4.0 == ref.t[-1]
 
 
 @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
@@ -259,14 +262,11 @@ def test_dop853_steps_as_scipy(pqN):
 def test_dop853_crossing_as_scipy(pqN, shift):
     # too small a d: U crosses zero; too large: V does
     ours, ref = run_both(pqN, SCIPY_D_STAR[pqN] * (1.0 + shift), R_MAX)
-    assert ours.status == ref.status == 1
-    sizes = [0, 1] if shift > 0 else [1, 0]
-    assert [te.size for te in ours.t_events] == sizes
-    assert [te.size for te in ref.t_events] == sizes
-    r_cross = np.concatenate(ours.t_events)[0]
-    assert r_cross == ours.t[-1]
-    assert r_cross == pytest.approx(np.concatenate(ref.t_events)[0],
-                                    rel=1e-10)
+    assert ref.status == 1
+    crossed = 1 if shift > 0 else 0
+    assert ours.crossed == crossed
+    assert [te.size for te in ref.t_events] == [crossed == 0, crossed == 1]
+    assert ours.t[-1] == pytest.approx(ref.t_events[crossed][0], rel=1e-10)
 
 
 @pytest.mark.parametrize("pqN", SCIPY_D_STAR)
@@ -289,12 +289,13 @@ def test_dop853_step_size_failure_as_scipy():
         return (y[0] * y[0], 0.0, 0.0, 0.0)
 
     y0 = (1.0, 0.0, 1.0, 0.0)
-    ours = gs.solve_ivp(rhs, (0.0, 2.0), y0, rtol=RTOL)
     ref = solve_ivp(rhs, (0.0, 2.0), y0, method="DOP853", rtol=RTOL,
                     atol=1e-300)
-    assert ours.status == ref.status == -1
-    assert ours.message == ref.message
-    assert ours.t[-1] == pytest.approx(ref.t[-1], rel=1e-12)
+    assert ref.status == -1
+    with pytest.raises(ShootingError, match="step size underflow") as e:
+        gs.solve_ivp(rhs, (0.0, 2.0), y0, rtol=RTOL)
+    r_stop = float(str(e.value).rsplit("r = ", 1)[1])
+    assert r_stop == pytest.approx(ref.t[-1], rel=1e-12)
 
 
 def test_dop853_rejects_nonfinite_initial_state(pack226):
