@@ -183,6 +183,37 @@ def test_boundary_term_sweep_rate(profile226):
     assert rec.extras["all_negative"]
 
 
+def test_normal_derivative_rate_is_log_corrected_at_N4(pack334):
+    # U ~ r^-2 = r^(-N/2): the boundary integral of |d_nu U_eps|^(3/2)
+    # takes a log, so the norm carries |log eps|^(N/(2(N-1))) = ^(2/3)
+    slope, lp, prov = asym.predicted_normal_derivative_rate(pack334)
+    assert slope == pytest.approx(1.0)
+    assert lp == pytest.approx(2.0 / 3.0)
+    assert "log-corrected" in prov
+    # at q = N/(N-2) = 2 the tail's own log adds one: U ~ r^-2 log r
+    slope, lp, _ = asym.predicted_normal_derivative_rate(
+        derived_constants(5.0, 2.0, 4))
+    assert slope == pytest.approx(4.0 / 3.0)
+    assert lp == pytest.approx(5.0 / 3.0)
+
+
+def test_boundary_term_sweep_does_not_widen_to_the_ci(monkeypatch,
+                                                      profile226):
+    # a noisy normal-derivative norm of slope about 1.07 against the
+    # predicted 1: its CI covers the prediction, but the miss is above
+    # BOUNDARY_RATE_TOL
+    def noisy(profile, eps, R):
+        return eps ** 1.1 * np.exp(0.3 * np.sin(7.0 * np.log(eps)))
+
+    monkeypatch.setattr(asym, "boundary_normal_norm", noisy)
+    rec = asym.boundary_term_sweep(profile226, np.geomspace(0.02, 0.0005, 8))
+    miss = abs(rec.fitted_slope - rec.predicted_slope)
+    assert rec.predicted_slope == pytest.approx(1.0)
+    assert rec.extras["all_negative"]
+    assert asym.BOUNDARY_RATE_TOL < miss <= rec.slope_ci
+    assert rec.passed is False
+
+
 def test_boundary_term_sweep_biharmonic_flat_rate(profile195):
     # (1,9,5): q = 9 > (N+4)/(2(N-2)) = 1.5 -> fast regime,
     # slope N/2 - N/(p+1) = 2.5 - 2.5 = 0

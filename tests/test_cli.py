@@ -252,6 +252,16 @@ def test_sweep_csv_artifacts(tmp_path):
     assert header == "quantity,eps,value"
 
 
+def test_sweep_at_N4_passes_the_normal_derivative_rate(tmp_path):
+    # at (3, 3, 4) the rate is log-corrected; with the log left out the
+    # fit gave 0.8632 against 1.0 and the sweep exited 2
+    code, report, _ = run_cli(["sweep", "--p", "3", "--N", "4"], tmp_path)
+    assert code == cli.EXIT_OK
+    bt = report["results"]["boundary_term"]
+    assert bt["log_power"] == pytest.approx(2.0 / 3.0)
+    assert bt["fitted_slope"] == pytest.approx(1.0, abs=0.05)
+
+
 def test_probe_cherrier_subcommand(tmp_path):
     code, report, _ = run_cli(
         ["probe-cherrier", "--p", "2", "--N", "6", "--family", "boundary",
