@@ -36,7 +36,7 @@ from . import NumericalError, __version__, lazy_getattr
 from . import dualsolve as ds
 from . import mesh as msh
 from .exponents import (admissibility, derived_constants, hyperbola_partner,
-                        require_finite, threshold_constant)
+                        require_valid, threshold_constant)
 
 # Each subcommand imports the engines it runs inside its own body; these
 # names stay readable as module attributes.
@@ -81,7 +81,7 @@ class RunConfig:
                  if value is not None}
         if not given:
             raise ConfigError("need at least one of p, q")
-        require_finite(**given)
+        require_valid(self.N, **given)
         if self.p is not None and self.q is not None:
             return derived_constants(self.p, self.q, self.N, snap=True)
         if self.p is not None:
@@ -211,7 +211,7 @@ def cmd_bubble(cfg, report, outdir):
     from .groundstate import radial_moment, scaled_quantities, shoot
     pack = cfg.pack()
     prof = shoot(pack, r_max=cfg.r_max)
-    label, cond = admissibility(pack.p, pack.q, pack.N)
+    label, cond = admissibility(pack)
     quant = scaled_quantities(prof, 1.0, R_domain=cfg.R)
     report.results.update({
         "p": pack.p, "q": pack.q, "N": pack.N,

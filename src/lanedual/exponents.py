@@ -4,7 +4,7 @@ Every other module takes an :class:`ExponentPack` rather than raw (p, q, N)
 so the dual weights and scaling exponents are computed in exactly one place.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 
 HYPERBOLA_TOL = 1e-10
@@ -23,32 +23,44 @@ class OffHyperbolaError(ValueError):
 
 @dataclass(frozen=True)
 class ExponentPack:
-    """A point on the critical hyperbola with all derived dual constants.
+    """A point (p, q, N) on the critical hyperbola with all derived dual
+    constants, computed once here.
 
     alpha, beta are the dual Lebesgue exponents (p+1)/p and (q+1)/q;
     gamma1, gamma2, gamma the dual weights with gamma1 + gamma2 = 1 and
     1/alpha + 1/beta = 1/gamma; sp = N/(p+1), sq = N/(q+1) the bubble
-    scaling exponents.
+    scaling exponents. The point is validated here, and only here: the
+    ranges first (require_valid), then the hyperbola and pq > 1.
     """
 
     p: float
     q: float
     N: int
-    alpha: float
-    beta: float
-    gamma1: float
-    gamma2: float
-    gamma: float
-    sp: float
-    sq: float
+    alpha: float = field(init=False)
+    beta: float = field(init=False)
+    gamma1: float = field(init=False)
+    gamma2: float = field(init=False)
+    gamma: float = field(init=False)
+    sp: float = field(init=False)
+    sq: float = field(init=False)
 
     def __post_init__(self):
-        require_finite(p=self.p, q=self.q)
-        res = hyperbola_residual(self.p, self.q, self.N)
+        p, q, N = self.p, self.q, self.N
+        require_valid(N, p=p, q=q)
+        res = hyperbola_residual(p, q, N)
         if not res <= HYPERBOLA_TOL:
-            raise OffHyperbolaError(self.p, self.q, self.N, res)
-        if not self.p * self.q > 1.0:
-            raise ValueError(f"pq = {self.p * self.q} must exceed 1")
+            raise OffHyperbolaError(p, q, N, res)
+        if not p * q > 1.0:
+            raise ValueError(f"pq = {p * q} must exceed 1")
+        N = int(N)
+        alpha = (p + 1.0) / p
+        beta = (q + 1.0) / q
+        gamma1 = beta / (alpha + beta)
+        derived = {"N": N, "alpha": alpha, "beta": beta, "gamma1": gamma1,
+                   "gamma2": alpha / (alpha + beta), "gamma": gamma1 * alpha,
+                   "sp": N / (p + 1.0), "sq": N / (q + 1.0)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def threshold_exponent(self):
@@ -62,16 +74,22 @@ def threshold_constant(pack, S):
     return 2.0 ** (2.0 / pack.N) / S
 
 
-def require_finite(**exponents):
-    """Raise ValueError naming the first exponent that is NaN or infinite.
+def require_valid(N, **exponents):
+    """Raise ValueError naming the first bad input: a dimension N that is
+    not an integer >= 4, or an exponent that is NaN, infinite or not
+    positive. It runs before any division by N - 2, p + 1 or q + 1.
 
-    Every comparison with NaN is false, so this module writes each range
-    check to fail on NaN as well; this check runs first, so that the
-    message names the exponent.
+    Every comparison with NaN is false, so each check is written to fail
+    on NaN as well; finiteness is checked first, so that the message
+    names the exponent.
     """
+    if not (N >= 4 and N % 1 == 0):
+        raise ValueError(f"dimension N = {N} must be an integer >= 4")
     for name, value in exponents.items():
         if not isfinite(value):
             raise ValueError(f"exponent {name} = {value} is not finite")
+        if not value > 0:
+            raise ValueError(f"exponent {name} = {value} must be positive")
 
 
 def hyperbola_residual(p, q, N):
@@ -83,9 +101,7 @@ def hyperbola_partner(p, N):
 
     Requires p > 2/(N-2) so the partner is positive and finite, and N >= 4.
     """
-    if N < 4 or int(N) != N:
-        raise ValueError(f"dimension N = {N} must be an integer >= 4")
-    require_finite(p=p)
+    require_valid(N, p=p)
     if not p > 2.0 / (N - 2.0):
         raise ValueError(
             f"p = {p} <= 2/(N-2) = {2.0 / (N - 2.0):.6g}: partner exponent "
@@ -105,26 +121,12 @@ def derived_constants(p, q, N, snap=False):
     genuinely off-hyperbola input is still rejected with the measured
     residual.
     """
-    require_finite(p=p, q=q)
-    N = int(N)
     if snap:
+        require_valid(N, p=p, q=q)
         if not hyperbola_residual(p, q, N) <= SNAP_TOL:
             raise OffHyperbolaError(p, q, N, hyperbola_residual(p, q, N))
         q = hyperbola_partner(p, N)
-    res = hyperbola_residual(p, q, N)
-    if not res <= HYPERBOLA_TOL:
-        raise OffHyperbolaError(p, q, N, res)
-    alpha = (p + 1.0) / p
-    beta = (q + 1.0) / q
-    denom = alpha + beta
-    gamma1 = beta / denom
-    gamma2 = alpha / denom
-    gamma = gamma1 * alpha
-    return ExponentPack(
-        p=p, q=q, N=N, alpha=alpha, beta=beta,
-        gamma1=gamma1, gamma2=gamma2, gamma=gamma,
-        sp=N / (p + 1.0), sq=N / (q + 1.0),
-    )
+    return ExponentPack(p, q, N)
 
 
 def pack_from_p(p, N):
@@ -132,18 +134,16 @@ def pack_from_p(p, N):
     return derived_constants(p, hyperbola_partner(p, N), N)
 
 
-def admissibility(p, q, N):
-    """Classify a hyperbola point against the existence conditions.
+def admissibility(pack):
+    """Classify a pack's hyperbola point against the existence conditions.
 
     Returns a (label, condition) pair where label is one of
     ``covered-by-main-thm``, ``biharmonic-window``, ``uncovered``. The
     classifier never reports nonexistence: points outside the known
     conditions are simply ``uncovered``.
     """
-    res = hyperbola_residual(p, q, N)
-    if not res <= HYPERBOLA_TOL:
-        raise OffHyperbolaError(p, q, N, res)
-    lo = min(p, q)
+    N = pack.N
+    lo = min(pack.p, pack.q)
     if N >= 6:
         bound = (N + 2.0) / (2.0 * (N - 2.0))
         cond = f"(i) N>=6, p,q > (N+2)/(2(N-2)) = {bound:.6g}"

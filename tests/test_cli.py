@@ -167,6 +167,24 @@ def test_missing_exponents_is_config_error(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--p", "2", "--q", "-1"], "exponent q = -1.0 must be positive"),
+    (["solve", "--p", "-1", "--q", "2"], "exponent p = -1.0 must be positive"),
+    (["solve", "--p", "2", "--q", "2", "--N", "0"],
+     "dimension N = 0 must be an integer >= 4"),
+    (["bubble", "--p", "2", "--q", "-1"], "exponent q = -1.0 must be positive"),
+    (["solve", "--q", "-1"], "exponent q = -1.0 must be positive"),
+], ids=["solve-q", "solve-p", "solve-N", "bubble-q", "solve-q-only"])
+def test_out_of_range_exponent_is_config_error(tmp_path, capsys, argv,
+                                               message):
+    # these divided by zero (exit 1) or named p for q (the last)
+    code, report, _ = run_cli(argv + (["--N", "6"] if "--N" not in argv
+                                      else []), tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert report["results"]["error"] == message
+
+
 @pytest.mark.parametrize("name", ["p", "q"])
 def test_nonfinite_exponent_is_config_error(tmp_path, capsys, name):
     # rejected before the shooter integrates anything

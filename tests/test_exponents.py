@@ -93,29 +93,51 @@ def test_snap_recovers_membership():
 
 
 def test_admissibility_classification():
-    label, cond = admissibility(2.0, 2.0, 6)
+    label, cond = admissibility(derived_constants(2.0, 2.0, 6))
     assert label == "covered-by-main-thm"
     assert "(i)" in cond
 
-    label, _ = admissibility(1.0, 9.0, 5)
+    label, _ = admissibility(derived_constants(1.0, 9.0, 5))
     assert label == "biharmonic-window"
 
-    q = hyperbola_partner(1.3, 5)
-    label, _ = admissibility(1.3, q, 5)
+    label, _ = admissibility(pack_from_p(1.3, 5))
     assert label == "uncovered"  # 1.3 < 17/13
 
 
 def test_admissibility_biharmonic_high_dimension_covered():
     # for N > 6 the p=1 point satisfies condition (i)
-    q = hyperbola_partner(1.0, 8)
-    label, _ = admissibility(1.0, q, 8)
+    label, _ = admissibility(pack_from_p(1.0, 8))
     assert label == "covered-by-main-thm"
 
 
 def test_pack_rejects_pq_below_one():
     with pytest.raises((ValueError, OffHyperbolaError)):
-        ExponentPack(p=0.5, q=0.5, N=4, alpha=3.0, beta=3.0,
-                     gamma1=0.5, gamma2=0.5, gamma=1.5, sp=1, sq=1)
+        ExponentPack(0.5, 0.5, 4)
+
+
+def test_pack_takes_the_point_and_derives_the_rest():
+    pk = ExponentPack(2.0, 2.0, 6)
+    assert pk == derived_constants(2.0, 2.0, 6)
+    assert (pk.alpha, pk.gamma, pk.sp) == (1.5, 0.75, 2.0)
+    with pytest.raises(TypeError):
+        ExponentPack(2.0, 2.0, 6, alpha=1.5)
+
+
+@pytest.mark.parametrize("p, q, N, message", [
+    (2.0, -1.0, 6, "exponent q = -1.0 must be positive"),
+    (-1.0, 2.0, 6, "exponent p = -1.0 must be positive"),
+    (0.0, 2.0, 6, "exponent p = 0.0 must be positive"),
+    (2.0, 2.0, 0, "dimension N = 0 must be an integer >= 4"),
+    (3.0, 3.0, 2, "dimension N = 2 must be an integer >= 4"),
+    (2.0, 2.0, 6.5, "dimension N = 6.5 must be an integer >= 4"),
+    (2.0, 2.0, np.nan, "dimension N = nan must be an integer >= 4"),
+])
+def test_out_of_range_input_rejected_before_dividing(p, q, N, message):
+    # p = -1, q = -1 and N = 2 would divide by zero on the hyperbola
+    for snap in (False, True):
+        with pytest.raises(ValueError) as e:
+            derived_constants(p, q, N, snap=snap)
+        assert str(e.value) == message
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -128,14 +150,6 @@ def test_nonfinite_exponents_rejected_by_name(bad):
                         "q"),
                        (lambda: hyperbola_partner(bad, 6), "p"),
                        (lambda: pack_from_p(bad, 6), "p"),
-                       (lambda: ExponentPack(
-                           p=bad, q=0.5, N=6, alpha=1.0, beta=3.0,
-                           gamma1=0.75, gamma2=0.25, gamma=0.75, sp=0.0,
-                           sq=4.0), "p")):
+                       (lambda: ExponentPack(bad, 0.5, 6), "p")):
         with pytest.raises(ValueError, match=f"exponent {name} = "):
             call()
-
-
-def test_nan_is_off_the_hyperbola():
-    with pytest.raises(OffHyperbolaError):
-        admissibility(np.nan, 2.0, 6)
