@@ -21,8 +21,7 @@ from .neumann import NeumannSolver, dense_eigenpairs
 
 # The quick battery never shoots: the criteria import the shooter and the
 # sweeps (and with them scipy.integrate) where they use them.
-__getattr__ = lazy_getattr(__name__, {"asym": "asymptotics",
-                                      "shoot": "groundstate.shoot"})
+__getattr__ = lazy_getattr(__name__, {"shoot": "groundstate.shoot"})
 
 
 @dataclass

@@ -38,10 +38,9 @@ from . import mesh as msh
 from .exponents import (admissibility, derived_constants, hyperbola_partner,
                         require_valid, threshold_constant)
 
-# Each subcommand imports the engines it runs inside its own body; these
-# names stay readable as module attributes.
-__getattr__ = lazy_getattr(__name__, {
-    "asym": "asymptotics", "sym": "symmetry", "shoot": "groundstate.shoot"})
+# Each subcommand imports the engines it runs inside its own body; the
+# shooter stays readable as a module attribute.
+__getattr__ = lazy_getattr(__name__, {"shoot": "groundstate.shoot"})
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lanedual import cli, groundstate
+from lanedual import cli, groundstate, symmetry
 from lanedual import dualsolve as ds
 from lanedual.neumann import NeumannSolver, NonZeroMeanError
 
@@ -290,13 +290,13 @@ def test_probe_cherrier_subcommand(tmp_path):
 
 
 def test_symmetry_subcommand(tmp_path, monkeypatch):
-    gaps, symmetry_gap = [], cli.sym.symmetry_gap
+    gaps, symmetry_gap = [], symmetry.symmetry_gap
 
     def recording_gap(*args, **kw):
         gaps.append(symmetry_gap(*args, **kw))
         return gaps[-1]
 
-    monkeypatch.setattr(cli.sym, "symmetry_gap", recording_gap)
+    monkeypatch.setattr(symmetry, "symmetry_gap", recording_gap)
     code, report, _ = run_cli(
         ["symmetry", "--p", "2", "--N", "6", "--r0", "1", "--R", "2",
          "--nr", "64", "--ntheta", "48", "--restarts", "2", "--quick"],

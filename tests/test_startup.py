@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import lanedual
-from lanedual import acceptance, cli, groundstate, symmetry
+from lanedual import acceptance, cli, groundstate
 
 SRC = os.path.dirname(os.path.dirname(lanedual.__file__))
 SHOOTER = {"scipy.integrate", "lanedual.groundstate"}
@@ -88,11 +88,13 @@ def test_package_exports_resolve():
 def test_unknown_attribute_raises(module):
     with pytest.raises(AttributeError):
         module.no_such_name
+    with pytest.raises(AttributeError):  # no alias for asymptotics
+        module.asym
 
 
 def test_aliases_follow_the_owning_module(monkeypatch):
     assert cli.shoot is groundstate.shoot
-    assert cli.sym is symmetry
+    assert not hasattr(cli, "sym")  # cmd_symmetry imports symmetry itself
     assert acceptance.shoot is groundstate.shoot
     monkeypatch.setattr(groundstate, "shoot", lambda *a, **kw: None)
     assert cli.shoot is acceptance.shoot is groundstate.shoot
