@@ -232,12 +232,10 @@ def predicted_normal_derivative_rate(pack):
     """(slope, log_power, provenance) for ||d_nu U_eps|| on the boundary.
 
     With U ~ r^m log(r)^l (decay_law), |d_nu U_eps|^(2(N-1)/N) integrates
-    on the boundary sphere like s^(2(N-1)m/N + N-2) at distances eps << s
-    << 1, which is s^(-1) exactly at m = -N/2. Below that the integral
-    converges near the bubble (rate N/2 - N/(p+1)); above it the far field
-    dominates (rate -m - N/(p+1)); at m = -N/2 the norm takes a |log eps|
-    of power N/(2(N-1)) + l. For N >= 5 the marginal case is q = (N+4) /
-    (2(N-2)); at N = 4 it is every q >= 2.
+    on the boundary like s^(2(N-1)m/N + N-2) for eps << s << 1, which is
+    1/s at m = -N/2: below, the integral converges near the bubble; above,
+    the far field dominates; at m = -N/2 (N = 4 and q >= 2, or N >= 5 and
+    q = (N+4)/(2(N-2))) the norm takes |log eps|^(N/(2(N-1)) + l).
     """
     from .groundstate import decay_law
     N, p = pack.N, pack.p

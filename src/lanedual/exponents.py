@@ -29,8 +29,8 @@ class ExponentPack:
     alpha, beta are the dual Lebesgue exponents (p+1)/p and (q+1)/q;
     gamma1, gamma2, gamma the dual weights with gamma1 + gamma2 = 1 and
     1/alpha + 1/beta = 1/gamma; sp = N/(p+1), sq = N/(q+1) the bubble
-    scaling exponents. The point is validated here, and only here: the
-    ranges first (require_valid), then the hyperbola and pq > 1.
+    scaling exponents. Only here is a point validated: its ranges
+    (require_valid), then the hyperbola and pq > 1.
     """
 
     p: float
@@ -75,13 +75,9 @@ def threshold_constant(pack, S):
 
 
 def require_valid(N, **exponents):
-    """Raise ValueError naming the first bad input: a dimension N that is
-    not an integer >= 4, or an exponent that is NaN, infinite or not
-    positive. It runs before any division by N - 2, p + 1 or q + 1.
-
-    Every comparison with NaN is false, so each check is written to fail
-    on NaN as well; finiteness is checked first, so that the message
-    names the exponent.
+    """Raise ValueError naming the first bad input, before any division
+    by N - 2, p + 1 or q + 1: N not an integer >= 4, or an exponent that is
+    not finite (checked first: NaN fails every comparison) or not positive.
     """
     if not (N >= 4 and N % 1 == 0):
         raise ValueError(f"dimension N = {N} must be an integer >= 4")
@@ -103,10 +99,8 @@ def hyperbola_partner(p, N):
     """
     require_valid(N, p=p)
     if not p > 2.0 / (N - 2.0):
-        raise ValueError(
-            f"p = {p} <= 2/(N-2) = {2.0 / (N - 2.0):.6g}: partner exponent "
-            "would be nonpositive or infinite"
-        )
+        raise ValueError(f"p = {p} <= 2/(N-2) = {2.0 / (N - 2.0):.6g}: "
+                         "partner exponent would be nonpositive or infinite")
     return 1.0 / ((N - 2.0) / N - 1.0 / (p + 1.0)) - 1.0
 
 

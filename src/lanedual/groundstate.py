@@ -572,10 +572,9 @@ def _bisect(pack, lo, hi, scanned, r_max, work):
     with its own stopping rule: a midpoint at or below the largest d
     Brent saw low is low, one at or above the smallest d it saw high is
     high, and only the 0-2 midpoints inside Brent's final bracket are
-    integrated. Only runs at RTOL decide, never the
-    scan's, so the result is the dyadic midpoint a plain sign bisection
-    lands on, bit for bit (the module docstring says why Brent's own root
-    is not returned).
+    integrated. Only runs at RTOL decide, never the scan's, so the result
+    is the dyadic midpoint a plain sign bisection lands on, bit for bit
+    (the module docstring says why Brent's own root is not returned).
     """
     misses = {}
 

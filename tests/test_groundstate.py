@@ -141,16 +141,20 @@ def test_shoot_matches_plain_sign_bisection(profile, request):
     assert prof.S == gs._profile(prof.pack, d_ref, R_MAX, Counter()).S
 
 
-@pytest.mark.parametrize("pqN, count, rhs_evals",
-                         [((3.0, 3.0, 4), 4, 5912),
-                          ((2.0, 2.0, 6), 4, 8276),
-                          ((2.75, 1.5, 6), 17, 34066),
-                          ((1.0, 9.0, 5), 22, 34049)])
-def test_shoot_integration_count(monkeypatch, pqN, count, rhs_evals):
+# RHS calls of each shoot; they pin the scan's rtol too: at 1e-9 instead of
+# gs.SCAN_RTOL the (2,2,6) and (1,9,5) shoots make 8252 and 34037
+SHOOT_RHS_EVALS = {(3.0, 3.0, 4): 5912, (2.0, 2.0, 6): 8276,
+                   (2.75, 1.5, 6): 34066, (1.0, 9.0, 5): 34049}
+
+
+@pytest.mark.parametrize("pqN, count", [((3.0, 3.0, 4), 4),
+                                        ((2.0, 2.0, 6), 4),
+                                        ((2.75, 1.5, 6), 17),
+                                        ((1.0, 9.0, 5), 22)])
+def test_shoot_integration_count(monkeypatch, pqN, count):
     # a plain sign bisection makes 42, 42, 42 and 44 integrations here;
     # Brent from ends integrated again at the bisection's rtol made 6, 6,
-    # 19 and 24. The RHS calls pin the scan's rtol too: at 1e-9 instead of
-    # gs.SCAN_RTOL the (2,2,6) and (1,9,5) shoots make 8252 and 34037.
+    # 19 and 24
     integrate, calls = gs.solve_ivp, []
 
     def counting(*args, **kwargs):
@@ -160,6 +164,7 @@ def test_shoot_integration_count(monkeypatch, pqN, count, rhs_evals):
     monkeypatch.setattr(gs, "solve_ivp", counting)
     prof = shoot(derived_constants(*pqN), r_max=R_MAX)
     assert len(calls) == count
+    rhs_evals = SHOOT_RHS_EVALS[pqN]
     assert sum(sol.nfev for sol in calls) == rhs_evals
     assert prof.work == {"integrations": count, "rhs_evals": rhs_evals}
 
