@@ -20,7 +20,7 @@ from .exponents import derived_constants, pack_from_p
 from .neumann import NeumannSolver, dense_eigenpairs
 
 # The quick battery never shoots: the criteria import the shooter and the
-# sweeps (and with them scipy.integrate) where they use them.
+# sweeps (and with them scipy.special) where they use them.
 __getattr__ = lazy_getattr(__name__, {"shoot": "groundstate.shoot"})
 
 
@@ -67,14 +67,13 @@ def _explicit_bubble(r, N):
 
 def criterion_1_bubble_anchor(shared):
     """Explicit-bubble anchor for the symmetric N=4 point."""
-    from scipy.integrate import quad
     prof = shared.profile(3.0, 3.0, 4)
     eps = prof.shoot_d / np.sqrt(8.0)
     r = np.linspace(1e-9, 20.0, 4001)
     rel = np.max(np.abs(prof.U_eps(r, eps) - _explicit_bubble(r, 4))
                  / _explicit_bubble(r, 4))
-    val, _ = quad(lambda s: _explicit_bubble(s, 4) ** 4 * s ** 3, 0, np.inf)
-    S_oracle = (msh.sphere_area(4) * val) ** 0.5
+    # S^2 = |S^3| int_0^inf U^4 s^3 ds with the integral exactly 16/3
+    S_oracle = np.pi * np.sqrt(32.0 / 3.0)
     s_rel = abs(prof.S / S_oracle - 1.0)
     passed = rel <= 1e-6 and s_rel <= 1e-3
     return CheckResult(

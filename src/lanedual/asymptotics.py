@@ -16,10 +16,10 @@ involve the inverse Neumann operator require the 2D mesh.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import betainc, stdtrit
 
 from .exponents import threshold_constant
+from .groundstate import decay_law, simpson
 from .mesh import sphere_area
 
 # relative slope tolerances of the norm rates (pure power, log-corrected)
@@ -151,7 +151,6 @@ def predicted_norm_rate(pack, quantity):
     an extra |log eps| at m + N = 0. Reproduces the usual three-regime
     rate table in the q <= p orientation.
     """
-    from .groundstate import decay_law
     N, p, q = pack.N, pack.p, pack.q
     spec = {
         "U_1": ("U", 1.0, pack.sp, q),
@@ -237,7 +236,6 @@ def predicted_normal_derivative_rate(pack):
     the far field dominates; at m = -N/2 (N = 4 and q >= 2, or N >= 5 and
     q = (N+4)/(2(N-2))) the norm takes |log eps|^(N/(2(N-1)) + l).
     """
-    from .groundstate import decay_law
     N, p = pack.N, pack.p
     m, l = decay_law(pack.q, N)
     if m < -N / 2.0 - 1e-10:

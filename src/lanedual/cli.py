@@ -17,9 +17,11 @@ unreadable config file).
 Start-up: this module loads mesh, dualsolve and exponents (numpy and
 scipy.sparse.linalg); each subcommand imports the rest in its own body.
 bubble, sweep, probe-cherrier, the full verify and solve on an
-axisymmetric mesh load the shooter (scipy.integrate); symmetry, verify
---quick and solve on a radial mesh do not. sweep, probe-cherrier and the
-full verify also load asymptotics.
+axisymmetric mesh load the shooter groundstate (numpy and scipy.linalg,
+already loaded); symmetry, verify --quick and solve on a radial mesh do
+not. sweep, probe-cherrier and the full verify also load asymptotics
+(scipy.special). No command loads scipy.integrate, scipy.interpolate or
+scipy.optimize.
 """
 
 import argparse
@@ -86,8 +88,8 @@ class RunConfig:
         if self.p is not None:
             return derived_constants(self.p, hyperbola_partner(self.p, self.N),
                                      self.N)
-        return derived_constants(hyperbola_partner(self.q, self.N), self.q,
-                                 self.N)
+        return derived_constants(hyperbola_partner(self.q, self.N, "q"),
+                                 self.q, self.N)
 
     def eps_grid(self):
         return np.geomspace(self.eps_hi, self.eps_lo, self.eps_count)

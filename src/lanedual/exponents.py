@@ -92,14 +92,16 @@ def hyperbola_residual(p, q, N):
     return abs(1.0 / (p + 1.0) + 1.0 / (q + 1.0) - (N - 2.0) / N)
 
 
-def hyperbola_partner(p, N):
+def hyperbola_partner(p, N, name="p"):
     """Closed-form partner exponent q with (p, q) on the critical hyperbola.
 
     Requires p > 2/(N-2) so the partner is positive and finite, and N >= 4.
+    The relation is symmetric, so p may be either exponent; errors call it
+    `name`.
     """
-    require_valid(N, p=p)
+    require_valid(N, **{name: p})
     if not p > 2.0 / (N - 2.0):
-        raise ValueError(f"p = {p} <= 2/(N-2) = {2.0 / (N - 2.0):.6g}: "
+        raise ValueError(f"{name} = {p} <= 2/(N-2) = {2.0 / (N - 2.0):.6g}: "
                          "partner exponent would be nonpositive or infinite")
     return 1.0 / ((N - 2.0) / N - 1.0 / (p + 1.0)) - 1.0
 

@@ -9,7 +9,7 @@ sign of the projected harmonic limits; using the difference
 otherwise stalls the root-find around 1e-10 (exactly so for p = q).
 
 Each run yields a signed miss whose sign is that classification. Brent on
-the miss steers and a dyadic sign bisection decides: brentq pins d* in a
+the miss steers and a dyadic sign bisection decides: Brent pins d* in a
 few superlinear steps, then the bisection replays from the scan bracket,
 integrating only the midpoints Brent's runs leave undecided, so d* is the
 bisection's own dyadic point and every downstream number is unchanged
@@ -26,21 +26,29 @@ for its per-step cost: scipy's spends about 80% of a run in numpy
 machinery on 4-vectors, and on floats a shoot takes about a third of
 scipy's time.
 
+The module imports nothing from scipy.integrate, scipy.interpolate or
+scipy.optimize, which would add about 0.28 s and 20 MB to every process
+that shoots. The DOP853 tableau is read from scipy's own
+``integrate/_ivp/dop853_coefficients.py``, loaded by file path (it imports
+only numpy). Brent's method (:func:`_brentq`, scipy's C ``brentq``),
+:func:`simpson` and the not-a-knot :class:`_CubicSpline` are ports that
+return scipy's results bit for bit; the tests hold them to scipy.
+
 Improper integrals (Sobolev constant, bubble moments) are evaluated on the
 stored profile plus an analytic tail from the fitted decay law; brute
 truncation is never used because the slow-decay moments converge too
 slowly near the admissibility boundary.
 """
 
+import importlib.util
+import os
 from collections import Counter
 from dataclasses import dataclass, field
-from math import copysign, inf, isfinite, nextafter, sqrt
+from math import copysign, inf, isfinite, isnan, nextafter, sqrt
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.integrate._ivp import dop853_coefficients
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+import scipy
+from scipy.linalg import solve_banded
 
 from . import NumericalError
 from .mesh import sphere_area
@@ -73,6 +81,48 @@ class TailError(ShootingError):
 
 class DivergentTailError(ShootingError):
     """A requested moment diverges for the fitted decay rate."""
+
+
+class RootNotConvergedError(ShootingError):
+    """Brent's method did not converge in BRENT_MAXITER iterations."""
+
+
+class _CubicSpline:
+    """scipy's ``CubicSpline(x, y)`` for 1-D y at 4 or more knots
+    (not-a-knot ends): the slopes solved as ``CubicSpline.__init__``
+    solves them, the values summed as ``PPoly`` sums them, so both agree
+    bit for bit."""
+
+    def __init__(self, x, y):
+        n = len(x)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        A = np.zeros((3, n))          # banded: upper, diagonal, lower
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b = np.empty(n)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        A[1, 0] = dx[1]
+        A[0, 1] = d = x[2] - x[0]
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        A[1, -1] = dx[-2]
+        A[-1, -2] = d = x[-1] - x[-3]
+        b[-1] = (dx[-1] ** 2 * slope[-2]
+                 + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+
+    def __call__(self, v):
+        # closed on the right at the last knot, extrapolated beyond the ends
+        i = np.clip(np.searchsorted(self.x, v, "right") - 1, 0,
+                    len(self.x) - 2)
+        s = v - self.x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
 
 @dataclass
@@ -131,7 +181,7 @@ class BubbleProfile:
             vals = {"U": self.U, "V": self.V,
                     "dU": -self.dU, "dV": -self.dV}[which][pos]
             vals = np.maximum(vals, 1e-300)
-            self._splines[which] = CubicSpline(x, np.log(vals))
+            self._splines[which] = _CubicSpline(x, np.log(vals))
         return self._splines[which]
 
     def _tail_exponents(self, which):
@@ -243,6 +293,18 @@ def _nonzero(row):
     return tuple((j, a) for j, a in enumerate(row.tolist()) if a)
 
 
+def _load_tableau():
+    """scipy's dop853_coefficients module, run from its file so that
+    scipy.integrate's __init__ is not."""
+    path = os.path.join(scipy.__path__[0], "integrate", "_ivp",
+                        "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dop853_coefficients = _load_tableau()
 _A = [_nonzero(row) for row in dop853_coefficients.A]
 _C = dop853_coefficients.C.tolist()
 _B = _nonzero(dop853_coefficients.B)
@@ -255,7 +317,74 @@ _N_DENSE = _N_STAGES_EXTENDED - _N_STAGES - 1     # 3 more for the interpolant
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1.0 / 8.0   # -1 / (error estimator order 7 + 1)
 ATOL = 1e-300                 # error control is relative only
-EVENT_XTOL = 4 * np.finfo(float).eps
+# Brent: scipy's iteration cap and its default (and smallest) rtol
+BRENT_MAXITER = 100
+BRENT_RTOL = 4 * np.finfo(float).eps
+EVENT_XTOL = BRENT_RTOL
+
+
+def _brentq(f, xa, xb, xtol):
+    """A root of f in [xa, xb]: scipy's ``brentq(f, xa, xb, xtol)``
+    (rtol BRENT_RTOL), a line-for-line port of its C code (Brent 1973,
+    ch. 4), same operations in the same order, so the same root bit for
+    bit.
+
+    Where scipy raises ValueError (f is NaN, or has the same sign at both
+    ends) or RuntimeError (no convergence in BRENT_MAXITER iterations),
+    this raises ShootingError, RootNotConvergedError for the last: each
+    is a numerical failure of the shoot.
+    """
+    def value(x):
+        fx = f(x)
+        if isnan(fx):
+            raise ShootingError(f"root finder: the function is NaN at "
+                                f"x = {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if copysign(1, fpre) == copysign(1, fcur):
+        raise ShootingError(f"root finder: no sign change in [{xa!r}, "
+                            f"{xb!r}] ({fpre!r}, {fcur!r})")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and copysign(1, fpre) != copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:             # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis        # bisect
+        else:
+            spre = scur = sbis            # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RootNotConvergedError(
+        f"root finder: no convergence in {BRENT_MAXITER} iterations in "
+        f"[{xa!r}, {xb!r}], at x = {xcur!r}")
 
 
 @dataclass
@@ -433,9 +562,9 @@ def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
         if zeros:
             F = _dense_coefficients(fun, K, t_old, h, y_old, y)
             nfev += _N_DENSE
-            roots = [brentq(lambda r, c=2 * e: _dense_value(F, t_old, h,
-                                                             y_old, c, r),
-                            t_old, t, xtol=EVENT_XTOL, rtol=EVENT_XTOL)
+            roots = [_brentq(lambda r, c=2 * e: _dense_value(F, t_old, h,
+                                                              y_old, c, r),
+                             t_old, t, EVENT_XTOL)
                      for e in zeros]
             t = min(roots)
             crossed = zeros[roots.index(t)]
@@ -504,7 +633,7 @@ def shoot(pack, r_max=400.0):
 
     d = U(0) is the dyadic bisection point of the scan bracket at which
     the bracket width first falls to <= TOL * d (or machine precision).
-    Brent on the signed miss steers and the bisection decides: brentq
+    Brent on the signed miss steers and the bisection decides: Brent
     narrows d* in a few superlinear steps, and the bisection replays from
     the scan bracket, integrating only the midpoints Brent's runs leave
     undecided (see :func:`_bisect`). At r_max = 400 a shoot makes 4, 4,
@@ -566,9 +695,11 @@ def _bracket(pack, r_max, work):
 def _bisect(pack, lo, hi, scanned, r_max, work):
     """Sign bisection of [lo, hi] on the miss, steered by Brent.
 
-    brentq runs first, to a quarter of the bisection's final width,
+    Brent runs first, to a quarter of the bisection's final width,
     starting from the scan's misses at lo and hi (`scanned`), so neither
-    end is integrated again. The bisection then replays from [lo, hi]
+    end is integrated again; it only steers, so a Brent that has not
+    converged in BRENT_MAXITER runs hands over what it has (a NaN miss is
+    a ShootingError). The bisection then replays from [lo, hi]
     with its own stopping rule: a midpoint at or below the largest d
     Brent saw low is low, one at or above the smallest d it saw high is
     high, and only the 0-2 midpoints inside Brent's final bracket are
@@ -585,11 +716,14 @@ def _bisect(pack, lo, hi, scanned, r_max, work):
 
     def steer(d):
         m = scanned[d] if d in scanned else miss(d)
-        # an exact zero is low; brentq would stop on it (at p = q, d = 1
+        # an exact zero is low; Brent would stop on it (at p = q, d = 1
         # gives U = V and c0 = 0 exactly), so hand it the nearest low value
         return m or -np.finfo(float).tiny
 
-    brentq(steer, lo, hi, xtol=0.25 * TOL * lo, disp=False)
+    try:
+        _brentq(steer, lo, hi, 0.25 * TOL * lo)
+    except RootNotConvergedError:
+        pass
     d_low = max((d for d, m in misses.items() if m <= 0), default=-np.inf)
     d_high = min((d for d, m in misses.items() if m > 0), default=np.inf)
     while True:
@@ -699,6 +833,34 @@ def profile_constants(profile):
 
 
 # -- quadrature with analytic tails ----------------------------------------
+
+def _basic_simpson(y, x, stop):
+    """Composite Simpson on the panels [x[i], x[i+2]], i = 0, 2, .. < stop."""
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    return np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                + y[2:stop + 2:2] * (2.0 - h0divh1)))
+
+
+def simpson(y, x):
+    """scipy's ``simpson(y, x=x)`` for 1-D y on a strictly increasing x
+    of length >= 3, bit for bit. An even length adds Cartwright's
+    correction for the last interval to Simpson on the others."""
+    n = len(y)
+    if n % 2:
+        return _basic_simpson(y, x, n - 2)
+    h = np.diff(x)
+    h0, h1 = h[-2, ...], h[-1, ...]
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+    return (_basic_simpson(y, x, n - 3)
+            + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))
+
 
 def _tail_moment(c, m, l, lo, hi, off=0.0):
     """int_lo^hi c * r^m * (log r + off)^l dr, hi may be inf; diverging ->

@@ -148,6 +148,22 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, owner, name,
     assert report["results"]["error"] == "forced"
 
 
+def test_nan_miss_exits_3(tmp_path, monkeypatch):
+    # the scan's runs bracket d*, then Brent meets a NaN miss; scipy's
+    # brentq raised ValueError on it, which the CLI called a config error
+    miss = groundstate._miss
+
+    def nan_after_scan(pack, d, r_max, rtol, work):
+        if rtol == groundstate.RTOL:
+            return np.nan
+        return miss(pack, d, r_max, rtol, work)
+
+    monkeypatch.setattr(groundstate, "_miss", nan_after_scan)
+    code, report, _ = run_cli(["bubble", "--p", "2", "--N", "6"], tmp_path)
+    assert code == cli.EXIT_CONVERGENCE
+    assert "NaN" in report["results"]["error"]
+
+
 def test_zero_field_exits_3(tmp_path, monkeypatch):
     # a zero field reaching the quotient is a numerical failure, not a
     # config error, though the arguments were valid
@@ -174,10 +190,13 @@ def test_missing_exponents_is_config_error(tmp_path):
      "dimension N = 0 must be an integer >= 4"),
     (["bubble", "--p", "2", "--q", "-1"], "exponent q = -1.0 must be positive"),
     (["solve", "--q", "-1"], "exponent q = -1.0 must be positive"),
-], ids=["solve-q", "solve-p", "solve-N", "bubble-q", "solve-q-only"])
+    (["solve", "--q", "0.3"], "q = 0.3 <= 2/(N-2) = 0.5: partner exponent "
+                              "would be nonpositive or infinite"),
+], ids=["solve-q", "solve-p", "solve-N", "bubble-q", "solve-q-only",
+        "solve-q-only-below-range"])
 def test_out_of_range_exponent_is_config_error(tmp_path, capsys, argv,
                                                message):
-    # these divided by zero (exit 1) or named p for q (the last)
+    # these divided by zero (exit 1) or named p for q (the last two)
     code, report, _ = run_cli(argv + (["--N", "6"] if "--N" not in argv
                                       else []), tmp_path)
     assert code == cli.EXIT_CONFIG

@@ -1,8 +1,11 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad, simpson, solve_ivp
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from lanedual import groundstate as gs
 from lanedual.exponents import derived_constants
@@ -317,6 +320,97 @@ def test_shoot_unchanged_from_scipy_integrator(pqN, request):
     assert prof.S == pytest.approx(SCIPY_S[pqN], rel=1e-8)
 
 
+# -- Brent, Simpson and the spline, bit for bit against scipy ----------------
+
+def _random_bracketed(rng):
+    """(f, a, b): a random function with a sign change in [a, b]."""
+    root = rng.uniform(-2.0, 2.0)
+    a, b = root - rng.uniform(1e-3, 3.0), root + rng.uniform(1e-3, 3.0)
+    c = rng.uniform(0.1, 5.0)
+    k = int(rng.integers(1, 5)) * 2 + 1
+    f = [lambda x: (x - root) * (1.0 + c * (x - root) ** 2),
+         lambda x: math.tanh(c * (x - root)),
+         lambda x: math.expm1(c * (x - root)) - 1e-3 * c,
+         lambda x: (x - root) ** k,
+         lambda x: math.atan(x - root) + 1e-9 * math.sin(1e7 * x),
+         lambda x: math.copysign(abs(x - root) ** (1.0 / k), x - root),
+         # products of two values underflow: the sign tests must not use them
+         lambda x: 1e-170 * math.tanh(c * (x - root))][int(rng.integers(7))]
+    return (f, a, b) if rng.random() < 0.5 else (f, b, a)
+
+
+def _recording(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g
+
+
+def test_brentq_as_scipy():
+    rng = np.random.default_rng(20)
+    unconverged = 0
+    for _ in range(2000):
+        f, a, b = _random_bracketed(rng)
+        if math.copysign(1.0, f(a)) == math.copysign(1.0, f(b)):
+            continue
+        xtol = 10.0 ** rng.uniform(-16.0, -2.0)
+        ours, ref = [], []
+        try:
+            root = brentq(_recording(f, ref), a, b, xtol=xtol)
+        except RuntimeError:  # the noisy atan at a small xtol
+            with pytest.raises(gs.RootNotConvergedError):
+                gs._brentq(_recording(f, ours), a, b, xtol)
+            unconverged += 1
+        else:
+            assert gs._brentq(_recording(f, ours), a, b, xtol).hex() \
+                == root.hex()
+        assert ours == ref
+    assert 0 < unconverged < 200
+
+
+def test_brentq_failures_are_shooting_errors():
+    def step(x):
+        return 1.0 if x > 0 else -1.0
+
+    ours, ref = [], []
+    with pytest.raises(gs.RootNotConvergedError, match="100 iterations"):
+        gs._brentq(_recording(step, ours), -1.0, 3.0, 1e-300)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(_recording(step, ref), -1.0, 3.0, xtol=1e-300)
+    assert ours == ref and len(ours) == 102
+    for f, message in ((lambda x: x * x + 1.0, "no sign change"),
+                       (lambda x: np.nan if x > 0.5 else x - 0.7, "NaN")):
+        with pytest.raises(ShootingError, match=message):
+            gs._brentq(f, 0.0, 1.0, 1e-12)
+        with pytest.raises(ValueError):
+            brentq(f, 0.0, 1.0, xtol=1e-12)
+
+
+def _grids(n, rng):
+    yield np.geomspace(1e-6, 400.0, n)
+    for _ in range(10):
+        yield np.cumsum(rng.uniform(0.01, 1.0, n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 3000, 3001, 4000, 4001])
+def test_simpson_as_scipy(n):
+    rng = np.random.default_rng(n)
+    for x in _grids(n, rng):
+        for y in (rng.standard_normal(n), np.exp(-x) * x ** 3):
+            assert gs.simpson(y, x).tobytes() == simpson(y, x=x).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5, 4001])
+def test_spline_as_scipy(n):
+    rng = np.random.default_rng(n)
+    for x in map(np.log, _grids(n, rng)):  # BubbleProfile's knots: log r
+        for y in (rng.standard_normal(n), np.sin(x)):
+            mids = x[:-1] + np.diff(x) * rng.uniform(0.0, 1.0, n - 1)
+            v = np.concatenate([x, mids, [x[0] - 0.1, x[-1] + 0.1]])
+            assert (gs._CubicSpline(x, y)(v).tobytes()
+                    == CubicSpline(x, y)(v).tobytes())
+
+
 # -- fitted constants -------------------------------------------------------
 
 def test_profile_constants_explicit_plateau(profile334):
@@ -440,7 +534,6 @@ def test_critical_norm_eps_invariance(profile226):
     for eps in (1.0, 0.5, 0.25):
         x = np.geomspace(1e-8, 2000.0, 6000)
         integrand = profile226.V_eps(x, eps) ** (pack.q + 1) * x ** (pack.N - 1)
-        from scipy.integrate import simpson
         vals.append(sphere_area(pack.N) * simpson(integrand, x=x))
     vals = np.array(vals)
     assert np.max(np.abs(vals / vals[0] - 1.0)) < 0.01

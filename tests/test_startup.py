@@ -12,7 +12,10 @@ import lanedual
 from lanedual import acceptance, cli, groundstate
 
 SRC = os.path.dirname(os.path.dirname(lanedual.__file__))
-SHOOTER = {"scipy.integrate", "lanedual.groundstate"}
+SHOOTER = {"lanedual.groundstate"}
+# what the shooter used to load for brentq, simpson, CubicSpline and the
+# DOP853 tableau; no command loads them now
+SCIPY_SHOOTER = {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
 
 
 def _modules_after(code, cwd):
@@ -33,7 +36,8 @@ def test_package_import_loads_no_scipy(tmp_path):
 
 def test_cli_import_loads_no_engines(tmp_path):
     loaded = _modules_after("import lanedual.cli", tmp_path)
-    assert not loaded & (SHOOTER | {"scipy.stats", "lanedual.asymptotics"})
+    assert not loaded & (SHOOTER | SCIPY_SHOOTER
+                         | {"scipy.stats", "lanedual.asymptotics"})
 
 
 def test_verify_quick_loads_no_shooter(tmp_path):
@@ -41,7 +45,7 @@ def test_verify_quick_loads_no_shooter(tmp_path):
         "from lanedual import cli\n"
         "assert cli.main(['verify', '--quick', '--outdir', 'out']) == 0",
         tmp_path)
-    assert not loaded & (SHOOTER | {"scipy.stats"})
+    assert not loaded & (SHOOTER | SCIPY_SHOOTER | {"scipy.stats"})
 
 
 def test_radial_solve_loads_no_shooter(tmp_path):
@@ -51,7 +55,23 @@ def test_radial_solve_loads_no_shooter(tmp_path):
         "assert cli.main(['solve', '--p', '2', '--N', '6', '--nr', '64',\n"
         "                 '--restarts', '1', '--outdir', 'out']) == 0",
         tmp_path)
-    assert not loaded & SHOOTER
+    assert not loaded & (SHOOTER | SCIPY_SHOOTER)
+
+
+def test_bubble_loads_no_scipy_shooter_modules(tmp_path):
+    loaded = _modules_after(
+        "from lanedual import cli\n"
+        "assert cli.main(['bubble', '--p', '2', '--N', '6',\n"
+        "                 '--outdir', 'out']) == 0", tmp_path)
+    assert SHOOTER <= loaded
+    assert not loaded & SCIPY_SHOOTER
+
+
+def test_engine_imports_load_no_scipy_shooter_modules(tmp_path):
+    loaded = _modules_after("import lanedual.groundstate, "
+                            "lanedual.asymptotics, lanedual.acceptance",
+                            tmp_path)
+    assert not loaded & SCIPY_SHOOTER
 
 
 def test_radial_dual_solve_loads_no_symmetry(tmp_path):
