@@ -14,14 +14,15 @@ seed makes runs byte-identical up to the timing fields. Exit codes:
 error (an unknown flag or key, a bad value such as restarts < 1, an
 unreadable config file).
 
-Start-up: this module loads mesh, dualsolve and exponents (numpy and
-scipy.sparse.linalg); each subcommand imports the rest in its own body.
-bubble, sweep, probe-cherrier, the full verify and solve on an
-axisymmetric mesh load the shooter groundstate (numpy and scipy.linalg,
-already loaded); symmetry, verify --quick and solve on a radial mesh do
-not. sweep, probe-cherrier and the full verify also load asymptotics
-(scipy.special). No command loads scipy.integrate, scipy.interpolate or
-scipy.optimize.
+Start-up: this module loads mesh and exponents (numpy only); each
+subcommand imports the rest in its own body. bubble, sweep,
+probe-cherrier, the full verify and solve on an axisymmetric mesh load
+the shooter groundstate (numpy only); symmetry, verify --quick and solve
+on a radial mesh do not. solve, symmetry and verify load the dual layer
+(scipy.sparse.linalg); sweep, probe-cherrier and the full verify load
+asymptotics (scipy.special). So bubble, sweep and probe-cherrier load
+neither scipy.sparse nor scipy.linalg, and no command loads
+scipy.integrate, scipy.interpolate or scipy.optimize.
 """
 
 import argparse
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import NumericalError, __version__, lazy_getattr
-from . import dualsolve as ds
 from . import mesh as msh
 from .exponents import (admissibility, derived_constants, hyperbola_partner,
                         require_valid, threshold_constant)
@@ -244,6 +244,7 @@ def _build_mesh(cfg):
 
 
 def cmd_solve(cfg, report, outdir):
+    from . import dualsolve as ds
     pack = cfg.pack()
     mesh = _build_mesh(cfg)
     S = None

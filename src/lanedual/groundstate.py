@@ -21,18 +21,22 @@ miss has a noise floor of ~1e-13 relative in d, and at (p, q, N) =
 Every run goes through this module's :func:`solve_ivp`, a DOP853 written
 out on Python floats for the four components. It keeps scipy's
 ``solve_ivp(method="DOP853")`` tableau, initial step, step controller,
-error norm, dense-output event location and t_eval sampling, and exists
-for its per-step cost: scipy's spends about 80% of a run in numpy
-machinery on 4-vectors, and on floats a shoot takes about a third of
-scipy's time.
+error norm, dense output and dense-output event location, and exists for
+its per-step cost: scipy's spends about 80% of a run in numpy machinery
+on 4-vectors, and on floats a shoot takes about a third of scipy's time.
 
-The module imports nothing from scipy.integrate, scipy.interpolate or
-scipy.optimize, which would add about 0.28 s and 20 MB to every process
-that shoots. The DOP853 tableau is read from scipy's own
+The profile is the final run's own dense output (:class:`DenseOutput`,
+the 7th-order interpolant of each step; Hairer, Norsett & Wanner, II.6):
+the 4000 stored samples are read from it, and so is every evaluation
+between R_START and r_max.
+
+The module imports no scipy subpackage; scipy.integrate,
+scipy.interpolate and scipy.optimize would add about 0.28 s and 20 MB to
+every process that shoots. The DOP853 tableau is read from scipy's own
 ``integrate/_ivp/dop853_coefficients.py``, loaded by file path (it imports
-only numpy). Brent's method (:func:`_brentq`, scipy's C ``brentq``),
-:func:`simpson` and the not-a-knot :class:`_CubicSpline` are ports that
-return scipy's results bit for bit; the tests hold them to scipy.
+only numpy). Brent's method (:func:`_brentq`, scipy's C ``brentq``) and
+:func:`simpson` are ports that return scipy's results bit for bit; the
+tests hold them to scipy.
 
 Improper integrals (Sobolev constant, bubble moments) are evaluated on the
 stored profile plus an analytic tail from the fitted decay law; brute
@@ -48,7 +52,6 @@ from math import copysign, inf, isfinite, isnan, nextafter, sqrt
 
 import numpy as np
 import scipy
-from scipy.linalg import solve_banded
 
 from . import NumericalError
 from .mesh import sphere_area
@@ -87,50 +90,14 @@ class RootNotConvergedError(ShootingError):
     """Brent's method did not converge in BRENT_MAXITER iterations."""
 
 
-class _CubicSpline:
-    """scipy's ``CubicSpline(x, y)`` for 1-D y at 4 or more knots
-    (not-a-knot ends): the slopes solved as ``CubicSpline.__init__``
-    solves them, the values summed as ``PPoly`` sums them, so both agree
-    bit for bit."""
-
-    def __init__(self, x, y):
-        n = len(x)
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        A = np.zeros((3, n))          # banded: upper, diagonal, lower
-        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        A[0, 2:] = dx[:-1]
-        A[-1, :-2] = dx[1:]
-        b = np.empty(n)
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        A[1, 0] = dx[1]
-        A[0, 1] = d = x[2] - x[0]
-        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        A[1, -1] = dx[-2]
-        A[-1, -2] = d = x[-1] - x[-3]
-        b[-1] = (dx[-1] ** 2 * slope[-2]
-                 + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.x = x
-        self.c = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
-
-    def __call__(self, v):
-        # closed on the right at the last knot, extrapolated beyond the ends
-        i = np.clip(np.searchsorted(self.x, v, "right") - 1, 0,
-                    len(self.x) - 2)
-        s = v - self.x[i]
-        c0, c1, c2, c3 = (c[i] for c in self.c)
-        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-
-
 @dataclass
 class BubbleProfile:
     """Radial samples of the ground state plus fitted decay data.
 
     Normalization is V(0) = 1; members of the scaling family are obtained
     through U_eps / V_eps evaluations. The arrays include the r=0 node.
+    The eval_* methods read the series below R_START, the run's `dense`
+    output up to r_max and the fitted tail beyond.
 
     Each component's far-field law is driven by the partner exponent: the
     component sourced by a power t of the other decays like r^(2-N) when
@@ -147,6 +114,7 @@ class BubbleProfile:
     dV: np.ndarray
     shoot_d: float
     r_max: float
+    dense: "DenseOutput" = field(repr=False)
     regime: str = ""
     regime_V: str = ""
     a: float = 0.0
@@ -160,7 +128,6 @@ class BubbleProfile:
     # bisection and the sampled run, over every r_max tried) and their
     # right-hand-side calls
     work: dict = field(default_factory=dict)
-    _splines: dict = field(default_factory=dict, repr=False)
 
     # -- pointwise evaluation --------------------------------------------
     def _series(self, r, which):
@@ -173,16 +140,6 @@ class BubbleProfile:
         if which == "dU":
             return 2 * a2 * r + 4 * a4 * r ** 3
         return 2 * b2 * r + 4 * b4 * r ** 3
-
-    def _spline(self, which):
-        if which not in self._splines:
-            pos = self.r > 0
-            x = np.log(self.r[pos])
-            vals = {"U": self.U, "V": self.V,
-                    "dU": -self.dU, "dV": -self.dV}[which][pos]
-            vals = np.maximum(vals, 1e-300)
-            self._splines[which] = _CubicSpline(x, np.log(vals))
-        return self._splines[which]
 
     def _tail_exponents(self, which):
         """(power m, log power l) of the fitted tail c * r^m * log(r)^l of
@@ -210,9 +167,7 @@ class BubbleProfile:
         hi = r > self.r_max
         mid = ~(lo | hi)
         out[lo] = self._series(r[lo], which)
-        if np.any(mid):
-            sgn = -1.0 if which in ("dU", "dV") else 1.0
-            out[mid] = sgn * np.exp(self._spline(which)(np.log(r[mid])))
+        out[mid] = self.dense.component(_COMPONENTS.index(which), r[mid])
         if np.any(hi):
             out[hi] = self._tail(r[hi], which)
         return out
@@ -248,6 +203,9 @@ class BubbleProfile:
 
 
 # -- integration of the radial system -------------------------------------
+
+_COMPONENTS = ("U", "dU", "V", "dV")    # the order of the state y
+
 
 def _series_coeffs(pack, d):
     """(a2, b2, a4, b4) of the regular near-origin expansion
@@ -389,15 +347,17 @@ def _brentq(f, xa, xb, xtol):
 
 @dataclass
 class IvpResult:
-    """One run of :func:`solve_ivp`: samples `t` and `y` (4 x n), the
-    component that stopped the run at its zero (`crossed`: 0 for U, 1 for
-    V, None when the run reached the end), and `nfev`, the right-hand-side
-    calls."""
+    """One run of :func:`solve_ivp`: its final radius `t` and state `y`
+    (4 x 1), the component that stopped the run at its zero (`crossed`: 0
+    for U, 1 for V, None when the run reached the end), `nfev`, the
+    right-hand-side calls, and the run's :class:`DenseOutput` when it was
+    asked for."""
 
     t: np.ndarray
     y: np.ndarray
     crossed: int | None
     nfev: int
+    dense: "DenseOutput | None" = None
 
 
 def _combine(K, row):
@@ -490,29 +450,49 @@ def _dense_value(F, t_old, h, y_old, c, t):
     return v + y_old[c]
 
 
-def _dense_values(F, t_old, h, y_old, t):
-    """The interpolant F at the radii t, as a 4 x len(t) array."""
-    x = ((t - t_old) / h)[:, None]
-    y = np.zeros((len(t), 4))
-    for i, row in enumerate(np.array(F)[::-1]):
-        y += row
-        y *= x if i % 2 == 0 else 1 - x
-    y += y_old
-    return y.T
+class DenseOutput:
+    """A run's interpolant, one step after another. Step k starts at
+    t_old[k] from y_old[:, k] with size h[k] and ends at t_end[k] (a zero
+    of U or V ends the last one early); Q[c] holds its 7 coefficient rows
+    of component c, last row first, one column a step. A radius equal to
+    a step's end belongs to that step; radii lie in [t_old[0], t_end[-1]].
+    """
+
+    def __init__(self, steps):
+        t_old, h, t_end, y_old, F = map(np.array, zip(*steps))
+        self.t_old, self.h, self.t_end = t_old, h, t_end
+        self.y_old = np.ascontiguousarray(y_old.T)
+        self.Q = np.ascontiguousarray(F[:, ::-1].transpose(2, 1, 0))
+
+    def component(self, c, t):
+        """Component c of y at the radii t, summed as :func:`_dense_value`
+        sums it."""
+        k = np.searchsorted(self.t_end, t, "left")
+        x = (t - self.t_old[k]) / self.h[k]
+        v = np.zeros_like(x)
+        for i, row in enumerate(self.Q[c]):
+            v += row[k]
+            v *= x if i % 2 == 0 else 1 - x
+        return v + self.y_old[c, k]
+
+    def __call__(self, t):
+        """y at the radii t, as a 4 x len(t) array."""
+        return np.array([self.component(c, t) for c in range(4)])
 
 
-def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
+def solve_ivp(fun, t_span, y0, rtol, dense_output=False):
     """Integrate y' = fun(t, y) for the four components (U, U', V, V')
     from t_span[0] up to t_span[1] > t_span[0], stopping at the first zero
     of U or V; returns an :class:`IvpResult`.
 
     This is scipy's ``solve_ivp(fun, t_span, y0, method="DOP853",
-    rtol=rtol, atol=1e-300, events=(U, V), t_eval=t_eval)`` with both
-    events terminal; `fun` takes and returns 4-tuples of floats. Without
-    `t_eval` the one sample is the final state; with it, the samples are
-    the radii of the sorted `t_eval` up to the stop, on the dense output.
-    Where scipy would stop with status -1 (the step size fell below the
-    spacing of floats), this raises ShootingError naming the radius.
+    rtol=rtol, atol=1e-300, events=(U, V), dense_output=dense_output)``
+    with both events terminal; `fun` takes and returns 4-tuples of floats.
+    The one sample is the final state. With `dense_output`, every step
+    builds its interpolant, as scipy's does (3 more right-hand-side calls
+    a step), and `dense` holds them all. Where scipy would stop with
+    status -1 (the step size fell below the spacing of floats), this
+    raises ShootingError naming the radius.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = tuple(float(v) for v in y0)
@@ -524,8 +504,7 @@ def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol)
     nfev = 2
-    ts, ys = [], []
-    i_eval = 0
+    steps = []
     crossed = None
     while crossed is None and t < t_bound:
         # one accepted step (scipy's RungeKutta._step_impl)
@@ -555,13 +534,13 @@ def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, K[-1]
-        F = None
         zeros = [e for e in (0, 1)
                  if y_old[2 * e] <= 0 <= y[2 * e]
                  or y_old[2 * e] >= 0 >= y[2 * e]]
-        if zeros:
+        if zeros or dense_output:
             F = _dense_coefficients(fun, K, t_old, h, y_old, y)
             nfev += _N_DENSE
+        if zeros:
             roots = [_brentq(lambda r, c=2 * e: _dense_value(F, t_old, h,
                                                               y_old, c, r),
                              t_old, t, EVENT_XTOL)
@@ -570,28 +549,19 @@ def solve_ivp(fun, t_span, y0, rtol, t_eval=None):
             crossed = zeros[roots.index(t)]
             y = tuple(_dense_value(F, t_old, h, y_old, c, t)
                       for c in range(4))
-        if t_eval is None:
-            continue
-        i_new = int(np.searchsorted(t_eval, t, side="right"))
-        if i_new > i_eval:
-            if F is None:
-                F = _dense_coefficients(fun, K, t_old, h, y_old, y)
-                nfev += _N_DENSE
-            ts.append(t_eval[i_eval:i_new])
-            ys.append(_dense_values(F, t_old, h, y_old, ts[-1]))
-            i_eval = i_new
-    if t_eval is None:
-        return IvpResult(np.array([t]), np.array([y]).T, crossed, nfev)
-    return IvpResult(np.concatenate(ts) if ts else np.empty(0),
-                     np.hstack(ys) if ys else np.empty((4, 0)), crossed, nfev)
+        if dense_output:
+            steps.append((t_old, h, t, y_old, F))
+    return IvpResult(np.array([t]), np.array([y]).T, crossed, nfev,
+                     DenseOutput(steps) if dense_output else None)
 
 
-def _integrate(pack, d, r_max, rtol, work, t_eval=None):
+def _integrate(pack, d, r_max, rtol, work, dense_output=False):
     """One run from U(0) = d to r_max or the first zero of U or V, by the
     in-house DOP853 (:func:`solve_ivp`, scipy's step controller on Python
     floats); counts the run and its RHS calls into `work`."""
     r0, y0 = _initial_state(pack, d)
-    sol = solve_ivp(_rhs(pack), (r0, r_max), y0, rtol=rtol, t_eval=t_eval)
+    sol = solve_ivp(_rhs(pack), (r0, r_max), y0, rtol=rtol,
+                    dense_output=dense_output)
     work["integrations"] += 1
     work["rhs_evals"] += sol.nfev
     return sol
@@ -738,22 +708,22 @@ def _bisect(pack, lo, hi, scanned, r_max, work):
 
 
 def _profile(pack, d_star, r_max, work):
-    """Sample the run from U(0) = d_star and fit its constants."""
+    """Sample the run from U(0) = d_star on its dense output, up to where
+    the run stopped, and fit its constants."""
+    sol = _integrate(pack, d_star, r_max, RTOL, work, dense_output=True)
     r_grid = np.geomspace(R_START, r_max, 4000)
-    sol = _integrate(pack, d_star, r_max, RTOL, work, t_eval=r_grid)
+    r_grid = r_grid[r_grid <= sol.t[-1]]
+    y = sol.dense(r_grid)
     # drop any trailing samples where the near-critical run lost positivity
-    keep = (sol.y[0] > 0) & (sol.y[2] > 0)
-    n = int(np.argmin(keep)) if not keep.all() else sol.t.size
+    keep = (y[0] > 0) & (y[2] > 0)
+    n = int(np.argmin(keep)) if not keep.all() else keep.size
     if n < 16:
         raise ShootingError("bisected profile lost positivity almost "
                             "immediately; shooting failed")
-    r = np.concatenate([[0.0], sol.t[:n]])
-    U = np.concatenate([[d_star], sol.y[0][:n]])
-    V = np.concatenate([[1.0], sol.y[2][:n]])
-    dU = np.concatenate([[0.0], sol.y[1][:n]])
-    dV = np.concatenate([[0.0], sol.y[3][:n]])
+    r = np.concatenate([[0.0], r_grid[:n]])
+    U, dU, V, dV = np.column_stack([[d_star, 0.0, 1.0, 0.0], y[:, :n]])
     prof = BubbleProfile(pack=pack, r=r, U=U, V=V, dU=dU, dV=dV,
-                         shoot_d=d_star, r_max=float(r[-1]))
+                         shoot_d=d_star, r_max=float(r[-1]), dense=sol.dense)
     profile_constants(prof)
     return prof
 
@@ -827,7 +797,6 @@ def profile_constants(profile):
     for name, c in (("a", profile.a), ("b", profile.b)):
         if not (np.isfinite(c) and c > 0):
             raise TailError(f"fitted decay constant {name} = {c} invalid")
-    profile._splines.clear()
     moment = radial_moment(profile, "U", pack.p + 1.0, N - 1.0)
     profile.S = float((sphere_area(N) * moment) ** (2.0 / N))
 

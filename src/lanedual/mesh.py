@@ -15,13 +15,15 @@ The discretization is finite-volume with node-centered cells:
 * the strong Laplacian adds one-sided second-order wall fluxes on the
   radial boundaries, and the theta-pole rows are automatically regularized
   because the angular density sin^{N-2}(theta) vanishes there.
+
+Only the functions that build sparse matrices import scipy.sparse, so
+the shooter, which reads sphere_area here, starts without it.
 """
 
 from dataclasses import dataclass, field
 from math import gamma as _gamma, pi
 
 import numpy as np
-import scipy.sparse as sp
 
 KINDS = ("radial-annulus", "radial-ball", "axisym-annulus", "axisym-ball")
 
@@ -60,6 +62,7 @@ def _one_sided_deriv_row(x0, x1, x2):
 
 def _stiffness_1d(x, faces, face_coeff):
     """Tridiagonal FV stiffness: faces carry coefficient/dist couplings."""
+    import scipy.sparse as sp
     n = len(x)
     c = face_coeff / np.diff(x)  # interior faces only, len n-1
     main = np.zeros(n)
@@ -166,6 +169,7 @@ class Mesh:
         return self._cache["A"]
 
     def _build_stiffness(self):
+        import scipy.sparse as sp
         N = self.N
         if not self.is_axisym:
             coeff = sphere_area(N) * self.faces_r[1:-1] ** (N - 1)
@@ -182,6 +186,7 @@ class Mesh:
         signed as d/dr so that sum(w * laplacian(u)) telescopes exactly)."""
         if "wall" in self._cache:
             return self._cache["wall"]
+        import scipy.sparse as sp
         n, nt = self.nnodes, self.ntheta
         M = sp.csr_matrix((n, n))
         if not self.cell_centered and self.nr >= 3:

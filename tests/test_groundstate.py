@@ -4,7 +4,6 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson, solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from lanedual import groundstate as gs
@@ -38,6 +37,13 @@ def test_shoot_symmetric_point_matches_explicit_bubble(profile334):
     assert rel <= 1e-6
     assert prof.U_eps(1e-12, eps) == pytest.approx(np.sqrt(8.0), rel=1e-9)
     assert Uex[r == 1.0][0] == pytest.approx(np.sqrt(8.0) / 2.0, rel=1e-12)
+    # between the stored radii the interpolant is that bubble too: with
+    # U(0) = 1 it reads U = 1/(1 + r^2/8) (d* = 1 to 4e-13)
+    x = np.sqrt(prof.r[1:-1] * prof.r[2:])
+    x = x[x < 20.0]
+    U = 1.0 / (1.0 + x ** 2 / 8.0)
+    assert np.max(np.abs(prof.eval_U(x) / U - 1.0)) <= 1e-9
+    assert np.max(np.abs(prof.eval_dU(x) / (-x / 4.0 * U ** 2) - 1.0)) <= 1e-9
 
 
 def test_shoot_symmetric_point_U_equals_V(profile226):
@@ -137,6 +143,17 @@ def sign_bisection(pack):
 
 @pytest.mark.parametrize("profile", ["profile334", "profile226",
                                      "profile_log6", "profile195"])
+def test_eval_reads_the_stored_samples(profile, request):
+    # both are the final run's interpolant at the same radii
+    prof = request.getfixturevalue(profile)
+    for which in ("U", "V", "dU", "dV"):
+        stored = getattr(prof, which)[1:]
+        assert (getattr(prof, "eval_" + which)(prof.r[1:]).tobytes()
+                == stored.tobytes())
+
+
+@pytest.mark.parametrize("profile", ["profile334", "profile226",
+                                     "profile_log6", "profile195"])
 def test_shoot_matches_plain_sign_bisection(profile, request):
     prof = request.getfixturevalue(profile)
     d_ref = sign_bisection(prof.pack)
@@ -230,9 +247,9 @@ PROFILES = {(3.0, 3.0, 4): "profile334", (2.0, 2.0, 6): "profile226",
             (2.75, 1.5, 6): "profile_log6", (1.0, 9.0, 5): "profile195"}
 
 
-def run_both(pqN, d, r_end, t_eval=None):
+def run_both(pqN, d, r_end, dense_output=False, t_eval=None):
     """The run of the shooter from U(0) = d through gs.solve_ivp, and the
-    same run through scipy's solve_ivp."""
+    same run through scipy's solve_ivp (which alone takes t_eval)."""
     pack = derived_constants(*pqN)
     r0, y0 = gs._initial_state(pack, d)
 
@@ -244,10 +261,10 @@ def run_both(pqN, d, r_end, t_eval=None):
 
     ev_U.terminal = ev_V.terminal = True
     ours = gs.solve_ivp(gs._rhs(pack), (r0, r_end), y0, rtol=RTOL,
-                        t_eval=t_eval)
+                        dense_output=dense_output)
     ref = solve_ivp(gs._rhs(pack), (r0, r_end), y0, method="DOP853",
                     rtol=RTOL, atol=1e-300, events=(ev_U, ev_V),
-                    t_eval=t_eval)
+                    dense_output=dense_output, t_eval=t_eval)
     return ours, ref
 
 
@@ -263,6 +280,7 @@ def test_dop853_without_t_eval_keeps_the_final_state():
     ours, ref = run_both((2.0, 2.0, 6), SCIPY_D_STAR[(2.0, 2.0, 6)], 4.0)
     assert ours.t.shape == (1,) and ours.y.shape == (4, 1)
     assert ours.t[0] == 4.0 == ref.t[-1]
+    assert ours.dense is None
 
 
 @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
@@ -284,11 +302,16 @@ def test_dop853_t_eval_as_scipy(pqN):
     # roundoff-level error estimates, so sample agreement is bounded by
     # the interpolant's error, not by rounding.
     grid = np.geomspace(gs.R_START, 4.0, 500)
-    ours, ref = run_both(pqN, SCIPY_D_STAR[pqN], 4.0, t_eval=grid)
-    assert np.array_equal(ours.t, grid) and ours.y.shape == (4, grid.size)
-    scale = np.max(np.abs(ref.y), axis=1, keepdims=True)
-    assert np.max(np.abs(ours.y - ref.y) / scale) <= 1e-10
+    ours, ref = run_both(pqN, SCIPY_D_STAR[pqN], 4.0, dense_output=True)
+    sampled = run_both(pqN, SCIPY_D_STAR[pqN], 4.0, t_eval=grid)[1]
+    assert np.array_equal(sampled.t, grid)
+    scale = np.max(np.abs(sampled.y), axis=1, keepdims=True)
+    assert np.max(np.abs(ours.dense(grid) - sampled.y) / scale) <= 1e-10
+    # the same steps, and the same interpolant inside them
+    assert ours.dense.t_end.size == ref.sol.n_segments
     assert ours.nfev == ref.nfev
+    mids = 0.5 * (ref.sol.ts[:-1] + ref.sol.ts[1:])
+    assert np.max(np.abs(ours.dense(mids) - ref.sol(mids)) / scale) <= 1e-10
 
 
 def test_dop853_step_size_failure_as_scipy():
@@ -320,7 +343,7 @@ def test_shoot_unchanged_from_scipy_integrator(pqN, request):
     assert prof.S == pytest.approx(SCIPY_S[pqN], rel=1e-8)
 
 
-# -- Brent, Simpson and the spline, bit for bit against scipy ----------------
+# -- Brent and Simpson, bit for bit against scipy ----------------------------
 
 def _random_bracketed(rng):
     """(f, a, b): a random function with a sign change in [a, b]."""
@@ -398,17 +421,6 @@ def test_simpson_as_scipy(n):
     for x in _grids(n, rng):
         for y in (rng.standard_normal(n), np.exp(-x) * x ** 3):
             assert gs.simpson(y, x).tobytes() == simpson(y, x=x).tobytes()
-
-
-@pytest.mark.parametrize("n", [4, 5, 4001])
-def test_spline_as_scipy(n):
-    rng = np.random.default_rng(n)
-    for x in map(np.log, _grids(n, rng)):  # BubbleProfile's knots: log r
-        for y in (rng.standard_normal(n), np.sin(x)):
-            mids = x[:-1] + np.diff(x) * rng.uniform(0.0, 1.0, n - 1)
-            v = np.concatenate([x, mids, [x[0] - 0.1, x[-1] + 0.1]])
-            assert (gs._CubicSpline(x, y)(v).tobytes()
-                    == CubicSpline(x, y)(v).tobytes())
 
 
 # -- fitted constants -------------------------------------------------------

@@ -16,6 +16,8 @@ SHOOTER = {"lanedual.groundstate"}
 # what the shooter used to load for brentq, simpson, CubicSpline and the
 # DOP853 tableau; no command loads them now
 SCIPY_SHOOTER = {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
+# what the dual layer loads, and the shooter used to for its spline
+SCIPY_DUAL = {"scipy.sparse", "scipy.linalg"}
 
 
 def _modules_after(code, cwd):
@@ -64,7 +66,7 @@ def test_bubble_loads_no_scipy_shooter_modules(tmp_path):
         "assert cli.main(['bubble', '--p', '2', '--N', '6',\n"
         "                 '--outdir', 'out']) == 0", tmp_path)
     assert SHOOTER <= loaded
-    assert not loaded & SCIPY_SHOOTER
+    assert not loaded & (SCIPY_SHOOTER | SCIPY_DUAL)
 
 
 def test_engine_imports_load_no_scipy_shooter_modules(tmp_path):
@@ -72,6 +74,23 @@ def test_engine_imports_load_no_scipy_shooter_modules(tmp_path):
                             "lanedual.asymptotics, lanedual.acceptance",
                             tmp_path)
     assert not loaded & SCIPY_SHOOTER
+
+
+def test_groundstate_import_loads_no_sparse_or_linalg(tmp_path):
+    loaded = _modules_after("import lanedual.groundstate", tmp_path)
+    assert "lanedual.groundstate" in loaded
+    assert not loaded & SCIPY_DUAL
+
+
+@pytest.mark.parametrize("command", ["sweep", "probe-cherrier"])
+def test_shooting_command_loads_no_sparse_or_linalg(command, tmp_path):
+    # bubble is checked above
+    loaded = _modules_after(
+        "from lanedual import cli\n"
+        f"assert cli.main([{command!r}, '--p', '2', '--N', '6',\n"
+        "                 '--outdir', 'out']) == 0", tmp_path)
+    assert SHOOTER <= loaded
+    assert not loaded & (SCIPY_SHOOTER | SCIPY_DUAL)
 
 
 def test_radial_dual_solve_loads_no_symmetry(tmp_path):
