@@ -5,14 +5,15 @@ Subcommands: bubble (ground-state shooting), solve (dual maximization on a
 chosen mesh), symmetry (flip-&-rearrange checks, foliated-Schwarz
 diagnostics, symmetry gap), sweep (epsilon sweeps), probe-cherrier, and
 verify (the acceptance battery). Every run writes report.json (version,
-config echo, results, invariant pass/fail list, timings) plus CSV
-artifacts into the output directory.
+the config fields it read, results, invariant pass/fail list, timings)
+plus CSV artifacts into the output directory.
 
-Configuration is plain key=value text overridable by CLI flags; a fixed
-seed makes runs byte-identical up to the timing fields. Exit codes:
-0 pass, 2 invariant failure, 3 numerical/convergence failure, 4 config
-error (an unknown flag or key, a bad value such as restarts < 1, an
-unreadable config file).
+SUBCOMMANDS names the RunConfig fields each subcommand reads: these alone
+are its flags and config-file keys (key=value text, overridden by flags).
+A fixed seed makes runs byte-identical up to the timing fields. Exit
+codes: 0 pass, 2 invariant failure, 3 numerical/convergence failure, 4
+config error (a flag or key the subcommand does not read, a bad value such
+as restarts < 1, an unreadable config file).
 
 Start-up: this module loads mesh and exponents (numpy only); each
 subcommand imports the rest in its own body. bubble, sweep,
@@ -31,14 +32,14 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import NumericalError, __version__, lazy_getattr
 from . import mesh as msh
 from .exponents import (admissibility, derived_constants, hyperbola_partner,
-                        require_valid, threshold_constant)
+                        pack_from_p, threshold_constant)
 
 # Each subcommand imports the engines it runs inside its own body; the
 # shooter stays readable as a module attribute.
@@ -78,18 +79,15 @@ class RunConfig:
             raise ConfigError(f"restarts = {self.restarts} must be >= 1")
 
     def pack(self):
-        given = {name: value for name, value in (("p", self.p), ("q", self.q))
-                 if value is not None}
-        if not given:
+        # the exponent algebra validates each value before dividing by it
+        if self.p is None and self.q is None:
             raise ConfigError("need at least one of p, q")
-        require_valid(self.N, **given)
-        if self.p is not None and self.q is not None:
-            return derived_constants(self.p, self.q, self.N, snap=True)
-        if self.p is not None:
-            return derived_constants(self.p, hyperbola_partner(self.p, self.N),
-                                     self.N)
-        return derived_constants(hyperbola_partner(self.q, self.N, "q"),
-                                 self.q, self.N)
+        if self.q is None:
+            return pack_from_p(self.p, self.N)
+        if self.p is None:
+            return derived_constants(hyperbola_partner(self.q, self.N, "q"),
+                                     self.q, self.N)
+        return derived_constants(self.p, self.q, self.N, snap=True)
 
     def eps_grid(self):
         return np.geomspace(self.eps_hi, self.eps_lo, self.eps_count)
@@ -103,9 +101,10 @@ _FIELD_TYPES = {f.name: f.type for f in RunConfig.__dataclass_fields__.values()}
 _CHOICES = {"mesh_kind": list(msh.KINDS), "family": ["boundary", "interior"]}
 
 
-def parse_config_file(path):
+def parse_config_file(path, fields):
     """key=value lines; '#' comments. An unreadable file, a line without
-    '=', an unknown key or a value of the wrong type is a ConfigError."""
+    '=', a key not in `fields` (the subcommand's) or a value of the wrong
+    type is a ConfigError."""
     out = {}
     try:
         with open(path) as fh:
@@ -119,7 +118,7 @@ def parse_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in RunConfig.__dataclass_fields__:
+        if key not in fields:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             out[key] = _coerce(key, val)
@@ -355,14 +354,23 @@ def cmd_verify(cfg, report, outdir):
     report.timings["verify_seconds"] = time.time() - t0
 
 
-COMMANDS = {
-    "bubble": cmd_bubble,
-    "solve": cmd_solve,
-    "symmetry": cmd_symmetry,
-    "sweep": cmd_sweep,
-    "probe-cherrier": cmd_probe_cherrier,
-    "verify": cmd_verify,
+_SWEEP = ("p", "q", "N", "R", "r_max", "eps_hi", "eps_lo", "eps_count")
+# Each subcommand's body and the RunConfig fields it reads, in declaration
+# order. These fields are its flags, its config-file keys and its report's
+# config echo.
+SUBCOMMANDS = {
+    "bubble": (cmd_bubble, ("p", "q", "N", "R", "r_max", "outdir")),
+    "solve": (cmd_solve, ("p", "q", "N", "mesh_kind", "r0", "R", "nr",
+                          "ntheta", "theta_grading", "radial_spacing",
+                          "r_max", "restarts", "seed", "outdir")),
+    "symmetry": (cmd_symmetry, ("p", "q", "N", "r0", "R", "nr", "ntheta",
+                                "restarts", "quick", "seed", "outdir")),
+    "sweep": (cmd_sweep, _SWEEP + ("outdir",)),
+    "probe-cherrier": (cmd_probe_cherrier, _SWEEP + ("family", "outdir")),
+    "verify": (cmd_verify, ("quick", "seed", "outdir")),
 }
+# the bodies alone, a flat table that bench/tracing.py wraps in place
+COMMANDS = {name: body for name, (body, _) in SUBCOMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -381,11 +389,10 @@ def make_parser():
                     "systems with Neumann boundary conditions")
     ap.add_argument("--config", help="key=value config file")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
+    for name, (_, read) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        for key, typ in _FIELD_TYPES.items():
-            if key in ("subcommand", "radial_spacing"):  # no flag
-                continue
+        for key in read:
+            typ = _FIELD_TYPES[key]
             flag = "--" + {"mesh_kind": "mesh"}.get(key, key).replace("_", "-")
             if typ is bool:
                 sp.add_argument(flag, dest=key, action="store_true",
@@ -399,13 +406,12 @@ def make_parser():
 def config_from_args(argv):
     ap = make_parser()
     ns = ap.parse_args(argv)
-    values = parse_config_file(ns.config) if ns.config else {}
-    for key in RunConfig.__dataclass_fields__:
-        arg = getattr(ns, key, None)
-        if arg is not None:
-            values[key] = arg
-    values["subcommand"] = ns.subcommand
-    return RunConfig(**values)
+    read = SUBCOMMANDS[ns.subcommand][1]
+    values = parse_config_file(ns.config, read) if ns.config else {}
+    for key in read:
+        if getattr(ns, key) is not None:
+            values[key] = getattr(ns, key)
+    return RunConfig(subcommand=ns.subcommand, **values)
 
 
 def run(cfg):
@@ -413,7 +419,8 @@ def run(cfg):
     outdir = os.environ.get("LANEDUAL_OUTDIR", cfg.outdir)
     outdir = os.path.join(outdir, cfg.subcommand)
     os.makedirs(outdir, exist_ok=True)
-    report = Report(config=asdict(cfg))
+    read = ("subcommand",) + SUBCOMMANDS[cfg.subcommand][1]
+    report = Report(config={key: getattr(cfg, key) for key in read})
     t0 = time.time()
     try:
         COMMANDS[cfg.subcommand](cfg, report, outdir)

@@ -23,9 +23,9 @@ def run_cli(argv, tmp_path, name="out"):
 
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("p = 3.0\nN = 4\nnr = 128  # comment\nseed = 5\n")
-    values = cli.parse_config_file(path)
-    assert values == {"p": 3.0, "N": 4, "nr": 128, "seed": 5}
+    path.write_text("p = 3.0\nN = 4\nr_max = 100  # comment\nR = 2.5\n")
+    values = cli.parse_config_file(path, cli.SUBCOMMANDS["bubble"][1])
+    assert values == {"p": 3.0, "N": 4, "r_max": 100.0, "R": 2.5}
     cfg = cli.RunConfig(subcommand="bubble", **values)
     assert cfg.pack().q == pytest.approx(3.0)
 
@@ -34,7 +34,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("banana = 1\n")
     with pytest.raises(cli.ConfigError):
-        cli.parse_config_file(path)
+        cli.parse_config_file(path, cli.SUBCOMMANDS["solve"][1])
 
 
 @pytest.mark.parametrize("args, cfg_text", [
@@ -44,9 +44,13 @@ def test_config_file_rejects_unknown_key(tmp_path):
     (["--config", "{cfg}", "solve"], None),  # no such file
     (["--config", "{cfg}", "solve"], "nr = abc\n"),     # bad value
     (["--config", "{cfg}", "solve"], "tol = 1e-10\n"),  # unknown key
-    (["--config", "{cfg}", "solve"], "quick = on\n"),    # not a boolean
+    (["--config", "{cfg}", "symmetry"], "quick = on\n"),  # not a boolean
+    (["bubble", "--nr", "8"], None),         # a field bubble does not read
+    (["--config", "{cfg}", "bubble"], "seed = 9\n"),     # the same, as a key
+    (["--config", "{cfg}", "bubble"], "subcommand = solve\n"),
 ], ids=["unknown-flag", "bad-flag-value", "removed-flag", "missing-file",
-        "bad-file-value", "removed-key", "bad-file-bool"])
+        "bad-file-value", "removed-key", "bad-file-bool", "unread-flag",
+        "unread-key", "subcommand-key"])
 def test_bad_configuration_exits_4(tmp_path, capsys, args, cfg_text):
     cfg = tmp_path / "run.cfg"
     if cfg_text is not None:
@@ -78,6 +82,20 @@ def test_help_exits_0(capsys):
         cli.main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--restarts" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sub, count", [
+    ("bubble", 6), ("solve", 14), ("symmetry", 11), ("sweep", 9),
+    ("probe-cherrier", 10), ("verify", 3)])
+def test_help_lists_the_fields_read(capsys, sub, count):
+    with pytest.raises(SystemExit):
+        cli.main([sub, "--help"])
+    flags = [word for word in capsys.readouterr().out.split()
+             if word.startswith("--") and word != "--help"]
+    assert len(flags) == count
+    assert {flag[2:].replace("-", "_") for flag in flags} == {
+        {"mesh_kind": "mesh"}.get(key, key)
+        for key in cli.SUBCOMMANDS[sub][1]}
 
 
 def test_bubble_subcommand(tmp_path):
@@ -227,8 +245,7 @@ def test_determinism_byte_identical_reports(tmp_path):
     # the bubble and solve reports carry work counters under
     # results.work
     for argv in (["sweep", "--p", "2", "--N", "6", "--eps-hi", "0.01",
-                  "--eps-lo", "0.0003", "--eps-count", "6", "--seed", "3",
-                  "--r-max", "100"],
+                  "--eps-lo", "0.0003", "--eps-count", "6", "--r-max", "100"],
                  ["bubble", "--p", "2", "--N", "6", "--r-max", "100"],
                  ["solve", "--p", "2", "--N", "6", "--nr", "64",
                   "--restarts", "3", "--seed", "3"]):
@@ -244,10 +261,13 @@ def test_determinism_byte_identical_reports(tmp_path):
 
 def test_report_embeds_config_and_build(tmp_path):
     code, report, _ = run_cli(
-        ["bubble", "--p", "3", "--N", "4", "--r-max", "100", "--seed", "9"],
-        tmp_path)
-    assert report["config"]["seed"] == 9
+        ["bubble", "--p", "3", "--N", "4", "--r-max", "100"], tmp_path)
+    assert report["config"]["r_max"] == 100
     assert report["config"]["subcommand"] == "bubble"
+    # the echo holds only what the run read: bubble draws nothing at random
+    assert "seed" not in report["config"]
+    assert list(report["config"]) == ["subcommand",
+                                      *cli.SUBCOMMANDS["bubble"][1]]
     assert report["build"]
     assert report["version"]
 
@@ -287,6 +307,21 @@ def test_sweep_csv_artifacts(tmp_path):
     with open(csv_path) as fh:
         header = fh.readline().strip()
     assert header == "quantity,eps,value"
+
+
+def test_bubble_in_the_log_regime(tmp_path):
+    # (2.75, 1.5, 6): q = N/(N-2), so U decays like r^(2-N) log r
+    code, report, _ = run_cli(["bubble", "--p", "2.75", "--N", "6"], tmp_path)
+    assert code == cli.EXIT_OK
+    assert report["results"]["regime"] == "q=N/(N-2)"
+
+
+def test_sweep_in_the_log_regime(tmp_path):
+    code, report, _ = run_cli(["sweep", "--p", "2.75", "--N", "6"], tmp_path)
+    assert code == cli.EXIT_OK
+    assert len(report["invariants"]) == 6
+    assert all(item["passed"] for item in report["invariants"])
+    assert report["results"]["U_1"]["log_power"] == 1
 
 
 def test_sweep_at_N4_passes_the_normal_derivative_rate(tmp_path):
