@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import betainc, stdtrit
 
 from .exponents import threshold_constant
-from .groundstate import decay_law, simpson
+from .groundstate import REGIME_TOL, simpson, tail_law, truncated_norms
 from .mesh import sphere_area
 
 # relative slope tolerances of the norm rates (pure power, log-corrected)
@@ -151,22 +151,17 @@ def predicted_norm_rate(pack, quantity):
     an extra |log eps| at m + N = 0. Reproduces the usual three-regime
     rate table in the q <= p orientation.
     """
-    N, p, q = pack.N, pack.p, pack.q
-    spec = {
-        "U_1": ("U", 1.0, pack.sp, q),
-        "V_1": ("V", 1.0, pack.sq, p),
-        "Up_1": ("U", p, p * pack.sp, q),
-        "Vq_1": ("V", q, q * pack.sq, p),
-    }
-    if quantity not in spec:
+    N = pack.N
+    norms = truncated_norms(pack)
+    if quantity not in norms:
         raise ValueError(f"unknown norm-rate quantity {quantity!r}")
-    comp, power, s_w, src = spec[quantity]
-    m0, l0 = decay_law(src, N)
+    comp, power, s_w = norms[quantity]
+    m0, l0 = tail_law(pack, comp)
     m, l = m0 * power, l0 * power
     mN = m + N
-    if mN < -1e-10:
+    if mN < -REGIME_TOL:
         return N - s_w, 0.0, f"{comp}^{power:g} truncated L1, convergent tail"
-    if mN > 1e-10:
+    if mN > REGIME_TOL:
         return -s_w - m, float(l), (f"{comp}^{power:g} truncated L1, "
                                     "truncation-dominated tail")
     return N - s_w, float(l + 1), (f"{comp}^{power:g} truncated L1, "
@@ -197,51 +192,52 @@ def norm_rate_sweep(profile, quantity, eps_grid, R_domain=1.0):
 
 # -- boundary terms ----------------------------------------------------------
 
-def _boundary_grid(eps, R):
-    th_min = min(1e-5 * eps / R, 1e-8)
-    return np.geomspace(th_min, np.pi, 3000)
+def _boundary_integral(integrand, N, eps, R):
+    """int over the boundary sphere of B_R of integrand(dist, geom), by 1D
+    polar-angle quadrature: dist is a boundary point's distance from the
+    north pole, geom the factor that turns a radial derivative about the
+    pole into the outer normal one."""
+    th = np.geomspace(min(1e-5 * eps / R, 1e-8), np.pi, 3000)
+    dist = 2.0 * R * np.sin(th / 2.0)
+    geom = R * (1.0 - np.cos(th)) / dist
+    vals = integrand(dist, geom) * np.sin(th) ** (N - 2)
+    return sphere_area(N - 1) * R ** (N - 1) * float(simpson(vals, x=th))
 
 
 def boundary_pairing(profile, eps, R=1.0):
     """int_{boundary} U_eps d_nu(V_eps) dS for the bubble at the north pole
-    of B_R (1D polar-angle quadrature)."""
-    N = profile.pack.N
-    th = _boundary_grid(eps, R)
-    dist = 2.0 * R * np.sin(th / 2.0)
-    geom = R * (1.0 - np.cos(th)) / dist
-    integrand = (profile.U_eps(dist, eps) * profile.dV_eps(dist, eps) * geom
-                 * np.sin(th) ** (N - 2))
-    return sphere_area(N - 1) * R ** (N - 1) * float(simpson(integrand, x=th))
+    of B_R."""
+    return _boundary_integral(
+        lambda dist, geom: (profile.U_eps(dist, eps)
+                            * profile.dV_eps(dist, eps) * geom),
+        profile.pack.N, eps, R)
 
 
 def boundary_normal_norm(profile, eps, R=1.0):
     """||d_nu(U_eps)||_{L^{2(N-1)/N}} on the boundary sphere."""
     N = profile.pack.N
     expo = 2.0 * (N - 1.0) / N
-    th = _boundary_grid(eps, R)
-    dist = 2.0 * R * np.sin(th / 2.0)
-    geom = R * (1.0 - np.cos(th)) / dist
-    dU = profile.dU_eps(dist, eps)
-    vals = np.abs(dU * geom) ** expo * np.sin(th) ** (N - 2)
-    raw = sphere_area(N - 1) * R ** (N - 1) * float(simpson(vals, x=th))
+    raw = _boundary_integral(
+        lambda dist, geom: np.abs(profile.dU_eps(dist, eps) * geom) ** expo,
+        N, eps, R)
     return raw ** (1.0 / expo)
 
 
 def predicted_normal_derivative_rate(pack):
     """(slope, log_power, provenance) for ||d_nu U_eps|| on the boundary.
 
-    With U ~ r^m log(r)^l (decay_law), |d_nu U_eps|^(2(N-1)/N) integrates
+    With U ~ r^m log(r)^l (tail_law), |d_nu U_eps|^(2(N-1)/N) integrates
     on the boundary like s^(2(N-1)m/N + N-2) for eps << s << 1, which is
     1/s at m = -N/2: below, the integral converges near the bubble; above,
     the far field dominates; at m = -N/2 (N = 4 and q >= 2, or N >= 5 and
     q = (N+4)/(2(N-2))) the norm takes |log eps|^(N/(2(N-1)) + l).
     """
     N, p = pack.N, pack.p
-    m, l = decay_law(pack.q, N)
-    if m < -N / 2.0 - 1e-10:
+    m, l = tail_law(pack, "U")
+    if m < -N / 2.0 - REGIME_TOL:
         return (N / 2.0 - N / (p + 1.0), 0.0,
                 "normal-derivative trace rate, fast regime")
-    if m > -N / 2.0 + 1e-10:
+    if m > -N / 2.0 + REGIME_TOL:
         return (-m - N / (p + 1.0), float(l),
                 "normal-derivative trace rate, slow regime")
     return (N / 2.0 - N / (p + 1.0), N / (2.0 * (N - 1.0)) + l,

@@ -98,7 +98,9 @@ class ConfigError(ValueError):
 
 
 _FIELD_TYPES = {f.name: f.type for f in RunConfig.__dataclass_fields__.values()}
-_CHOICES = {"mesh_kind": list(msh.KINDS), "family": ["boundary", "interior"]}
+# the values a field takes, as a flag and as a config-file key alike
+_CHOICES = {"mesh_kind": msh.KINDS, "radial_spacing": msh.SPACINGS,
+            "family": ("boundary", "interior")}
 
 
 def parse_config_file(path, fields):
@@ -136,13 +138,16 @@ _READ = {int: int, str: str}
 
 def _coerce(key, val):
     """The config-file text `val` as the type of field `key`; ValueError
-    when it is not one."""
+    when it is not one, or not one of the field's _CHOICES."""
     typ = _FIELD_TYPES[key]
     if typ is bool:
         if val.lower() not in _BOOLS:
             raise ValueError(f"not a boolean: {val!r}")
         return _BOOLS[val.lower()]
-    return _READ.get(typ, float)(val)
+    value = _READ.get(typ, float)(val)
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ValueError(f"not one of {_CHOICES[key]}: {val!r}")
+    return value
 
 
 def build_identifier():
@@ -222,10 +227,6 @@ def cmd_bubble(cfg, report, outdir):
         "norms": {k: v for k, v in quant.items() if v is not None},
         "work": prof.work,
     })
-    report.check("tail ratios bounded",
-                 np.isfinite(prof.a) and np.isfinite(prof.b)
-                 and prof.a > 0 and prof.b > 0,
-                 f"a={prof.a:.6g} b={prof.b:.6g}")
     mU = radial_moment(prof, "U", pack.p + 1, pack.N - 1.0)
     mV = radial_moment(prof, "V", pack.q + 1, pack.N - 1.0)
     report.check("critical norms equal", abs(mU / mV - 1) < 1e-3,
@@ -235,8 +236,6 @@ def cmd_bubble(cfg, report, outdir):
 
 def _build_mesh(cfg):
     r0 = 0.0 if cfg.mesh_kind.endswith("ball") else cfg.r0
-    if cfg.mesh_kind.startswith("radial"):
-        return msh.build(cfg.mesh_kind, cfg.N, r0, cfg.R, cfg.nr)
     return msh.build(cfg.mesh_kind, cfg.N, r0, cfg.R, cfg.nr, cfg.ntheta,
                      theta_grading=cfg.theta_grading,
                      radial_spacing=cfg.radial_spacing)

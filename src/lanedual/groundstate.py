@@ -129,33 +129,20 @@ class BubbleProfile:
     # right-hand-side calls
     work: dict = field(default_factory=dict)
 
+    def tail_fit(self, which):
+        """(c, offset) of the fitted tail c r^m (log r + offset)^l of U or
+        V, with (m, l) from :func:`tail_law`."""
+        _, c, off = _TAILS[which]
+        return getattr(self, c), getattr(self, off)
+
     # -- pointwise evaluation --------------------------------------------
-    def _series(self, r, which):
-        d = self.shoot_d
-        a2, b2, a4, b4 = _series_coeffs(self.pack, d)
-        if which == "U":
-            return d + a2 * r ** 2 + a4 * r ** 4
-        if which == "V":
-            return 1.0 + b2 * r ** 2 + b4 * r ** 4
-        if which == "dU":
-            return 2 * a2 * r + 4 * a4 * r ** 3
-        return 2 * b2 * r + 4 * b4 * r ** 3
-
-    def _tail_exponents(self, which):
-        """(power m, log power l) of the fitted tail c * r^m * log(r)^l of
-        U or V."""
-        return decay_law(self.pack.q if which == "U" else self.pack.p,
-                         self.pack.N)
-
     def _tail(self, r, which):
-        c = self.b if which in ("U", "dU") else self.a
-        off = self.b_offset if which in ("U", "dU") else self.a_offset
+        base = which[-1]                # "dU" -> "U"
+        m, l = tail_law(self.pack, base)
+        c, off = self.tail_fit(base)
         lg = np.log(r)
-        if which in ("U", "V"):
-            m, l = self._tail_exponents(which)
+        if which == base:
             return c * r ** m * (lg + off) ** l if l else c * r ** m
-        base = "U" if which == "dU" else "V"
-        m, l = self._tail_exponents(base)
         if l:
             return c * r ** (m - 1) * (m * (lg + off) + 1.0)
         return c * m * r ** (m - 1)
@@ -166,8 +153,9 @@ class BubbleProfile:
         lo = r < self.r[1]  # first positive node
         hi = r > self.r_max
         mid = ~(lo | hi)
-        out[lo] = self._series(r[lo], which)
-        out[mid] = self.dense.component(_COMPONENTS.index(which), r[mid])
+        c = _COMPONENTS.index(which)
+        out[lo] = _series(self.pack, self.shoot_d, r[lo])[c]
+        out[mid] = self.dense.component(c, r[mid])
         if np.any(hi):
             out[hi] = self._tail(r[hi], which)
         return out
@@ -207,24 +195,18 @@ class BubbleProfile:
 _COMPONENTS = ("U", "dU", "V", "dV")    # the order of the state y
 
 
-def _series_coeffs(pack, d):
-    """(a2, b2, a4, b4) of the regular near-origin expansion
-    U = d + a2 r^2 + a4 r^4, V = 1 + b2 r^2 + b4 r^4."""
+def _series(pack, d, r):
+    """(U, U', V, V') at r (a float or an array) of the regular near-origin
+    expansion U = d + a2 r^2 + a4 r^4, V = 1 + b2 r^2 + b4 r^4."""
     p, q, N = pack.p, pack.q, pack.N
-    return (-1.0 / (2 * N),
-            -d ** p / (2 * N),
-            q * d ** p / (8 * N * (N + 2)),
-            p * d ** (p - 1) / (8 * N * (N + 2)))
-
-
-def _initial_state(pack, d):
-    r0 = R_START
-    a2, b2, a4, b4 = _series_coeffs(pack, d)
-    y0 = [d + a2 * r0 ** 2 + a4 * r0 ** 4,
-          2 * a2 * r0 + 4 * a4 * r0 ** 3,
-          1.0 + b2 * r0 ** 2 + b4 * r0 ** 4,
-          2 * b2 * r0 + 4 * b4 * r0 ** 3]
-    return r0, y0
+    a2 = -1.0 / (2 * N)
+    b2 = -d ** p / (2 * N)
+    a4 = q * d ** p / (8 * N * (N + 2))
+    b4 = p * d ** (p - 1) / (8 * N * (N + 2))
+    return (d + a2 * r ** 2 + a4 * r ** 4,
+            2 * a2 * r + 4 * a4 * r ** 3,
+            1.0 + b2 * r ** 2 + b4 * r ** 4,
+            2 * b2 * r + 4 * b4 * r ** 3)
 
 
 def _rhs(pack):
@@ -348,13 +330,13 @@ def _brentq(f, xa, xb, xtol):
 @dataclass
 class IvpResult:
     """One run of :func:`solve_ivp`: its final radius `t` and state `y`
-    (4 x 1), the component that stopped the run at its zero (`crossed`: 0
-    for U, 1 for V, None when the run reached the end), `nfev`, the
-    right-hand-side calls, and the run's :class:`DenseOutput` when it was
-    asked for."""
+    (a 4-tuple), the component that stopped the run at its zero
+    (`crossed`: 0 for U, 1 for V, None when the run reached the end),
+    `nfev`, the right-hand-side calls, and the run's :class:`DenseOutput`
+    when it was asked for."""
 
-    t: np.ndarray
-    y: np.ndarray
+    t: float
+    y: tuple
     crossed: int | None
     nfev: int
     dense: "DenseOutput | None" = None
@@ -440,14 +422,15 @@ def _dense_coefficients(fun, K, t_old, h, y_old, y):
             *([h * v for v in _combine(K, row)] for row in _D)]
 
 
-def _dense_value(F, t_old, h, y_old, c, t):
-    """Component c of the interpolant F at the radius t."""
-    x = (t - t_old) / h
+def _horner(rows, x, y_old):
+    """One component of the interpolant at the step fraction x (a float or
+    an array): its coefficient rows, last row first, nested in x and 1 - x
+    by turns, plus its value y_old at the step's start."""
     v = 0.0
-    for i, row in enumerate(reversed(F)):
-        v += row[c]
+    for i, row in enumerate(rows):
+        v += row
         v *= x if i % 2 == 0 else 1 - x
-    return v + y_old[c]
+    return v + y_old
 
 
 class DenseOutput:
@@ -465,15 +448,10 @@ class DenseOutput:
         self.Q = np.ascontiguousarray(F[:, ::-1].transpose(2, 1, 0))
 
     def component(self, c, t):
-        """Component c of y at the radii t, summed as :func:`_dense_value`
-        sums it."""
+        """Component c of y at the radii t."""
         k = np.searchsorted(self.t_end, t, "left")
-        x = (t - self.t_old[k]) / self.h[k]
-        v = np.zeros_like(x)
-        for i, row in enumerate(self.Q[c]):
-            v += row[k]
-            v *= x if i % 2 == 0 else 1 - x
-        return v + self.y_old[c, k]
+        return _horner((row[k] for row in self.Q[c]),
+                       (t - self.t_old[k]) / self.h[k], self.y_old[c, k])
 
     def __call__(self, t):
         """y at the radii t, as a 4 x len(t) array."""
@@ -541,17 +519,20 @@ def solve_ivp(fun, t_span, y0, rtol, dense_output=False):
             F = _dense_coefficients(fun, K, t_old, h, y_old, y)
             nfev += _N_DENSE
         if zeros:
-            roots = [_brentq(lambda r, c=2 * e: _dense_value(F, t_old, h,
-                                                              y_old, c, r),
-                             t_old, t, EVENT_XTOL)
+            rows = list(zip(*reversed(F)))  # each component's, last first
+
+            def at(t, c):
+                return _horner(rows[c], (t - t_old) / h, y_old[c])
+
+            roots = [_brentq(lambda r, c=2 * e: at(r, c), t_old, t,
+                             EVENT_XTOL)
                      for e in zeros]
             t = min(roots)
             crossed = zeros[roots.index(t)]
-            y = tuple(_dense_value(F, t_old, h, y_old, c, t)
-                      for c in range(4))
+            y = tuple(at(t, c) for c in range(4))
         if dense_output:
             steps.append((t_old, h, t, y_old, F))
-    return IvpResult(np.array([t]), np.array([y]).T, crossed, nfev,
+    return IvpResult(t, y, crossed, nfev,
                      DenseOutput(steps) if dense_output else None)
 
 
@@ -559,9 +540,8 @@ def _integrate(pack, d, r_max, rtol, work, dense_output=False):
     """One run from U(0) = d to r_max or the first zero of U or V, by the
     in-house DOP853 (:func:`solve_ivp`, scipy's step controller on Python
     floats); counts the run and its RHS calls into `work`."""
-    r0, y0 = _initial_state(pack, d)
-    sol = solve_ivp(_rhs(pack), (r0, r_max), y0, rtol=rtol,
-                    dense_output=dense_output)
+    sol = solve_ivp(_rhs(pack), (R_START, r_max), _series(pack, d, R_START),
+                    rtol=rtol, dense_output=dense_output)
     work["integrations"] += 1
     work["rhs_evals"] += sol.nfev
     return sol
@@ -579,8 +559,8 @@ def _miss(pack, d, r_max, rtol, work):
     (2.75, 1.5, 6) and (1, 9, 5), against 21 and 32.
     """
     sol = _integrate(pack, d, r_max, rtol, work)
-    U, dU, V, dV = sol.y[:, -1]
-    r = sol.t[-1]
+    U, dU, V, dV = sol.y
+    r = sol.t
     # projected flattening offsets: W + lam(r) r W' annihilates the
     # component's own decay law (c r^m, or c r^m log r in the marginal
     # regime) and retains the constant deviation mode. Classifying on the
@@ -589,8 +569,8 @@ def _miss(pack, d, r_max, rtol, work):
         lam = (1.0 / (-m)) if l == 0 else -np.log(r) / (m * np.log(r) + 1.0)
         return W + lam * r * dW
 
-    offset_U = proj(U, dU, *decay_law(pack.q, pack.N))
-    offset_V = proj(V, dV, *decay_law(pack.p, pack.N))
+    offset_U = proj(U, dU, *tail_law(pack, "U"))
+    offset_V = proj(V, dV, *tail_law(pack, "V"))
     if sol.crossed == 0:
         return -abs(offset_U)  # U crossed zero: initial slope too small
     if sol.crossed == 1:
@@ -712,7 +692,7 @@ def _profile(pack, d_star, r_max, work):
     the run stopped, and fit its constants."""
     sol = _integrate(pack, d_star, r_max, RTOL, work, dense_output=True)
     r_grid = np.geomspace(R_START, r_max, 4000)
-    r_grid = r_grid[r_grid <= sol.t[-1]]
+    r_grid = r_grid[r_grid <= sol.t]
     y = sol.dense(r_grid)
     # drop any trailing samples where the near-critical run lost positivity
     keep = (y[0] > 0) & (y[2] > 0)
@@ -743,12 +723,21 @@ def decay_law(src, N):
 
 
 def regime_label(src, N, symbol="q"):
-    crit = N / (N - 2.0)
-    if src > crit + REGIME_TOL:
-        return f"{symbol}>N/(N-2)"
-    if src < crit - REGIME_TOL:
-        return f"{symbol}<N/(N-2)"
-    return f"{symbol}=N/(N-2)"
+    """The regime of decay_law(src, N) as "<symbol>>N/(N-2)", "=" or "<"."""
+    m, l = decay_law(src, N)
+    relation = "=" if l else ">" if m == 2.0 - N else "<"
+    return f"{symbol}{relation}N/(N-2)"
+
+
+# Each component's tail is set by its source exponent, q for U and p for V,
+# and fitted as the BubbleProfile fields b, b_offset (U) and a, a_offset (V).
+_TAILS = {"U": ("q", "b", "b_offset"), "V": ("p", "a", "a_offset")}
+
+
+def tail_law(pack, which):
+    """(power m, log power l) of the tail c r^m (log r + offset)^l of U or
+    V."""
+    return decay_law(getattr(pack, _TAILS[which][0]), pack.N)
 
 
 def _fit_tail(vals, rw, m, l):
@@ -783,20 +772,20 @@ def profile_constants(profile):
     profile.regime_V = regime_label(pack.p, N, "p")
     window = (profile.r >= profile.r_max / 2.0) & (profile.r > 0)
     rw = profile.r[window]
-    mV, lV = decay_law(pack.p, N)
-    mU, lU = decay_law(pack.q, N)
-    a, a_off, drift_V = _fit_tail(profile.V[window], rw, mV, lV)
-    b, b_off, drift_U = _fit_tail(profile.U[window], rw, mU, lU)
-    for name, drift in (("V", drift_V), ("U", drift_U)):
+    fits = {which: _fit_tail(getattr(profile, which)[window], rw,
+                             *tail_law(pack, which))
+            for which in ("V", "U")}
+    for which, (_, _, drift) in fits.items():
         if drift > PLATEAU_DRIFT:
             raise TailError(
-                f"r_max too small: {name}-tail compensator drifts "
+                f"r_max too small: {which}-tail compensator drifts "
                 f"{100 * drift:.2f}% across [{rw[0]:.3g}, {rw[-1]:.3g}]")
-    profile.a, profile.a_offset = a, a_off
-    profile.b, profile.b_offset = b, b_off
-    for name, c in (("a", profile.a), ("b", profile.b)):
+    for which, (c, off, _) in fits.items():
+        _, name, off_name = _TAILS[which]
         if not (np.isfinite(c) and c > 0):
             raise TailError(f"fitted decay constant {name} = {c} invalid")
+        setattr(profile, name, c)
+        setattr(profile, off_name, off)
     moment = radial_moment(profile, "U", pack.p + 1.0, N - 1.0)
     profile.S = float((sphere_area(N) * moment) ** (2.0 / N))
 
@@ -866,23 +855,29 @@ def radial_moment(profile, which, s, k, upper=np.inf):
     fresh geometric grid.
     """
     lo = profile.r[1]
+    # [0, lo] piece: integrand ~ f(0)^s r^k
+    f0 = {"U": profile.shoot_d, "V": 1.0}[which]
     if upper <= lo:
-        f0 = {"U": profile.shoot_d, "V": 1.0}[which]
         return f0 ** s * upper ** (k + 1) / (k + 1)
     top = min(upper, profile.r_max)
     x = np.geomspace(lo, top, 4001)
-    f = profile.eval_U(x) if which == "U" else profile.eval_V(x)
-    core = simpson(f ** s * x ** k, x=x)
-    # [0, lo] piece: integrand ~ f(0)^s r^k
-    f0 = {"U": profile.shoot_d, "V": 1.0}[which]
+    core = simpson(profile._eval(x, which) ** s * x ** k, x=x)
     core += f0 ** s * lo ** (k + 1) / (k + 1)
     if upper > profile.r_max:
-        m, l = profile._tail_exponents(which)
-        c = profile.b if which == "U" else profile.a
-        off = profile.b_offset if which == "U" else profile.a_offset
+        m, l = tail_law(profile.pack, which)
+        c, off = profile.tail_fit(which)
         core += _tail_moment(c ** s, m * s + k, l * s, profile.r_max, upper,
                              off=off)
     return float(core)
+
+
+def truncated_norms(pack):
+    """The truncated L1 norms of :func:`scaled_quantities` by name, each
+    as (component W, power s, s sW): the norm of W_eps^s, where
+    W_eps = eps^(-sW) W(./eps)."""
+    p, q = pack.p, pack.q
+    return {"U_1": ("U", 1.0, pack.sp), "V_1": ("V", 1.0, pack.sq),
+            "Up_1": ("U", p, p * pack.sp), "Vq_1": ("V", q, q * pack.sq)}
 
 
 def scaled_quantities(profile, eps, R_domain=1.0):
@@ -899,17 +894,9 @@ def scaled_quantities(profile, eps, R_domain=1.0):
     N, p, q = pack.N, pack.p, pack.q
     sig = sphere_area(N)
     cut = R_domain / eps
-
-    def norm1(which, s, pref_exp):
-        return eps ** pref_exp * sig * radial_moment(profile, which, s,
-                                                     N - 1.0, upper=cut)
-
-    out = {
-        "U_1": norm1("U", 1.0, N - pack.sp),
-        "V_1": norm1("V", 1.0, N - pack.sq),
-        "Up_1": norm1("U", p, N - p * pack.sp),
-        "Vq_1": norm1("V", q, N - q * pack.sq),
-    }
+    out = {name: eps ** (N - s_w) * sig * radial_moment(
+               profile, which, s, N - 1.0, upper=cut)
+           for name, (which, s, s_w) in truncated_norms(pack).items()}
     for key, which, s in (("C1", "U", p + 1.0), ("C2", "V", q + 1.0)):
         try:
             out[key] = 0.5 * sphere_area(N - 1) * radial_moment(

@@ -26,6 +26,8 @@ from math import gamma as _gamma, pi
 import numpy as np
 
 KINDS = ("radial-annulus", "radial-ball", "axisym-annulus", "axisym-ball")
+# radial node spacings of build(); equal-volume cells are build_equal_volume's
+SPACINGS = ("uniform", "boundary")
 
 
 def unit_ball_volume(N):
@@ -246,17 +248,14 @@ class Mesh:
 
 
 def _radial_nodes(r0, R, nr, spacing, grade):
+    if spacing not in SPACINGS:
+        raise ValueError(f"unknown radial spacing {spacing!r}")
     if spacing == "uniform":
         r = np.linspace(r0, R, nr)
-    elif spacing == "boundary":
+    else:
         # cluster nodes toward r = R with power `grade`
         r = R - (R - r0) * (1.0 - np.linspace(0.0, 1.0, nr)) ** grade
         r[0], r[-1] = r0, R
-    elif spacing == "equal-volume":
-        # cell-centered: n cells of identical N-volume, nodes at centroids
-        raise ValueError("equal-volume spacing requires build_equal_volume()")
-    else:
-        raise ValueError(f"unknown radial spacing {spacing!r}")
     return r, np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
 
 

@@ -48,9 +48,13 @@ def test_config_file_rejects_unknown_key(tmp_path):
     (["bubble", "--nr", "8"], None),         # a field bubble does not read
     (["--config", "{cfg}", "bubble"], "seed = 9\n"),     # the same, as a key
     (["--config", "{cfg}", "bubble"], "subcommand = solve\n"),
+    (["--config", "{cfg}", "solve"], "mesh_kind = bogus\n"),  # not a choice
+    (["--config", "{cfg}", "probe-cherrier"], "family = bogus\n"),
+    (["solve", "--radial-spacing", "nonsense"], None),
 ], ids=["unknown-flag", "bad-flag-value", "removed-flag", "missing-file",
         "bad-file-value", "removed-key", "bad-file-bool", "unread-flag",
-        "unread-key", "subcommand-key"])
+        "unread-key", "subcommand-key", "bad-file-mesh", "bad-file-family",
+        "bad-radial-spacing"])
 def test_bad_configuration_exits_4(tmp_path, capsys, args, cfg_text):
     cfg = tmp_path / "run.cfg"
     if cfg_text is not None:
@@ -64,6 +68,14 @@ def test_bad_configuration_exits_4(tmp_path, capsys, args, cfg_text):
     if cfg_text is not None:
         assert f"{cfg}:1: " in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["radial-annulus", "axisym-annulus"])
+def test_radial_spacing_is_read_on_every_mesh(kind):
+    spacings = [np.diff(cli._build_mesh(cli.RunConfig(
+        subcommand="solve", p=2.0, N=6, mesh_kind=kind, nr=64, ntheta=32,
+        radial_spacing=spacing)).r) for spacing in ("uniform", "boundary")]
+    assert np.ptp(spacings[0]) < 1e-12 < np.ptp(spacings[1])
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

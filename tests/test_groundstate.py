@@ -191,8 +191,8 @@ def test_shoot_integration_count(monkeypatch, pqN, count):
 
 def projected_offset_difference(pack, sol):
     """Reference c0 of a run that reached r_max."""
-    U, dU, V, dV = sol.y[:, -1]
-    r = sol.t[-1]
+    U, dU, V, dV = sol.y
+    r = sol.t
 
     def proj(W, dW, src):
         m, l = gs.decay_law(src, pack.N)
@@ -251,7 +251,7 @@ def run_both(pqN, d, r_end, dense_output=False, t_eval=None):
     """The run of the shooter from U(0) = d through gs.solve_ivp, and the
     same run through scipy's solve_ivp (which alone takes t_eval)."""
     pack = derived_constants(*pqN)
-    r0, y0 = gs._initial_state(pack, d)
+    r0, y0 = gs.R_START, gs._series(pack, d, gs.R_START)
 
     def ev_U(r, y):
         return y[0]
@@ -273,13 +273,13 @@ def test_dop853_steps_as_scipy(pqN):
     ours, ref = run_both(pqN, SCIPY_D_STAR[pqN], 4.0)
     assert ref.status == 0 and ours.crossed is None
     assert ours.nfev == ref.nfev and isinstance(ours.nfev, int)
-    assert np.max(np.abs(ours.y[:, -1] / ref.y[:, -1] - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.array(ours.y) / ref.y[:, -1] - 1.0)) <= 1e-12
 
 
 def test_dop853_without_t_eval_keeps_the_final_state():
     ours, ref = run_both((2.0, 2.0, 6), SCIPY_D_STAR[(2.0, 2.0, 6)], 4.0)
-    assert ours.t.shape == (1,) and ours.y.shape == (4, 1)
-    assert ours.t[0] == 4.0 == ref.t[-1]
+    assert type(ours.t) is float and len(ours.y) == 4
+    assert ours.t == 4.0 == ref.t[-1]
     assert ours.dense is None
 
 
@@ -292,7 +292,7 @@ def test_dop853_crossing_as_scipy(pqN, shift):
     crossed = 1 if shift > 0 else 0
     assert ours.crossed == crossed
     assert [te.size for te in ref.t_events] == [crossed == 0, crossed == 1]
-    assert ours.t[-1] == pytest.approx(ref.t_events[crossed][0], rel=1e-10)
+    assert ours.t == pytest.approx(ref.t_events[crossed][0], rel=1e-10)
 
 
 @pytest.mark.parametrize("pqN", SCIPY_D_STAR)
@@ -439,6 +439,31 @@ def test_regime_labels(profile226, profile334, profile195):
     assert profile226.regime == "q>N/(N-2)"  # 2 > 6/4
     assert profile334.regime == "q>N/(N-2)"
     assert profile195.regime == "q>N/(N-2)"  # 9 > 5/3
+
+
+@pytest.mark.parametrize("profile", ["profile195", "profile_log6"])
+def test_fitted_constants_belong_to_their_components(profile, request):
+    # b, b_offset fit U's tail, whose law q sets; a, a_offset fit V's (p)
+    prof = request.getfixturevalue(profile)
+    pack, r = prof.pack, prof.r[-1]
+    for W, c, off, src in ((prof.U, prof.b, prof.b_offset, pack.q),
+                           (prof.V, prof.a, prof.a_offset, pack.p)):
+        m, l = gs.decay_law(src, pack.N)
+        law = c * r ** m * (np.log(r) + off) ** l
+        assert W[-1] == pytest.approx(law, rel=gs.PLATEAU_DRIFT)
+
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_regime_edges(N):
+    # within REGIME_TOL of N/(N-2) the tail is marginal; beyond it, not
+    crit = N / (N - 2.0)
+    for shift, relation in ((-2.0, "<"), (-0.5, "="), (0.5, "="), (2.0, ">")):
+        src = crit + shift * gs.REGIME_TOL
+        m, l = gs.decay_law(src, N)
+        if relation == "<":
+            assert (m, l) == (2.0 - src * (N - 2.0), 0) and m > 2.0 - N
+        else:
+            assert (m, l) == (2.0 - N, int(relation == "="))
+        assert gs.regime_label(src, N, "p") == f"p{relation}N/(N-2)"
 
 
 def test_S_explicit_value(profile334):
