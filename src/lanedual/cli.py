@@ -24,6 +24,12 @@ on a radial mesh do not. solve, symmetry and verify load the dual layer
 asymptotics (scipy.special). So bubble, sweep and probe-cherrier load
 neither scipy.sparse nor scipy.linalg, and no command loads
 scipy.integrate, scipy.interpolate or scipy.optimize.
+
+Before numpy is imported, this module sets OPENBLAS_NUM_THREADS to 1
+unless the environment already sets it: one BLAS thread makes the
+commands' small dense solves far faster and their start-up shorter, and
+no result depends on the thread count. `import lanedual` alone sets
+nothing.
 """
 
 import argparse
@@ -33,6 +39,9 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+
+# must run before numpy loads OpenBLAS (see Start-up above)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -835,6 +835,8 @@ def _tail_moment(c, m, l, lo, hi, off=0.0):
         return c * (top - lo ** mp) / mp
     if l == 1:
         mp = m + 1.0
+        if abs(mp) < 1e-13:  # marginal moment: exact log-squared primitive
+            return c * ((np.log(hi) + off) ** 2 - (np.log(lo) + off) ** 2) / 2
 
         def F(x):
             return x ** mp * ((np.log(x) + off) / mp - 1.0 / mp ** 2)

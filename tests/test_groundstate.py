@@ -595,6 +595,21 @@ def test_tail_divergence_error_direct(profile226):
         radial_moment(profile226, "U", 1.0, 10.0)
 
 
+def test_marginal_log_tail_moment_against_quadrature(profile_log6):
+    # (2.75, 1.5, 6): U ~ r^-4 (log r + off), so the r^3 moment's tail
+    # integrand is (log r + off)/r, whose primitive is (log r + off)^2/2
+    prof = profile_log6
+    val = radial_moment(prof, "U", 1.0, 3.0, upper=1e3)
+
+    def f(r):
+        return prof.eval_U(r)[0] * r ** 3
+
+    cuts = (0.0, 1.0, 10.0, 100.0, prof.r_max, 1e3)
+    ref = sum(quad(f, a, b, epsrel=1e-12, limit=200)[0]
+              for a, b in zip(cuts[:-1], cuts[1:]))
+    assert val == pytest.approx(ref, rel=1e-9)
+
+
 def test_csv_export(tmp_path, profile334):
     path = tmp_path / "profile.csv"
     profile334.to_csv(path)

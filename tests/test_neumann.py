@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from lanedual import mesh as msh
@@ -34,23 +36,29 @@ def test_solve_K_rejects_nonzero_mean(solver):
         solver.check_mean(h + 1e-6)
 
 
-def test_factorization_fill_on_axisym_mesh():
-    # minimum-degree ordering of the bordered matrix; SuperLU's default
-    # COLAMD gives L+U 425,822 nonzeros here
-    sol = NeumannSolver(msh.build("axisym-ball", 6, 0.0, 1.0, 96, 72))
-    assert sol._lu.L.nnz + sol._lu.U.nnz <= 300_000
-
-
 AXISYM_MESHES = {
     "ball-96x72": dict(kind="axisym-ball", N=6, r0=0.0, R=1.0, nr=96,
                        ntheta=72),
     "annulus-96x72": dict(kind="axisym-annulus", N=6, r0=1.0, R=2.0,
                           nr=96, ntheta=72),
+    "annulus-144x108": dict(kind="axisym-annulus", N=6, r0=1.0, R=2.0,
+                            nr=144, ntheta=108),
     # the graded mesh of acceptance criterion 5
     "graded-ball-160x160": dict(kind="axisym-ball", N=6, r0=0.0, R=1.0,
                                 nr=160, ntheta=160, theta_grading=2.0,
                                 radial_spacing="boundary", radial_grade=2.0),
 }
+# L+U fill of a minimum-degree order of the whole bordered matrix
+FILL_AT_MOST = {"ball-96x72": 245_328, "annulus-144x108": 636_494,
+                "graded-ball-160x160": 1_175_854}
+
+
+def test_factorization_fill_on_axisym_mesh():
+    # minimum-degree order of the stiffness matrix with the border last;
+    # SuperLU's default COLAMD gives L+U 425,822 nonzeros on the ball
+    for name, most in FILL_AT_MOST.items():
+        lu = NeumannSolver(msh.build(**AXISYM_MESHES[name]))._lu
+        assert lu.L.nnz + lu.U.nnz <= most, name
 
 
 @pytest.fixture(scope="module", params=list(AXISYM_MESHES))
@@ -58,11 +66,10 @@ def axisym_solver(request):
     return NeumannSolver(msh.build(**AXISYM_MESHES[request.param]))
 
 
-def test_solve_K_residual_and_self_adjointness_on_axisym_meshes(
-        axisym_solver):
-    # the bordered solve meets A u = W h to roundoff (measured 5e-15,
-    # 2e-14 and 1.9e-12 here), and K is symmetric in the w inner product
-    sol = axisym_solver
+def _assert_residual_and_self_adjointness(sol):
+    # the bordered solve meets A u = W h to roundoff (measured 4e-15 to
+    # 1.4e-12 on the axisymmetric meshes, 3e-14 to 2.4e-12 on the radial
+    # ones), and K is symmetric in the w inner product
     m = sol.mesh
     rng = np.random.default_rng(0)
     h = rng.standard_normal(m.nnodes)
@@ -75,6 +82,35 @@ def test_solve_K_residual_and_self_adjointness_on_axisym_meshes(
     assert resid <= 1e-11 * np.max(np.abs(Wh))
     lhs, rhs = m.inner(h, Kg), m.inner(g, Kh)
     assert abs(lhs - rhs) <= 1e-13 * (abs(lhs) + abs(rhs))
+
+
+def test_solve_K_residual_and_self_adjointness_on_axisym_meshes(
+        axisym_solver):
+    _assert_residual_and_self_adjointness(axisym_solver)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: msh.build("radial-annulus", 4, 1.0, 2.0, 256),
+    lambda: msh.build("radial-ball", 6, 0.0, 1.0, 257,
+                      radial_spacing="boundary"),
+    lambda: msh.build_equal_volume(4, 1.0, 2.0, 200),
+], ids=["radial-annulus", "graded-radial-ball", "equal-volume"])
+def test_solve_K_residual_and_self_adjointness_on_radial_meshes(build):
+    _assert_residual_and_self_adjointness(NeumannSolver(build()))
+
+
+def test_solve_K_matches_whole_matrix_order(axisym_solver):
+    # reference: the bordered matrix factored whole, its columns ordered by
+    # minimum degree on the pattern of B^T + B
+    m = axisym_solver.mesh
+    wcol = sp.csc_matrix(m.w.reshape(-1, 1))
+    B = sp.bmat([[m.stiffness(), wcol], [wcol.T, None]], format="csc")
+    ref_lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", relax=1)
+    h = np.random.default_rng(0).standard_normal(m.nnodes)
+    h -= m.mean(h)
+    ref = ref_lu.solve(np.append(m.w * h, 0.0))[:-1]
+    Kh = axisym_solver.solve_K(h)
+    assert np.max(np.abs(Kh - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_solve_K_inverts_manufactured_laplacian(annulus, solver):

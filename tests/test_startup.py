@@ -31,6 +31,57 @@ def _modules_after(code, cwd):
     return set(json.loads(out.stdout.splitlines()[-1]))
 
 
+# records OPENBLAS_NUM_THREADS as it stands when numpy is first imported
+BLAS_SPY = """
+import os, sys
+at_numpy = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy:
+            at_numpy.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+before = dict(os.environ)
+"""
+
+
+def _blas_env_after(code, cwd, **env):
+    """(OPENBLAS_NUM_THREADS when numpy was first imported, or None if it
+    was not, the environment before `code` and after it) in a fresh
+    interpreter whose environment sets no OPENBLAS_NUM_THREADS beyond
+    `env`."""
+    base = {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"{BLAS_SPY}{code}\nimport json\n"
+         "print(json.dumps([at_numpy[0] if at_numpy else None, before, "
+         "dict(os.environ)]))"],
+        capture_output=True, text=True, env=dict(base, **env), cwd=cwd,
+        check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_defaults_to_one_blas_thread(tmp_path):
+    at_numpy, _, after = _blas_env_after("import lanedual.cli", tmp_path)
+    assert at_numpy == "1"
+    assert after["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_cli_import_keeps_an_explicit_blas_thread_count(tmp_path):
+    at_numpy, _, after = _blas_env_after("import lanedual.cli", tmp_path,
+                                         OPENBLAS_NUM_THREADS="2")
+    assert at_numpy == "2"
+    assert after["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_package_import_leaves_the_environment_alone(tmp_path):
+    at_numpy, before, after = _blas_env_after("import lanedual", tmp_path)
+    assert at_numpy is None
+    assert after == before
+
+
 def test_package_import_loads_no_scipy(tmp_path):
     loaded = _modules_after("import lanedual", tmp_path)
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
