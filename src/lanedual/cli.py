@@ -9,11 +9,12 @@ the config fields it read, results, invariant pass/fail list, timings)
 plus CSV artifacts into the output directory.
 
 SUBCOMMANDS names the RunConfig fields each subcommand reads: these alone
-are its flags and config-file keys (key=value text, overridden by flags).
-A fixed seed makes runs byte-identical up to the timing fields. Exit
-codes: 0 pass, 2 invariant failure, 3 numerical/convergence failure, 4
-config error (a flag or key the subcommand does not read, a bad value such
-as restarts < 1, an unreadable config file).
+are its flags and config-file keys (key=value text, overridden by flags);
+solve's mesh kind skips the _PER_MESH fields it does not read. A fixed
+seed makes runs byte-identical up to the timing fields. Exit codes: 0
+pass, 2 invariant failure, 3 numerical/convergence failure, 4 config error
+(a flag or key the run does not read, a bad value such as restarts < 1,
+an unreadable config file).
 
 Start-up: this module loads mesh and exponents (numpy only); each
 subcommand imports the rest in its own body. bubble, sweep,
@@ -100,6 +101,13 @@ class RunConfig:
 
     def eps_grid(self):
         return np.geomspace(self.eps_hi, self.eps_lo, self.eps_count)
+
+    def read(self):
+        """The fields this run reads: its subcommand's, less the _PER_MESH
+        fields that solve's mesh kind does not read."""
+        return tuple(key for key in SUBCOMMANDS[self.subcommand][1]
+                     if self.subcommand != "solve" or key not in _PER_MESH
+                     or _PER_MESH[key] in self.mesh_kind)
 
 
 class ConfigError(ValueError):
@@ -365,7 +373,7 @@ def cmd_verify(cfg, report, outdir):
 _SWEEP = ("p", "q", "N", "R", "r_max", "eps_hi", "eps_lo", "eps_count")
 # Each subcommand's body and the RunConfig fields it reads, in declaration
 # order. These fields are its flags, its config-file keys and its report's
-# config echo.
+# config echo; RunConfig.read() drops the per-mesh ones a mesh kind skips.
 SUBCOMMANDS = {
     "bubble": (cmd_bubble, ("p", "q", "N", "R", "r_max", "outdir")),
     "solve": (cmd_solve, ("p", "q", "N", "mesh_kind", "r0", "R", "nr",
@@ -379,6 +387,10 @@ SUBCOMMANDS = {
 }
 # the bodies alone, a flat table that bench/tracing.py wraps in place
 COMMANDS = {name: body for name, (body, _) in SUBCOMMANDS.items()}
+# solve fields read only on the mesh kinds whose names hold the word: only
+# an annulus has r0, only an axisym mesh a theta grid and a shoot for S
+_PER_MESH = {"r0": "annulus", "ntheta": "axisym", "theta_grading": "axisym",
+             "r_max": "axisym"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,7 +431,12 @@ def config_from_args(argv):
     for key in read:
         if getattr(ns, key) is not None:
             values[key] = getattr(ns, key)
-    return RunConfig(subcommand=ns.subcommand, **values)
+    cfg = RunConfig(subcommand=ns.subcommand, **values)
+    unread = [key for key in values if key not in cfg.read()]
+    if unread:
+        raise ConfigError(f"{cfg.subcommand} --mesh {cfg.mesh_kind} does not "
+                          f"read {', '.join(unread)}")
+    return cfg
 
 
 def run(cfg):
@@ -427,7 +444,7 @@ def run(cfg):
     outdir = os.environ.get("LANEDUAL_OUTDIR", cfg.outdir)
     outdir = os.path.join(outdir, cfg.subcommand)
     os.makedirs(outdir, exist_ok=True)
-    read = ("subcommand",) + SUBCOMMANDS[cfg.subcommand][1]
+    read = ("subcommand",) + cfg.read()
     report = Report(config={key: getattr(cfg, key) for key in read})
     t0 = time.time()
     try:

@@ -7,14 +7,15 @@ sin^{N-2}(theta) and the face coefficients of the finite-volume operators.
 The discretization is finite-volume with node-centered cells:
 
 * quadrature weights are exact cell volumes, so sum(w) is the exact domain
-  volume and the divergence identity integrate(laplacian(u)) ==
-  boundary_flux(u) holds to roundoff by telescoping;
-* the stiffness matrix (weak Laplacian with natural boundary conditions) is
-  symmetric with kernel spanned by constants, which the Neumann solver and
-  the dual quotient rely on;
-* the strong Laplacian adds one-sided second-order wall fluxes on the
-  radial boundaries, and the theta-pole rows are automatically regularized
-  because the angular density sin^{N-2}(theta) vanishes there.
+  volume;
+* the stiffness matrix A (weak Laplacian with natural boundary conditions)
+  is symmetric with kernel spanned by constants, which the Neumann solver
+  and the dual quotient rely on;
+* the strong Laplacian is A's cell balance, -(A u) / w: wall rows carry
+  zero flux through the wall (the Neumann condition), so
+  integrate(laplacian(u)) == 0 to roundoff. They are first-order, interior
+  rows second-order, and the PDE residual gate reads interior rows only;
+  the theta-pole rows are regular because sin^{N-2}(theta) vanishes there.
 
 Only the functions that build sparse matrices import scipy.sparse, so
 the shooter, which reads sphere_area here, starts without it.
@@ -54,15 +55,7 @@ def _cell_integrals(faces, dens):
     return (half * gw * dens(mid + half * gx)).sum(axis=1)
 
 
-def _one_sided_deriv_row(x0, x1, x2):
-    """Weights of the 3-point one-sided first derivative at x0."""
-    c0 = (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2))
-    c1 = (x0 - x2) / ((x1 - x0) * (x1 - x2))
-    c2 = (x0 - x1) / ((x2 - x0) * (x2 - x1))
-    return np.array([c0, c1, c2])
-
-
-def _stiffness_1d(x, faces, face_coeff):
+def _stiffness_1d(x, face_coeff):
     """Tridiagonal FV stiffness: faces carry coefficient/dist couplings."""
     import scipy.sparse as sp
     n = len(x)
@@ -85,11 +78,7 @@ class Mesh:
     faces_theta: np.ndarray | None
     w: np.ndarray                 # quadrature weights, flattened C-order (r slow)
     cell_centered: bool = False
-    # cell integrals of r^(N-1) and sin^(N-2)(theta) (build() meshes):
-    # w = sphere_area(N-1) kron(wr, wt) on axisym meshes, sphere_area(N) wr
-    # on radial ones
-    wr: np.ndarray | None = None
-    wt: np.ndarray | None = None
+    wt: np.ndarray | None = None  # cell integrals of sin^(N-2)(theta)
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic geometry -------------------------------------------------
@@ -130,19 +119,14 @@ class Mesh:
             return np.asarray(values)
         return np.asarray(values).reshape(self.nr, self.ntheta)
 
-    def boundary_masks(self):
-        """(inner, outer) boolean masks over flattened nodes at r=r0, r=R."""
-        inner = np.zeros(self.nnodes, dtype=bool)
-        outer = np.zeros(self.nnodes, dtype=bool)
-        if not self.cell_centered:  # the first and last ring of nodes
-            if self.r0 > 0.0:
-                inner[:self.ntheta] = True
-            outer[-self.ntheta:] = True
-        return inner, outer
-
     def interior_mask(self):
-        inner, outer = self.boundary_masks()
-        return ~(inner | outer)
+        """False on the radial walls' rings of nodes (r = 0 is no wall)."""
+        mask = np.ones(self.nnodes, dtype=bool)
+        if not self.cell_centered:
+            if self.r0 > 0.0:
+                mask[:self.ntheta] = False
+            mask[-self.ntheta:] = False
+        return mask
 
     # -- quadrature -----------------------------------------------------
     def integrate(self, u):
@@ -175,69 +159,18 @@ class Mesh:
         N = self.N
         if not self.is_axisym:
             coeff = sphere_area(N) * self.faces_r[1:-1] ** (N - 1)
-            return _stiffness_1d(self.r, self.faces_r, coeff)
+            return _stiffness_1d(self.r, coeff)
         s = sphere_area(N - 1)
         wr3 = _cell_integrals(self.faces_r, lambda x: x ** (N - 3.0))
-        Ar = _stiffness_1d(self.r, self.faces_r, self.faces_r[1:-1] ** (N - 1.0))
-        At = _stiffness_1d(self.theta, self.faces_theta,
+        Ar = _stiffness_1d(self.r, self.faces_r[1:-1] ** (N - 1.0))
+        At = _stiffness_1d(self.theta,
                            np.sin(self.faces_theta[1:-1]) ** (N - 2.0))
         return s * (sp.kron(Ar, sp.diags(self.wt)) + sp.kron(sp.diags(wr3), At))
 
-    def _wall_flux_matrix(self):
-        """Sparse operator returning one-sided wall fluxes (outer minus not;
-        signed as d/dr so that sum(w * laplacian(u)) telescopes exactly)."""
-        if "wall" in self._cache:
-            return self._cache["wall"]
-        import scipy.sparse as sp
-        n, nt = self.nnodes, self.ntheta
-        M = sp.csr_matrix((n, n))
-        if not self.cell_centered and self.nr >= 3:
-            N, r = self.N, self.r
-            # wall area per theta ring at unit radius
-            ring = (sphere_area(N - 1) * self.wt if self.is_axisym
-                    else np.array([sphere_area(N)]))
-            # (wall row, step into the domain, radius, one-sided stencil)
-            walls = [(self.nr - 1, -1, self.R,
-                      _one_sided_deriv_row(r[-1], r[-2], r[-3]))]
-            if self.r0 > 0.0:
-                walls.append((0, 1, self.r0,
-                              _one_sided_deriv_row(r[0], r[1], r[2])))
-            j, k = np.arange(nt), np.arange(3)[:, None]
-            rows, cols, vals = [], [], []
-            for i, step, rad, stencil in walls:
-                rows.append(np.broadcast_to(i * nt + j, (3, nt)))
-                cols.append((i + step * k) * nt + j)
-                vals.append(ring * rad ** (N - 1) * stencil[:, None])
-            M = sp.coo_matrix(
-                (np.concatenate(vals, axis=None),
-                 (np.concatenate(rows, axis=None),
-                  np.concatenate(cols, axis=None))), shape=(n, n)).tocsr()
-        self._cache["wall"] = M
-        return self._cache["wall"]
-
     def laplacian(self, u):
-        """Strong discrete Laplacian of a nodal field (all rows Delta-valued).
-
-        Interior rows are the second-order FV stencil; radial wall rows close
-        the cell balance with the one-sided second-order wall derivative, so
-        the discrete divergence identity is exact.
-        """
-        u = np.ravel(u)
-        flux_div = -self.stiffness() @ u
-        wall = self._wall_flux_matrix() @ u
-        # outer wall adds +flux, inner wall subtracts (outward at r0 is -r^)
-        sgn = np.ones(self.nnodes)
-        inner, _ = self.boundary_masks()
-        sgn[inner] = -1.0
-        return (flux_div + sgn * wall) / self.w
-
-    def boundary_flux(self, u):
-        """Discrete integral of d_nu(u) over the boundary, compatible with
-        laplacian() so that integrate(laplacian(u)) == boundary_flux(u)."""
-        u = np.ravel(u)
-        wall = self._wall_flux_matrix() @ u
-        inner, outer = self.boundary_masks()
-        return float(wall[outer].sum() - wall[inner].sum())
+        """Strong discrete Laplacian of a nodal field: the cell balance
+        -(A u) / w, with zero flux through the walls (module docstring)."""
+        return -(self.stiffness() @ np.ravel(u)) / self.w
 
     def gradient_r(self, u):
         """Central-difference radial derivative (one-sided at the ends)."""
@@ -247,20 +180,20 @@ class Mesh:
         return np.gradient(U, self.r)
 
 
-def _radial_nodes(r0, R, nr, spacing, grade):
+def _radial_nodes(r0, R, nr, spacing):
     if spacing not in SPACINGS:
         raise ValueError(f"unknown radial spacing {spacing!r}")
     if spacing == "uniform":
         r = np.linspace(r0, R, nr)
     else:
-        # cluster nodes toward r = R with power `grade`
-        r = R - (R - r0) * (1.0 - np.linspace(0.0, 1.0, nr)) ** grade
+        # cluster nodes toward r = R with power 2
+        r = R - (R - r0) * (1.0 - np.linspace(0.0, 1.0, nr)) ** 2.0
         r[0], r[-1] = r0, R
     return r, np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
 
 
 def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
-          radial_spacing="uniform", radial_grade=2.0):
+          radial_spacing="uniform"):
     """Build a mesh of the given kind.
 
     kind is one of radial-annulus, radial-ball, axisym-annulus, axisym-ball.
@@ -288,7 +221,7 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
     if axisym and (ntheta is None or ntheta < 32):
         raise ValueError(f"ntheta = {ntheta} under-resolved (need >= 32)")
 
-    r, faces_r = _radial_nodes(r0, R, nr, radial_spacing, radial_grade)
+    r, faces_r = _radial_nodes(r0, R, nr, radial_spacing)
     wr = _cell_integrals(faces_r, lambda x: x ** (N - 1.0))
     if axisym:
         if theta_grading == 1.0:
@@ -299,9 +232,9 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
         faces_t = np.concatenate([[0.0], 0.5 * (th[1:] + th[:-1]), [pi]])
         wt = _cell_integrals(faces_t, lambda x: np.sin(x) ** (N - 2.0))
         w = sphere_area(N - 1) * np.kron(wr, wt)
-        return Mesh(kind, N, r0, R, r, faces_r, th, faces_t, w, wr=wr, wt=wt)
+        return Mesh(kind, N, r0, R, r, faces_r, th, faces_t, w, wt=wt)
     w = sphere_area(N) * wr
-    return Mesh(kind, N, r0, R, r, faces_r, None, None, w, wr=wr)
+    return Mesh(kind, N, r0, R, r, faces_r, None, None, w)
 
 
 def build_equal_volume(N, r0, R, n):

@@ -228,7 +228,7 @@ def test_boundary_term_sweep_biharmonic_flat_rate(profile195):
 @pytest.fixture(scope="module")
 def ball_solver_226():
     m = msh.build("axisym-ball", 6, 0.0, 1.0, 96, 72, theta_grading=2.0,
-                  radial_spacing="boundary", radial_grade=2.0)
+                  radial_spacing="boundary")
     return NeumannSolver(m)
 
 

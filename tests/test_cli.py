@@ -78,6 +78,56 @@ def test_radial_spacing_is_read_on_every_mesh(kind):
     assert np.ptp(spacings[0]) < 1e-12 < np.ptp(spacings[1])
 
 
+@pytest.mark.parametrize("args, cfg_text, named", [
+    (["solve", "--mesh", "radial-annulus", "--nr", "64", "--restarts", "1",
+      "--ntheta", "9"], None, "ntheta"),
+    (["solve", "--mesh", "axisym-ball", "--r0", "0.5"], None, "r0"),
+    (["--config", "{cfg}", "solve"], "theta_grading = 2\n",
+     "theta_grading"),
+    # the flag's mesh kind wins over the file's, and it reads no ntheta
+    (["--config", "{cfg}", "solve", "--mesh", "radial-ball"],
+     "mesh_kind = axisym-ball\nntheta = 32\n", "ntheta"),
+], ids=["ntheta-radial", "r0-axisym-ball", "key-theta-grading-radial",
+        "key-ntheta-flag-mesh"])
+def test_a_field_the_mesh_kind_does_not_read_exits_4(tmp_path, capsys, args,
+                                                    cfg_text, named):
+    cfg = tmp_path / "run.cfg"
+    if cfg_text is not None:
+        cfg.write_text(cfg_text)
+    code = cli.main([arg.format(cfg=cfg) for arg in args]
+                    + ["--p", "2", "--N", "6",
+                       "--outdir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solve --mesh ")
+    assert err.endswith(f" does not read {named}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, skipped", [
+    ("radial-annulus", {"ntheta", "theta_grading", "r_max"}),
+    ("radial-ball", {"r0", "ntheta", "theta_grading", "r_max"}),
+    ("axisym-annulus", set()),
+    ("axisym-ball", {"r0"})])
+def test_solve_reads_the_fields_of_its_mesh_kind(kind, skipped):
+    read = cli.RunConfig(subcommand="solve", mesh_kind=kind).read()
+    assert read == tuple(key for key in cli.SUBCOMMANDS["solve"][1]
+                         if key not in skipped)
+    # every other subcommand reads its whole list, whatever mesh_kind holds
+    assert cli.RunConfig(subcommand="symmetry", mesh_kind=kind).read() == (
+        cli.SUBCOMMANDS["symmetry"][1])
+
+
+def test_solve_echoes_only_the_fields_its_mesh_kind_reads(tmp_path):
+    code, report, _ = run_cli(
+        ["solve", "--p", "2", "--N", "6", "--mesh", "radial-ball", "--R", "1",
+         "--nr", "64", "--restarts", "1"], tmp_path)
+    assert code == cli.EXIT_OK
+    assert list(report["config"]) == [
+        "subcommand", "p", "q", "N", "mesh_kind", "R", "nr",
+        "radial_spacing", "restarts", "seed", "outdir"]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_restarts_below_1_is_config_error(tmp_path, capsys, value):
     # rejected before any work runs, not run as the eigenfunction alone

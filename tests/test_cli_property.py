@@ -1,7 +1,7 @@
 """Property tests of the configuration paths: for each subcommand, flags and
 a config file give the same RunConfig, a flag overrides the file, and a
-field the subcommand does not read is a config error either way. No
-subcommand body runs.
+field the subcommand (or solve's mesh kind) does not read is a config
+error either way. No subcommand body runs.
 
 Needs hypothesis (the `test` extra); the module is skipped without it.
 """
@@ -46,6 +46,16 @@ def _values(data, keys):
     return {key: data.draw(_value(key)) for key in chosen}
 
 
+def _read(sub, *parts):
+    """Each of `parts`, less the fields that the run they make together,
+    later parts overriding earlier ones, does not read (solve's per-mesh
+    fields)."""
+    merged = {key: value for part in parts for key, value in part.items()}
+    read = cli.RunConfig(subcommand=sub, **merged).read()
+    return [{key: value for key, value in part.items() if key in read}
+            for part in parts]
+
+
 def _flags(values):
     """`values` as flags; a false boolean is the flag left out."""
     argv = []
@@ -77,7 +87,7 @@ SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 @SETTINGS
 @given(data=st.data())
 def test_flags_and_file_give_the_same_config(sub, data):
-    values = _values(data, cli.SUBCOMMANDS[sub][1])
+    values, = _read(sub, _values(data, cli.SUBCOMMANDS[sub][1]))
     expected = cli.RunConfig(subcommand=sub, **values)
     with tempfile.TemporaryDirectory() as tmp:
         from_file = cli.config_from_args(
@@ -91,7 +101,7 @@ def test_flags_and_file_give_the_same_config(sub, data):
 @given(data=st.data())
 def test_a_flag_overrides_the_file(sub, data):
     read = cli.SUBCOMMANDS[sub][1]
-    in_file, in_flags = _values(data, read), _values(data, read)
+    in_file, in_flags = _read(sub, _values(data, read), _values(data, read))
     given_flags = {key: value for key, value in in_flags.items()
                    if value is not False}
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,4 +130,27 @@ def test_a_field_not_read_exits_4_before_any_output(sub, data):
             code = cli.main(argv + ["--outdir", outdir])
         assert code == cli.EXIT_CONFIG
         assert err.getvalue().startswith("config error: ")
+        assert not os.path.exists(outdir)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_a_field_the_mesh_kind_does_not_read_exits_4_before_any_output(data):
+    kind, key = data.draw(st.sampled_from(
+        [(kind, key) for kind in cli._CHOICES["mesh_kind"]
+         for key, word in cli._PER_MESH.items() if word not in kind]))
+    values = {"mesh_kind": kind, key: data.draw(_value(key))}
+    as_key = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = os.path.join(tmp, "out")
+        if as_key:
+            argv = ["--config", _config_file(tmp, values), "solve"]
+        else:
+            argv = ["solve", *_flags(values)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--p", "2", "--outdir", outdir])
+        assert code == cli.EXIT_CONFIG
+        assert err.getvalue() == (f"config error: solve --mesh {kind} does "
+                                  f"not read {key}\n")
         assert not os.path.exists(outdir)

@@ -98,17 +98,39 @@ def test_norm_rejects_s_below_one():
 
 
 @pytest.mark.parametrize("kind,nt", [("radial-annulus", None),
-                                     ("axisym-annulus", 56)])
+                                     ("axisym-annulus", 56),
+                                     ("radial-ball", None),
+                                     ("axisym-ball", 56)])
 def test_divergence_identity(kind, nt):
-    m = msh.build(kind, 5, 1.0, 2.0, 96, nt)
+    # the wall rows carry zero flux through the wall, so the cell balances
+    # telescope to zero
+    r0 = 0.0 if kind.endswith("ball") else 1.0
+    m = msh.build(kind, 5, r0, 2.0, 96, nt)
     rr = m.node_r()
     u = np.cos(2.0 * rr) * rr
     if m.is_axisym:
         u = u * (1.0 + 0.3 * np.cos(m.node_theta()))
-    lhs = m.integrate(m.laplacian(u))
-    rhs = m.boundary_flux(u)
-    scale = m.integrate(np.abs(m.laplacian(u))) + abs(rhs)
-    assert abs(lhs - rhs) <= 1e-8 * scale
+    lap = m.laplacian(u)
+    assert abs(m.integrate(lap)) <= 1e-12 * m.integrate(np.abs(lap))
+
+
+def test_wall_rows_first_order_interior_rows_second_order():
+    # u = cos(pi (r - 1)) has zero slope at both walls, so it meets the
+    # Neumann condition the wall rows carry: their error halves with h,
+    # the interior rows' error quarters
+    wall, interior = [], []
+    for nr in (128, 256, 512, 1024):
+        m = msh.build("radial-annulus", 5, 1.0, 2.0, nr)
+        x = pi * (m.r - 1.0)
+        exact = -pi ** 2 * np.cos(x) - (m.N - 1) / m.r * pi * np.sin(x)
+        err = np.abs(m.laplacian(np.cos(x)) - exact)
+        wall.append(err[[0, -1]])
+        interior.append(np.max(err[m.interior_mask()]))
+    wall, interior = np.array(wall), np.array(interior)
+    assert np.all((wall[:-1] / wall[1:] > 1.8) & (wall[:-1] / wall[1:] < 2.2))
+    assert np.all((interior[:-1] / interior[1:] > 3.5)
+                  & (interior[:-1] / interior[1:] < 4.5))
+    assert wall[-1, 0] < 0.01 and interior[-1] < 2e-5
 
 
 def test_selfadjoint_on_neumann_fields():
@@ -158,39 +180,12 @@ SMALL_MESHES = [("radial-annulus", 5, 1.0, 2.0, 64, None),
                 ("axisym-ball", 4, 0.0, 1.0, 64, 40)]
 
 
-def wall_flux_reference(m):
-    """Entries of the wall-flux operator, written out node by node."""
-    N, r, nt = m.N, m.r, m.ntheta
-    walls = [(m.nr - 1, -1, m.R, (r[-1], r[-2], r[-3]))]
-    if m.r0 > 0.0:
-        walls.append((0, 1, m.r0, (r[0], r[1], r[2])))
-    ref = {}
-    for i, step, rad, (x0, x1, x2) in walls:
-        stencil = ((2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2)),
-                   (x0 - x2) / ((x1 - x0) * (x1 - x2)),
-                   (x0 - x1) / ((x2 - x0) * (x2 - x1)))
-        for j in range(nt):
-            area = (sphere_area(N - 1) * m.wt[j] if m.is_axisym
-                    else sphere_area(N)) * rad ** (N - 1)
-            for k, ck in enumerate(stencil):
-                ref[(i * nt + j, (i + step * k) * nt + j)] = area * ck
-    return ref
-
-
-@pytest.mark.parametrize("args", SMALL_MESHES, ids=lambda a: a[0])
-def test_wall_flux_matrix_matches_loop_reference(args):
-    m = msh.build(*args)
-    M = m._wall_flux_matrix()
-    assert M.has_sorted_indices
-    got = {(int(i), int(j)): v for (i, j), v in M.todok().items()}
-    assert got == wall_flux_reference(m)
-
-
 @pytest.mark.parametrize("args", SMALL_MESHES, ids=lambda a: a[0])
 def test_stored_cell_integrals_rebuild_weights_exactly(args):
     m = msh.build(*args)
+    wr = msh._cell_integrals(m.faces_r, lambda x: x ** (m.N - 1.0))
     if m.is_axisym:
-        assert np.array_equal(sphere_area(m.N - 1) * np.kron(m.wr, m.wt), m.w)
+        assert np.array_equal(sphere_area(m.N - 1) * np.kron(wr, m.wt), m.w)
     else:
         assert m.wt is None
-        assert np.array_equal(sphere_area(m.N) * m.wr, m.w)
+        assert np.array_equal(sphere_area(m.N) * wr, m.w)

@@ -46,7 +46,7 @@ AXISYM_MESHES = {
     # the graded mesh of acceptance criterion 5
     "graded-ball-160x160": dict(kind="axisym-ball", N=6, r0=0.0, R=1.0,
                                 nr=160, ntheta=160, theta_grading=2.0,
-                                radial_spacing="boundary", radial_grade=2.0),
+                                radial_spacing="boundary"),
 }
 # L+U fill of a minimum-degree order of the whole bordered matrix
 FILL_AT_MOST = {"ball-96x72": 245_328, "annulus-144x108": 636_494,
