@@ -21,10 +21,11 @@ subcommand imports the rest in its own body. bubble, sweep,
 probe-cherrier, the full verify and solve on an axisymmetric mesh load
 the shooter groundstate (numpy only); symmetry, verify --quick and solve
 on a radial mesh do not. solve, symmetry and verify load the dual layer
-(scipy.sparse.linalg); sweep, probe-cherrier and the full verify load
-asymptotics (scipy.special). So bubble, sweep and probe-cherrier load
-neither scipy.sparse nor scipy.linalg, and no command loads
-scipy.integrate, scipy.interpolate or scipy.optimize.
+(numpy, and SuperLU's extension loaded from its file); sweep,
+probe-cherrier and the full verify load asymptotics, and with it
+scipy.special, the one scipy subpackage any command loads (about 0.2 s).
+No command loads scipy.sparse, scipy.linalg, scipy.integrate,
+scipy.interpolate or scipy.optimize.
 
 Before numpy is imported, this module sets OPENBLAS_NUM_THREADS to 1
 unless the environment already sets it: one BLAS thread makes the

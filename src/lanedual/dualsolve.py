@@ -72,8 +72,9 @@ class IterationTrace:
     restart keeps the last finite iterate). A restart that did not stop on
     "converged" still counts as converged when the EL residual of its
     final iterate meets the gate. The counters (sweeps, mixes,
-    extrapolations) are deterministic work counts for the report; each
-    sweep made two K solves, so a restart made 1 + 2 * sweeps."""
+    extrapolations, kappa_evals) are deterministic work counts for the
+    report; each sweep made two K solves, so a restart made
+    1 + 2 * sweeps."""
     iterations: list = field(default_factory=list)  # (sweep, Q)
     converged: bool = False
     el_residual: float = np.inf
@@ -81,6 +82,7 @@ class IterationTrace:
     sweeps: int = 0           # sweeps made, a final non-finite one included
     mixes: int = 0            # sweeps replaced by the Anderson mix
     extrapolations: int = 0   # extrapolated candidates taken, one per factor
+    kappa_evals: int = 0      # evaluations of the kappa root's F
 
 
 @dataclass
@@ -108,13 +110,18 @@ class DualReport:
     u_nodal: bool = False
     v_nodal: bool = False
     k_solves: int = 0                   # K solves made by maximize_D
+    eigenfunction: dict | None = None   # NeumannSolver.eigen_work
 
     def work(self):
         """Deterministic work counters: the K solves of the whole solve,
-        then sweeps, mixes and extrapolations per restart, in menu order."""
+        then sweeps, mixes, extrapolations and kappa evaluations per
+        restart, in menu order, then the iterations and stop reason of the
+        eigenfunction that seeds the menu."""
         return {"k_solves": self.k_solves,
                 **{key: [getattr(trace, key) for trace in self.traces]
-                   for key in ("sweeps", "mixes", "extrapolations")}}
+                   for key in ("sweeps", "mixes", "extrapolations",
+                               "kappa_evals")},
+                "eigenfunction": self.eigenfunction}
 
     def solution_checks(self):
         """The gated quantities of the recovered solution, and nodality."""
@@ -194,32 +201,44 @@ def rayleigh_ratio(solver, f, g, pack):
     return mesh.inner(f, solver.solve_K(g, check_mean=False)) / (nf * ng)
 
 
-def _shift(solver, pack, g, Kg, kappas):
+def _shift(solver, pack, g, Kg, kappas, trace):
     """K_p g = K g + kappa for the zero-mean g, from the K g at hand. The
     EL check of the iterate and the next sweep's f half-step share it.
     kappas holds the last shift of each half-step, the start of the next
-    root-find, and is updated in place."""
+    root-find, and is updated in place, and the root-find's evaluations
+    are added to the trace."""
     solver.check_mean(g)
-    kappas[0] = solver.kappa_shift(Kg, pack.p, kappas[0]).kappa
-    return Kg + kappas[0]
+    shift = solver.kappa_shift(Kg, pack.p, kappas[0])
+    kappas[0] = shift.kappa
+    trace.kappa_evals += shift.evals
+    return Kg + shift.kappa
 
 
 def _el_residual(mesh, pack, f, Kpg, Q):
     """Relative Euler-Lagrange residual ||K_p g - Q |f|^(1/p-1) f||_(p+1)
-    / Q of an iterate, from the K_p g of _shift."""
-    return mesh.norm_Ls(Kpg - Q * signed_power(f, 1.0 / pack.p),
-                        pack.p + 1.0) / Q
+    / Q of an iterate, from the K_p g of _shift. Where the sum of
+    |defect|^(p+1) underflows to 0 (p in the thousands), the norm is
+    taken of the defect scaled by its largest magnitude instead."""
+    s = pack.p + 1.0
+    defect = Kpg - Q * signed_power(f, 1.0 / pack.p)
+    norm = mesh.norm_Ls(defect, s)
+    if norm == 0.0 and (top := np.max(np.abs(defect))) > 0.0:
+        norm = top * mesh.norm_Ls(defect / top, s)
+    return norm / Q
 
 
-def _sweep(solver, pack, Kpg, kappas):
+def _sweep(solver, pack, Kpg, kappas, trace):
     """The sweep f = K_p g, then g = K_q f, each half-step the signed power
-    normalized, from the K_p g of _shift; kappas[1] is updated in place."""
+    normalized, from the K_p g of _shift; kappas[1] and the trace are
+    updated in place as in _shift."""
     mesh = solver.mesh
     fn = signed_power(Kpg, pack.p)
     fn /= mesh.norm_Ls(fn, pack.alpha)
     Kf = solver.solve_K(fn)
-    kappas[1] = solver.kappa_shift(Kf, pack.q, kappas[1]).kappa
-    gn = signed_power(Kf + kappas[1], pack.q)
+    shift = solver.kappa_shift(Kf, pack.q, kappas[1])
+    kappas[1] = shift.kappa
+    trace.kappa_evals += shift.evals
+    gn = signed_power(Kf + shift.kappa, pack.q)
     gn /= mesh.norm_Ls(gn, pack.beta)
     return fn, gn
 
@@ -304,11 +323,11 @@ def _fixed_point(solver, pack, f0, g0):
     Q = mesh.inner(f, Kg)
     trace = IterationTrace()
     kappas = [None, None]
-    Kpg = _shift(solver, pack, g, Kg, kappas)
+    Kpg = _shift(solver, pack, g, Kg, kappas, trace)
     history = deque(maxlen=ANDERSON_DEPTH + 1)
     settled = False
     for sweep in range(MAX_SWEEPS):
-        fn, gn = _sweep(solver, pack, Kpg, kappas)
+        fn, gn = _sweep(solver, pack, Kpg, kappas, trace)
         Kgn = solver.solve_K(gn, check_mean=False)
         Qn = mesh.inner(fn, Kgn)
         trace.sweeps += 1
@@ -321,7 +340,7 @@ def _fixed_point(solver, pack, f0, g0):
         settled = abs(step[3] - Q) <= SETTLE_RTOL * abs(step[3])
         f, g, Kg, Q = step
         trace.iterations.append((sweep, Q))
-        Kpg = _shift(solver, pack, g, Kg, kappas)
+        Kpg = _shift(solver, pack, g, Kg, kappas, trace)
         if settled:
             trace.el_residual = _el_residual(mesh, pack, f, Kpg, Q)
             if trace.el_residual <= EL_TOL:
@@ -390,6 +409,7 @@ def maximize_D(mesh, pack, restarts=8, seed=0, extra_inits=(), S=None):
         near_optimal=near,
         traces=[res[4] for res in results],
         threshold=threshold_constant(pack, S) if S else np.nan,
+        eigenfunction=solver.eigen_work,
     )
     recover_solution(solver, report)
     report.k_solves = solver.k_solves

@@ -17,8 +17,12 @@ The discretization is finite-volume with node-centered cells:
   rows second-order, and the PDE residual gate reads interior rows only;
   the theta-pole rows are regular because sin^{N-2}(theta) vanishes there.
 
-Only the functions that build sparse matrices import scipy.sparse, so
-the shooter, which reads sphere_area here, starts without it.
+A is held as plain compressed-sparse-column arrays (CscMatrix), assembled
+from the tensor-product stencil with the entries that scipy.sparse's kron
+build gave and applied in scipy's CSC accumulation order, so A and A u
+keep scipy's bits. The module imports no scipy: the CLI and the shooter,
+which reads sphere_area here, start without it, and the Neumann solver
+hands the same arrays to SuperLU.
 """
 
 from dataclasses import dataclass, field
@@ -56,14 +60,50 @@ def _cell_integrals(faces, dens):
 
 
 def _stiffness_1d(x, face_coeff):
-    """Tridiagonal FV stiffness: faces carry coefficient/dist couplings."""
-    import scipy.sparse as sp
-    n = len(x)
+    """Tridiagonal FV stiffness as its (sub, main, super) bands by column:
+    column k holds sub[k] in row k - 1, main[k] in row k and super[k] in
+    row k + 1, with zeros where the row does not exist. Faces carry
+    coefficient/dist couplings."""
     c = face_coeff / np.diff(x)  # interior faces only, len n-1
-    main = np.zeros(n)
+    main = np.zeros(len(x))
     main[:-1] += c
     main[1:] += c
-    return sp.diags([-c, main, -c], [-1, 0, 1])
+    return np.concatenate([[0.0], -c]), main, np.concatenate([-c, [0.0]])
+
+
+@dataclass(frozen=True)
+class CscMatrix:
+    """A square sparse matrix as compressed-sparse-column arrays: the rows
+    `indices[indptr[k]:indptr[k + 1]]` of column k, ascending, hold
+    `data[indptr[k]:indptr[k + 1]]`. Index arrays are C ints, as SuperLU
+    takes them."""
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def from_bands(cls, offsets, bands):
+        """Column k holds bands[b][k] in row k + offsets[b], offsets
+        ascending; zero entries are not stored (scipy drops them too)."""
+        vals = np.stack([np.ravel(b) for b in bands], axis=1)
+        rows = np.arange(len(vals))[:, None] + np.asarray(offsets)
+        keep = vals != 0.0
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return cls(vals[keep], rows[keep].astype(np.intc),
+                   indptr.astype(np.intc))
+
+    def columns(self):
+        """The column of each stored entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1, dtype=np.intc),
+                         np.diff(self.indptr))
+
+    def __matmul__(self, v):
+        """A v, accumulated entry by entry in storage order like scipy's
+        csc_matvec, so that every sum keeps scipy's bits."""
+        out = np.zeros(len(self.indptr) - 1)
+        np.add.at(out, self.indices,
+                  self.data * np.repeat(np.ravel(v), np.diff(self.indptr)))
+        return out
 
 
 @dataclass
@@ -145,27 +185,37 @@ class Mesh:
 
     # -- operators ------------------------------------------------------
     def stiffness(self):
-        """Symmetric weak Laplacian A with natural (Neumann) BCs.
+        """Symmetric weak Laplacian A with natural (Neumann) BCs, a
+        CscMatrix.
 
         u^T A v discretizes the Dirichlet form int grad(u).grad(v); A has
         zero row sums (constants in the kernel).
         """
         if "A" not in self._cache:
-            self._cache["A"] = self._build_stiffness().tocsc()
+            self._cache["A"] = self._build_stiffness()
         return self._cache["A"]
 
     def _build_stiffness(self):
-        import scipy.sparse as sp
+        """A from the stencil: on axisymmetric meshes the entries of
+        s (kron(Ar, diag(wt)) + kron(diag(wr3), At)), each computed as
+        that expression computes it, node (i, j) at i * ntheta + j."""
         N = self.N
         if not self.is_axisym:
             coeff = sphere_area(N) * self.faces_r[1:-1] ** (N - 1)
-            return _stiffness_1d(self.r, coeff)
+            return CscMatrix.from_bands((-1, 0, 1),
+                                        _stiffness_1d(self.r, coeff))
         s = sphere_area(N - 1)
         wr3 = _cell_integrals(self.faces_r, lambda x: x ** (N - 3.0))
-        Ar = _stiffness_1d(self.r, self.faces_r[1:-1] ** (N - 1.0))
-        At = _stiffness_1d(self.theta,
-                           np.sin(self.faces_theta[1:-1]) ** (N - 2.0))
-        return s * (sp.kron(Ar, sp.diags(self.wt)) + sp.kron(sp.diags(wr3), At))
+        sub_r, main_r, sup_r = _stiffness_1d(
+            self.r, self.faces_r[1:-1] ** (N - 1.0))
+        sub_t, main_t, sup_t = _stiffness_1d(
+            self.theta, np.sin(self.faces_theta[1:-1]) ** (N - 2.0))
+        nt = self.ntheta
+        return CscMatrix.from_bands(
+            (-nt, -1, 0, 1, nt),
+            (s * np.outer(sub_r, self.wt), s * np.outer(wr3, sub_t),
+             s * (np.outer(main_r, self.wt) + np.outer(wr3, main_t)),
+             s * np.outer(wr3, sup_t), s * np.outer(sup_r, self.wt)))
 
     def laplacian(self, u):
         """Strong discrete Laplacian of a nodal field: the cell balance

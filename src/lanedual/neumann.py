@@ -9,11 +9,13 @@ kappa making int |K_t h|^(t-1) K_t h = 0; that constant is the reason the
 dual fixed-point iterates stay zero-mean for free.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy
 
 from . import NumericalError
 from .mesh import weighted_sum
@@ -38,6 +40,31 @@ class KtShift:
     t: float
     kappa: float
     residual: float
+    evals: int  # evaluations of F(kappa) made to find kappa
+
+
+def _load_superlu():
+    """SuperLU's extension module, loaded from its file in scipy's tree:
+    importing it through scipy.sparse.linalg would run scipy.sparse's
+    __init__. A missing file raises ImportError naming the path."""
+    path = os.path.join(scipy.__path__[0], "sparse", "linalg", "_dsolve",
+                        "_superlu" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    spec = importlib.util.spec_from_file_location("_superlu", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_superlu = _load_superlu()
+
+
+def _gstrf(data, indices, indptr, ilu, **options):
+    """SuperLU's factorization of the square CSC matrix (data, indices,
+    indptr), called as scipy's splu (ilu=False) and spilu (ilu=True) call
+    it. No csc_construct_func is passed, so the factors' L and U are
+    never built as matrices; `nnz` counts their fill."""
+    return _superlu.gstrf(len(indptr) - 1, len(data), data, indices, indptr,
+                          None, ilu=ilu, options=options)
 
 
 def signed_power(values, expo):
@@ -63,33 +90,49 @@ class NeumannSolver:
     twentyfold. On the 96x72 axisymmetric ball the fill is 245k nonzeros,
     as with a minimum-degree order of the bordered matrix, against 426k
     with SuperLU's default COLAMD, and the 160x160 graded ball factors in
-    about 0.1 s instead of 0.3 s (2-core Xeon VM). relax=1 turns off
+    about 0.1 s instead of 0.3 s (2-core Xeon VM). Relax=1 turns off
     SuperLU's relaxed supernodes (small subtrees of the elimination tree
     merged into one supernode): a back-solve on the 96x72 meshes costs
     670-690 us instead of 800-850 us (median of 5, same VM).
-    `k_solves` counts the back-solves made so far.
+
+    Both factorizations call SuperLU's gstrf with the options that
+    scipy's spilu and splu pass it, on the mesh's CSC arrays. Its
+    extension module is loaded from its file (_load_superlu, a few ms)
+    because importing scipy.sparse.linalg costs 0.23-0.31 s and about
+    19 MB, most of it scipy's array-API layer, in every process that
+    solves. `k_solves` counts the back-solves made so far, and
+    `eigen_work` holds the iterations and stop reason of the last
+    first_eigenfunction.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.k_solves = 0
+        self.eigen_work = None
         A, w = mesh.stiffness(), mesh.w
         n = len(w)
+        rows, cols = A.indices, A.columns()
+        shifted = A.data.copy()
+        shifted[rows == cols] += 1e-8 * w  # one diagonal entry per column
         # position of each node in the factored order, and the node at
         # each position; perm_c is a view that would keep the incomplete
         # factors alive
-        self._pos = spla.spilu(
-            (A + sp.diags(1e-8 * w)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-            drop_tol=1e300, fill_factor=1, relax=1).perm_c.astype(np.intp)
+        self._pos = _gstrf(shifted, A.indices, A.indptr, ilu=True,
+                           ILU_DropTol=1e300, ILU_FillFactor=1,
+                           ColPerm="MMD_AT_PLUS_A", Relax=1
+                           ).perm_c.astype(np.intp)
         self._order = np.argsort(self._pos)
-        # the permuted bordered matrix, built directly: entry (i, j) of A
-        # goes to (pos[i], pos[j]), the border to row and column n
-        A, pos, edge = A.tocoo(), self._pos, np.full(n, n)
-        B = sp.csc_matrix(
-            (np.concatenate([A.data, w, w]),
-             (np.concatenate([pos[A.row], pos, edge]),
-              np.concatenate([pos[A.col], edge, pos]))), shape=(n + 1, n + 1))
-        self._lu = spla.splu(B, permc_spec="NATURAL", relax=1)
+        # the permuted bordered matrix in CSC form: entry (i, j) of A goes
+        # to (pos[i], pos[j]), the border to row and column n; entries are
+        # sorted by column, then row
+        pos, edge = self._pos, np.full(n, n)
+        rows = np.concatenate([pos[rows], pos, edge])
+        cols = np.concatenate([pos[cols], edge, pos])
+        entry = np.argsort(cols * (n + 1) + rows)
+        self._lu = _gstrf(
+            np.concatenate([A.data, w, w])[entry], rows[entry].astype(np.intc),
+            np.concatenate([[0], np.cumsum(np.bincount(cols))]).astype(np.intc),
+            ilu=False, ColPerm="NATURAL", SymmetricMode=True, Relax=1)
 
     def check_mean(self, h):
         """Raise NonZeroMeanError unless int(h) = 0 to MEAN_TOL * ||h||_1."""
@@ -131,14 +174,14 @@ class NeumannSolver:
         if t == 1.0:
             kap = -self.mesh.mean(values)
             res = weighted_sum(w, values + kap)
-            return KtShift(t=t, kappa=kap, residual=res)
+            return KtShift(t=t, kappa=kap, residual=res, evals=1)
         lo, hi = -values.max(), -values.min()
         if lo == hi:  # constant field
-            return KtShift(t=t, kappa=lo, residual=0.0)
+            return KtShift(t=t, kappa=lo, residual=0.0, evals=0)
         kap = guess if guess is not None and lo <= guess <= hi \
             else -self.mesh.mean(values)
         step_old = hi - lo
-        for _ in range(200):
+        for evals in range(1, 201):
             x = values + kap
             # |x|^(t-1) gives F and F'
             a = np.maximum(np.abs(x), POWER_FLOOR) ** (t - 1.0)
@@ -160,7 +203,7 @@ class NeumannSolver:
                 step = np.copysign(xtol, step)
             kap -= step
             step_old = step
-        return KtShift(t=t, kappa=kap, residual=res)
+        return KtShift(t=t, kappa=kap, residual=res, evals=evals)
 
     def solve_Kt(self, h, t):
         """K_t h = K h + kappa_t(K h)."""
@@ -172,14 +215,15 @@ class NeumannSolver:
     def first_eigenfunction(self):
         """First nonconstant Neumann eigenfunction, zero-mean and of unit
         L2 norm, by inverse iteration with K: stopped once an iteration
-        moves the iterate by at most EIG_TOL in L2, or after EIG_ITERS
-        iterations. Its eigenvalue is not computed; dense_eigenpairs
-        gives it on meshes small enough for a dense solve."""
+        moves the iterate by at most EIG_TOL in L2 ("converged"), or after
+        EIG_ITERS iterations ("max_iter"), as `eigen_work` records. Its
+        eigenvalue is not computed; dense_eigenpairs gives it on meshes
+        small enough for a dense solve."""
         mesh = self.mesh
         v = mesh.node_r() * np.cos(mesh.node_theta()) + 0.5 * mesh.node_r()
         v = v - mesh.mean(v)
         v /= mesh.norm_Ls(v, 2)
-        for _ in range(EIG_ITERS):
+        for iterations in range(1, EIG_ITERS + 1):
             # K is positive on zero-mean fields, so the iterate keeps its
             # sign and the plain difference measures the change
             vn = self.solve_K(v, check_mean=False)
@@ -189,14 +233,20 @@ class NeumannSolver:
             v = vn
             if change <= EIG_TOL:
                 break
+        self.eigen_work = {"iterations": iterations, "stop_reason":
+                           "converged" if change <= EIG_TOL else "max_iter"}
         return v
 
 
 def dense_eigenpairs(mesh, k=6):
     """Generalized symmetric eigendecomposition A phi = lambda W phi on a
-    coarse mesh (dense; oracle use only). Returns ascending (lams, vecs)."""
-    from scipy.linalg import eigh
-    A = mesh.stiffness().toarray()
-    W = np.diag(mesh.w)
-    lams, vecs = eigh(A, W)
-    return lams[:k], vecs[:, :k]
+    coarse mesh (dense; oracle use only), as the symmetric eigenproblem
+    of W^(-1/2) A W^(-1/2): phi = W^(-1/2) y, so phi^T W phi = I. Returns
+    ascending (lams, vecs)."""
+    A = mesh.stiffness()
+    n = mesh.nnodes
+    dense = np.zeros((n, n))
+    dense[A.indices, A.columns()] = A.data
+    d = 1.0 / np.sqrt(mesh.w)
+    lams, vecs = np.linalg.eigh(d[:, None] * dense * d)
+    return lams[:k], d[:, None] * vecs[:, :k]

@@ -184,10 +184,15 @@ def test_solve_subcommand_energy_identity(tmp_path):
     # per restart: one K solve to start and two per sweep; the
     # eigenfunction, the noise and the recovery add the rest
     work = res["work"]
-    assert set(work) == {"k_solves", "sweeps", "mixes", "extrapolations"}
-    assert all(len(work[key]) == 3 for key in ("sweeps", "mixes",
-                                                "extrapolations"))
+    per_restart = ("sweeps", "mixes", "extrapolations", "kappa_evals")
+    assert set(work) == {"k_solves", "eigenfunction", *per_restart}
+    assert all(len(work[key]) == 3 for key in per_restart)
     assert work["k_solves"] > sum(1 + 2 * n for n in work["sweeps"])
+    # at least one kappa root per half-step
+    assert all(k >= 1 + 2 * n
+               for k, n in zip(work["kappa_evals"], work["sweeps"]))
+    assert work["eigenfunction"]["stop_reason"] == "converged"
+    assert work["eigenfunction"]["iterations"] >= 1
     names = [item["name"] for item in report["invariants"]]
     assert "energy identity" in names
     assert all(item["passed"] for item in report["invariants"])
@@ -304,13 +309,16 @@ def test_overflow_in_a_shooting_run_exits_3(tmp_path, capsys, argv):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_recovered_solution_exits_3(tmp_path):
-    # q = 0.5001 puts p near 22,500: u and v are finite, but |u|^p
-    # overflows, so the energy is -inf; that was an invariant failure
+def test_restart_with_an_underflowing_el_residual_exits_3(tmp_path):
+    # q = 0.5001 puts p near 22,500: the only restart stops on a
+    # non-finite sweep, and its EL residual, whose plain L^(p+1) sum
+    # underflows to 0, is 1.67 scaled, so no restart converged.
+    # test_dualsolve covers the non-finite check of the recovery.
     code, report, _ = run_cli(["solve", "--q", "0.5001", "--N", "6",
                                "--nr", "64", "--restarts", "1"], tmp_path)
     assert code == cli.EXIT_CONVERGENCE
-    assert report["results"]["error"].endswith("energy = -inf is not finite")
+    assert report["results"]["error"].startswith(
+        "no restart converged on radial-annulus")
 
 
 @pytest.mark.parametrize("name", ["p", "q"])

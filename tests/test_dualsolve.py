@@ -160,10 +160,10 @@ def test_mix_with_lower_quotient_is_refused(monkeypatch, annulus_solver,
     m = annulus_solver.mesh
     phi = annulus_solver.first_eigenfunction()
     prev = ds._scaled(m, pack226, phi, phi, annulus_solver.solve_K(phi))
-    kappas = [None, None]
+    kappas, trace = [None, None], ds.IterationTrace()
     fn, gn = ds._sweep(annulus_solver, pack226,
                        ds._shift(annulus_solver, pack226, prev[1], prev[2],
-                                 kappas), kappas)
+                                 kappas, trace), kappas, trace)
     plain = ds._scaled(m, pack226, fn, gn, annulus_solver.solve_K(gn))
     assert prev[3] < plain[3]
 
@@ -257,9 +257,11 @@ def test_mean_check_on_reused_K_g(monkeypatch, annulus_solver, pack226):
     m = annulus_solver.mesh
     g = m.node_r() - m.mean(m.node_r())
     Kg = annulus_solver.solve_K(g)
-    ds._shift(annulus_solver, pack226, g, Kg, [None, None])
+    ds._shift(annulus_solver, pack226, g, Kg, [None, None],
+              ds.IterationTrace())
     with pytest.raises(NonZeroMeanError):
-        ds._shift(annulus_solver, pack226, g + 1e-3, Kg, [None, None])
+        ds._shift(annulus_solver, pack226, g + 1e-3, Kg, [None, None],
+                  ds.IterationTrace())
     sweep = ds._sweep
 
     def off_mean(*args):
@@ -385,6 +387,51 @@ def test_recovered_solution_identities(report226, pack226):
     scale = np.max(np.abs(rep.u)) / np.max(np.abs(rep.v))
     assert np.max(np.abs(rep.u - scale * rep.v)) <= \
         1e-6 * np.max(np.abs(rep.u))
+
+
+@pytest.fixture(scope="module")
+def restart_at_huge_p():
+    # q = 0.5001 puts p near 22,500: the one sweep is non-finite, and the
+    # restart keeps its first iterate, whose EL defect d has sum |d|^(p+1)
+    # underflowing to 0
+    pack = derived_constants(None, 0.5001, 6)
+    sol = NeumannSolver(msh.build("radial-annulus", 6, 1.0, 2.0, 64))
+    phi = sol.first_eigenfunction()
+    with np.errstate(all="ignore"):
+        return sol, pack, ds._fixed_point(sol, pack, phi, phi)
+
+
+def test_el_residual_is_scaled_only_where_its_sum_underflows(
+        restart_at_huge_p, annulus_solver, report226, pack226):
+    sol, pack, (Q, f, g, trace) = restart_at_huge_p
+    Kpg = sol.solve_K(g, check_mean=False)
+    Kpg += sol.kappa_shift(Kpg, pack.p).kappa
+    defect = Kpg - Q * signed_power(f, 1.0 / pack.p)
+    assert sol.mesh.norm_Ls(defect, pack.p + 1.0) == 0.0
+    assert trace.stop_reason == "non-finite" and not trace.converged
+    assert ds._el_residual(sol.mesh, pack, f, Kpg, Q) == trace.el_residual
+    assert 1.0 < trace.el_residual < 2.0  # 1.67 measured
+    # elsewhere the residual is the plain norm, bit for bit
+    rep, m = report226, annulus_solver.mesh
+    Kpg = annulus_solver.solve_K(rep.g)
+    Kpg += annulus_solver.kappa_shift(Kpg, pack226.p).kappa
+    plain = m.norm_Ls(Kpg - rep.D * signed_power(rep.f, 1.0 / pack226.p),
+                      pack226.p + 1.0) / rep.D
+    assert 0.0 < plain < ds.EL_TOL
+    assert ds._el_residual(m, pack226, rep.f, Kpg, rep.D) == plain
+
+
+def test_non_finite_recovered_solution_is_a_numerical_error(
+        restart_at_huge_p):
+    # maximize_D stops on the unconverged restart; recovered anyway, its
+    # |u|^p overflows and the energy is -inf
+    sol, pack, (Q, f, g, trace) = restart_at_huge_p
+    report = ds.DualReport(pack=pack, mesh_descr={}, D=Q, f=f, g=g,
+                           converged=False, el_residual=trace.el_residual,
+                           restarts=[], near_optimal=[], traces=[trace])
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match="energy = -inf is not finite$"):
+        ds.recover_solution(sol, report)
 
 
 def test_energy_zero_fields(annulus_solver, pack226):

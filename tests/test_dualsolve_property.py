@@ -42,10 +42,10 @@ def test_each_half_step_is_a_maximizer(kind, N, frac, seed):
     rng = np.random.default_rng(seed)
     f, g = (h - m.mean(h) for h in rng.standard_normal((2, m.nnodes)))
     Q = ds.rayleigh_ratio(sol, f, g, pack)
-    kappas = [None, None]
+    kappas, trace = [None, None], ds.IterationTrace()
     for _ in range(4):
-        Kpg = ds._shift(sol, pack, g, sol.solve_K(g), kappas)
-        fn, gn = ds._sweep(sol, pack, Kpg, kappas)
+        Kpg = ds._shift(sol, pack, g, sol.solve_K(g), kappas, trace)
+        fn, gn = ds._sweep(sol, pack, Kpg, kappas, trace)
         for Qn in (ds.rayleigh_ratio(sol, fn, g, pack),
                    ds.rayleigh_ratio(sol, fn, gn, pack)):
             assert Qn >= Q - 1e-10 * abs(Q)

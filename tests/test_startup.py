@@ -16,8 +16,12 @@ SHOOTER = {"lanedual.groundstate"}
 # what the shooter used to load for brentq, simpson, CubicSpline and the
 # DOP853 tableau; no command loads them now
 SCIPY_SHOOTER = {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
-# what the dual layer loads, and the shooter used to for its spline
+# what the dual layer loaded for SuperLU and the dense eigensolve, and the
+# shooter for its spline; no command loads them now
 SCIPY_DUAL = {"scipy.sparse", "scipy.linalg"}
+# the slope fits' Student-t quantile and the ball integrals' betainc
+SCIPY_SPECIAL = {"scipy.special"}
+SCIPY_ALL = SCIPY_SHOOTER | SCIPY_DUAL | SCIPY_SPECIAL | {"scipy.stats"}
 
 
 def _modules_after(code, cwd):
@@ -88,9 +92,13 @@ def test_package_import_loads_no_scipy(tmp_path):
 
 
 def test_cli_import_loads_no_engines(tmp_path):
+    # mesh builds its matrices without scipy; neumann, which loads SuperLU,
+    # is imported by the subcommands that solve, when they run
     loaded = _modules_after("import lanedual.cli", tmp_path)
-    assert not loaded & (SHOOTER | SCIPY_SHOOTER
-                         | {"scipy.stats", "lanedual.asymptotics"})
+    assert "lanedual.mesh" in loaded
+    assert not loaded & (SHOOTER | {"lanedual.asymptotics",
+                                    "lanedual.neumann"})
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
 def test_verify_quick_loads_no_shooter(tmp_path):
@@ -109,6 +117,29 @@ def test_radial_solve_loads_no_shooter(tmp_path):
         "                 '--restarts', '1', '--outdir', 'out']) == 0",
         tmp_path)
     assert not loaded & (SHOOTER | SCIPY_SHOOTER)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "2", "--N", "6", "--nr", "64", "--restarts", "1"],
+    ["solve", "--p", "2", "--N", "6", "--mesh", "axisym-ball", "--R", "1",
+     "--nr", "64", "--ntheta", "32", "--restarts", "1"],
+    ["verify", "--quick"],
+    ["symmetry", "--quick", "--p", "2", "--N", "6"],
+], ids=["radial-solve", "axisym-solve", "verify-quick", "symmetry-quick"])
+def test_dual_commands_load_no_sparse_linalg_or_special(argv, tmp_path):
+    # SuperLU comes from its extension file, the dense eigensolve from numpy
+    loaded = _modules_after(
+        "from lanedual import cli\n"
+        f"assert cli.main({argv + ['--outdir', 'out']!r}) == 0", tmp_path)
+    assert "lanedual.neumann" in loaded
+    assert not loaded & (SCIPY_DUAL | SCIPY_SPECIAL)
+
+
+def test_full_verify_loads_only_special(tmp_path):
+    loaded = _modules_after(
+        "from lanedual import cli\n"
+        "assert cli.main(['verify', '--outdir', 'out']) == 0", tmp_path)
+    assert loaded & SCIPY_ALL == SCIPY_SPECIAL
 
 
 def test_bubble_loads_no_scipy_shooter_modules(tmp_path):
