@@ -20,7 +20,7 @@ from .exponents import derived_constants
 from .neumann import NeumannSolver, dense_eigenpairs
 
 # The quick battery never shoots: the criteria import the shooter and the
-# sweeps (and with them scipy.special) where they use them.
+# sweeps where they use them.
 __getattr__ = lazy_getattr(__name__, {"shoot": "groundstate.shoot"})
 
 

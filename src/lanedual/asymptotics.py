@@ -7,17 +7,30 @@ reduction is exact and, for purely profile-driven integrals, everything
 reduces to 1D quadrature against the spherical-cap fraction
 
     frac(s) = |S(x0, s) inside B_R| / |S(x0, s)|
-            = betainc((N-1)/2, 1/2, 1 - (s/2R)^2) / 2,
+            = I_x((N-1)/2, 1/2) / 2,   x = 1 - (s/2R)^2,
 
-which keeps those sweeps at machine-level accuracy. Only quantities that
-involve the inverse Neumann operator require the 2D mesh.
+with I_x the regularized incomplete beta function, which keeps those
+sweeps at machine-level accuracy. Only quantities that involve the
+inverse Neumann operator require the 2D mesh.
+
+I_x and the slope fits' Student-t quantile are Boost's ibeta and
+students_t quantile, the C functions that scipy.special's betainc and
+stdtrit run. They are called through ctypes from the C API of
+scipy/special/_ufuncs_cxx, which is loaded from its file: importing
+scipy.special would cost about 0.2 s and 24 MB in every process that
+sweeps. The results equal betainc's and stdtrit's bit for bit (checked
+against scipy 1.17.1, and held to scipy.special by the tests); a ctypes
+call costs 1.2-2 us, against 0.3 us an element in the ufunc, so
+cherrier_probe evaluates the cap fraction once per eps for its four
+integrals.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, stdtrit
 
+from . import scipy_files
 from .exponents import threshold_constant
 from .groundstate import REGIME_TOL, simpson, tail_law, truncated_norms
 from .mesh import sphere_area
@@ -36,6 +49,33 @@ CORE_CELLS = 8
 C_LO_GRID = (0.0, 1.0, 10.0)
 
 
+# -- Boost kernels -----------------------------------------------------------
+
+def _boost_kernels():
+    """(t_ppf(df, p), ibeta(a, b, x)) on floats, from the C API of
+    scipy's _ufuncs_cxx. Each capsule holds the address of a function
+    pointer. A missing file or capsule raises ImportError naming it."""
+    module = scipy_files.load("special", "_ufuncs_cxx")
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+    def kernel(name, nargs):
+        capsule = module.__pyx_capi__.get(name)
+        if capsule is None:
+            raise ImportError(f"{module.__file__} exports no {name}")
+        address = ctypes.c_void_p.from_address(pointer(capsule, b"void *"))
+        return ctypes.PYFUNCTYPE(*[ctypes.c_double] * (nargs + 1))(
+            address.value)
+
+    return (kernel("_export_t_ppf_double", 2),
+            kernel("_export_ibeta_double", 3))
+
+
+# stdtrit(df, p) is scipy.special.stdtrit on floats
+stdtrit, _ibeta = _boost_kernels()
+
+
 # -- spherical-cap quadrature ------------------------------------------------
 
 def cap_fraction(s, R, N):
@@ -43,12 +83,16 @@ def cap_fraction(s, R, N):
     that lies inside the ball."""
     s = np.asarray(s, dtype=float)
     x = np.clip(1.0 - (s / (2.0 * R)) ** 2, 0.0, 1.0)
-    return 0.5 * betainc((N - 1) / 2.0, 0.5, x)
+    a = (N - 1) / 2.0
+    ibeta = np.array([_ibeta(a, 0.5, v) for v in x.ravel().tolist()])
+    return 0.5 * ibeta.reshape(x.shape)
 
 
 def ball_integral(fun, R, N, s_min, family):
     """int_{B_R} F(|x - x0|) dx for F radial, with x0 on the boundary of
-    the ball (family "boundary") or at its center ("interior")."""
+    the ball (family "boundary") or at its center ("interior"). `fun` may
+    return stacked rows, one integrand each: the integrals then come back
+    as an array, on one evaluation of the cap fraction."""
     if family not in ("boundary", "interior"):
         raise ValueError(f"unknown family {family!r}")
     boundary = family == "boundary"
@@ -56,11 +100,12 @@ def ball_integral(fun, R, N, s_min, family):
     vals = fun(s) * s ** (N - 1)
     if boundary:
         vals *= cap_fraction(s, R, N)
-    out = sphere_area(N) * simpson(vals, x=s)
+    out = np.array([sphere_area(N) * simpson(row, x=s)
+                    for row in np.atleast_2d(vals)])
     # [0, s_min] patch: integrand ~ F(0) s^{N-1}, halved for a boundary x0
-    out += (sphere_area(N) * fun(np.array([s_min]))[0] * s_min ** N
+    out += (sphere_area(N) * fun(np.array([s_min]))[..., 0] * s_min ** N
             / ((2 if boundary else 1) * N))
-    return float(out)
+    return out if vals.ndim > 1 else float(out[0])
 
 
 # -- fits --------------------------------------------------------------------
@@ -368,16 +413,19 @@ def cherrier_probe(profile, family, eps_grid, R=1.0):
     eta = pack.beta
     rows = []
     for eps in np.sort(np.asarray(eps_grid, float))[::-1]:
-        s_min = 1e-7 * eps
-        u_star = ball_integral(lambda s: profile.U_eps(s, eps) ** (p + 1.0),
-                               R, N, s_min, family) ** (1.0 / (p + 1.0))
-        lap = ball_integral(lambda s: profile.V_eps(s, eps) ** (q * eta),
-                            R, N, s_min, family) ** (1.0 / eta)
-        u_eta = ball_integral(lambda s: profile.U_eps(s, eps) ** eta,
-                              R, N, s_min, family) ** (1.0 / eta)
-        grad_eta = ball_integral(
-            lambda s: np.abs(profile.dU_eps(s, eps)) ** eta,
-            R, N, s_min, family) ** (1.0 / eta)
+        def integrands(s):
+            U = profile.U_eps(s, eps)
+            return np.stack([U ** (p + 1.0),
+                             profile.V_eps(s, eps) ** (q * eta),
+                             U ** eta,
+                             np.abs(profile.dU_eps(s, eps)) ** eta])
+
+        u_star, lap, u_eta, grad_eta = ball_integral(
+            integrands, R, N, 1e-7 * eps, family).tolist()
+        u_star **= 1.0 / (p + 1.0)
+        lap **= 1.0 / eta
+        u_eta **= 1.0 / eta
+        grad_eta **= 1.0 / eta
         w1 = u_eta + grad_eta
         rows.append({"eps": float(eps), "u_star": u_star, "lap": lap,
                      "w1": w1,

@@ -19,13 +19,14 @@ an unreadable config file).
 Start-up: this module loads mesh and exponents (numpy only); each
 subcommand imports the rest in its own body. bubble, sweep,
 probe-cherrier, the full verify and solve on an axisymmetric mesh load
-the shooter groundstate (numpy only); symmetry, verify --quick and solve
-on a radial mesh do not. solve, symmetry and verify load the dual layer
-(numpy, and SuperLU's extension loaded from its file); sweep,
-probe-cherrier and the full verify load asymptotics, and with it
-scipy.special, the one scipy subpackage any command loads (about 0.2 s).
-No command loads scipy.sparse, scipy.linalg, scipy.integrate,
-scipy.interpolate or scipy.optimize.
+the shooter groundstate (numpy, and scipy's DOP853 tableau loaded from
+its file); symmetry, verify --quick and solve on a radial mesh do not.
+solve, symmetry and verify load the dual layer (numpy, and SuperLU's
+extension loaded from its file); sweep, probe-cherrier and the full
+verify load asymptotics (numpy, and Boost's kernels from
+scipy.special's _ufuncs_cxx, loaded from its file). No command loads a
+scipy subpackage (scipy.special, scipy.sparse, scipy.linalg,
+scipy.integrate, scipy.interpolate, scipy.optimize, ...).
 
 Before numpy is imported, this module sets OPENBLAS_NUM_THREADS to 1
 unless the environment already sets it: one BLAS thread makes the

@@ -44,16 +44,13 @@ truncation is never used because the slow-decay moments converge too
 slowly near the admissibility boundary.
 """
 
-import importlib.util
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from math import copysign, inf, isfinite, isnan, nextafter, sqrt
 
 import numpy as np
-import scipy
 
-from . import NumericalError
+from . import NumericalError, scipy_files
 from .mesh import sphere_area
 
 R_START = 1e-6          # series handoff radius
@@ -222,18 +219,8 @@ def _nonzero(row):
     return tuple((j, a) for j, a in enumerate(row.tolist()) if a)
 
 
-def _load_tableau():
-    """scipy's dop853_coefficients module, run from its file so that
-    scipy.integrate's __init__ is not."""
-    path = os.path.join(scipy.__path__[0], "integrate", "_ivp",
-                        "dop853_coefficients.py")
-    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-dop853_coefficients = _load_tableau()
+dop853_coefficients = scipy_files.load("integrate", "_ivp",
+                                      "dop853_coefficients.py")
 _A = [_nonzero(row) for row in dop853_coefficients.A]
 _C = dop853_coefficients.C.tolist()
 _B = _nonzero(dop853_coefficients.B)

@@ -9,15 +9,11 @@ kappa making int |K_t h|^(t-1) K_t h = 0; that constant is the reason the
 dual fixed-point iterates stay zero-mean for free.
 """
 
-import importlib.machinery
-import importlib.util
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
-from . import NumericalError
+from . import NumericalError, scipy_files
 from .mesh import weighted_sum
 
 MEAN_TOL = 1e-8
@@ -43,19 +39,7 @@ class KtShift:
     evals: int  # evaluations of F(kappa) made to find kappa
 
 
-def _load_superlu():
-    """SuperLU's extension module, loaded from its file in scipy's tree:
-    importing it through scipy.sparse.linalg would run scipy.sparse's
-    __init__. A missing file raises ImportError naming the path."""
-    path = os.path.join(scipy.__path__[0], "sparse", "linalg", "_dsolve",
-                        "_superlu" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    spec = importlib.util.spec_from_file_location("_superlu", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_superlu = _load_superlu()
+_superlu = scipy_files.load("sparse", "linalg", "_dsolve", "_superlu")
 
 
 def _gstrf(data, indices, indptr, ilu, **options):
@@ -97,7 +81,7 @@ class NeumannSolver:
 
     Both factorizations call SuperLU's gstrf with the options that
     scipy's spilu and splu pass it, on the mesh's CSC arrays. Its
-    extension module is loaded from its file (_load_superlu, a few ms)
+    extension module is loaded from its file (scipy_files.load, a few ms)
     because importing scipy.sparse.linalg costs 0.23-0.31 s and about
     19 MB, most of it scipy's array-API layer, in every process that
     solves. `k_solves` counts the back-solves made so far, and
@@ -165,7 +149,9 @@ class NeumannSolver:
         A Newton step below the x-tolerance is lengthened to it, so that
         the next evaluation closes the bracket; for t < 1 the derivative
         blows up at a zero of v + kappa, and there a tiny Newton step does
-        not mean that the root is near.
+        not mean that the root is near. A field holding a NaN or an
+        infinity has no root: kappa and the residual are NaN, at no
+        evaluation.
         """
         if t <= 0:
             raise ValueError(f"exponent t = {t} must be positive")
@@ -176,6 +162,8 @@ class NeumannSolver:
             res = weighted_sum(w, values + kap)
             return KtShift(t=t, kappa=kap, residual=res, evals=1)
         lo, hi = -values.max(), -values.min()
+        if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an infinity
+            return KtShift(t=t, kappa=np.nan, residual=np.nan, evals=0)
         if lo == hi:  # constant field
             return KtShift(t=t, kappa=lo, residual=0.0, evals=0)
         kap = guess if guess is not None and lo <= guess <= hi \

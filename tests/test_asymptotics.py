@@ -1,3 +1,6 @@
+import re
+import types
+
 import numpy as np
 import pytest
 from math import pi
@@ -18,6 +21,64 @@ def test_cap_fraction_limits():
     assert f[2] == pytest.approx(0.0, abs=1e-3)
     assert np.all(np.diff(asym.cap_fraction(np.linspace(0.01, 1.99, 50),
                                             1.0, 5)) < 0)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+def test_stdtrit_is_scipy_special_bit_for_bit():
+    from scipy import special
+    for prob in (0.975, 0.5, 0.025, 0.995, 1e-10):
+        for dof in range(1, 301):
+            assert _same_bits(asym.stdtrit(dof, prob),
+                              special.stdtrit(dof, prob)), (dof, prob)
+
+
+@pytest.mark.parametrize("N", range(4, 13))
+def test_cap_fraction_is_scipy_betainc_bit_for_bit(N):
+    # the parent formula on scipy.special, at x = 1 (s = 0), x = 0 (s = 2R),
+    # beyond the ball, NaN, and 4,000 points on the boundary family's grid
+    # and at random
+    from scipy import special
+    R = 1.5
+    rng = np.random.default_rng(N)
+    for s in (np.geomspace(1e-9, 2.0 * R, 4000),
+              np.concatenate([[0.0, 2.0 * R, 3.0 * R, np.nan],
+                              rng.uniform(0.0, 2.0 * R, 3996)])):
+        x = np.clip(1.0 - (s / (2.0 * R)) ** 2, 0.0, 1.0)
+        ref = 0.5 * special.betainc((N - 1) / 2.0, 0.5, x)
+        assert _same_bits(asym.cap_fraction(s, R, N), ref)
+    assert _same_bits(asym.cap_fraction(0.7, R, N),
+                      asym.cap_fraction([0.7], R, N)[0])
+
+
+def test_missing_ufuncs_cxx_file_is_an_import_error_naming_it(monkeypatch,
+                                                              tmp_path):
+    import scipy
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError,
+                       match=re.escape(str(tmp_path / "special"))):
+        asym._boost_kernels()
+
+
+@pytest.mark.parametrize("name", ["_export_t_ppf_double",
+                                  "_export_ibeta_double"])
+def test_missing_boost_capsule_is_an_import_error_naming_it(monkeypatch,
+                                                            name):
+    from lanedual import scipy_files
+    load = scipy_files.load
+
+    def without_capsule(*parts):
+        module = load(*parts)
+        return types.SimpleNamespace(
+            __file__=module.__file__,
+            __pyx_capi__={k: v for k, v in module.__pyx_capi__.items()
+                          if k != name})
+
+    monkeypatch.setattr(scipy_files, "load", without_capsule)
+    with pytest.raises(ImportError, match=f"exports no {name}$"):
+        asym._boost_kernels()
 
 
 @pytest.mark.parametrize("N", [4, 5, 6])
@@ -276,6 +337,33 @@ def test_cherrier_probe_boundary_and_interior(profile226):
     assert lead_i == pytest.approx(1.0 / profile226.S, rel=0.03)
     # boundary constant strictly exceeds the interior one (factor 2^{2/N})
     assert lead_b > lead_i
+
+
+@pytest.mark.parametrize("family", ["boundary", "interior"])
+def test_cherrier_probe_rows_equal_four_separate_integrals(profile226,
+                                                           family):
+    # the four integrands share one cap evaluation per eps, and each
+    # integral keeps the bits of its own ball_integral call
+    pack = profile226.pack
+    p, q, N, eta = pack.p, pack.q, pack.N, pack.beta
+    rows = asym.cherrier_probe(profile226, family,
+                               np.geomspace(0.1, 0.002, 5))
+    for row in rows:
+        eps = row["eps"]
+
+        def norm(fun, expo):
+            return asym.ball_integral(fun, 1.0, N, 1e-7 * eps,
+                                      family) ** (1.0 / expo)
+
+        u_star = norm(lambda s: profile226.U_eps(s, eps) ** (p + 1.0),
+                      p + 1.0)
+        lap = norm(lambda s: profile226.V_eps(s, eps) ** (q * eta), eta)
+        w1 = (norm(lambda s: profile226.U_eps(s, eps) ** eta, eta)
+              + norm(lambda s: np.abs(profile226.dU_eps(s, eps)) ** eta,
+                     eta))
+        assert (row["u_star"], row["lap"], row["w1"]) == (u_star, lap, w1)
+        assert row["leading"] == {str(c): (u_star - c * w1) / lap
+                                  for c in asym.C_LO_GRID}
 
 
 def test_cherrier_probe_lower_constant_decreases(profile226):

@@ -421,6 +421,14 @@ def test_el_residual_is_scaled_only_where_its_sum_underflows(
     assert ds._el_residual(m, pack226, rep.f, Kpg, rep.D) == plain
 
 
+def test_non_finite_sweep_makes_no_kappa_evaluation(restart_at_huge_p):
+    # the p shift of the first iterate takes one evaluation, the q
+    # half-step of the NaN sweep none
+    _, _, (_, _, _, trace) = restart_at_huge_p
+    assert trace.stop_reason == "non-finite"
+    assert trace.kappa_evals == 1
+
+
 def test_non_finite_recovered_solution_is_a_numerical_error(
         restart_at_huge_p):
     # maximize_D stops on the unconverged restart; recovered anyway, its

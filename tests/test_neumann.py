@@ -156,10 +156,10 @@ def test_superlu_from_its_file_matches_spilu_and_splu(name):
 def test_missing_superlu_file_is_an_import_error_naming_it(monkeypatch,
                                                           tmp_path):
     import scipy
-    from lanedual import neumann
+    from lanedual import scipy_files
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
-        neumann._load_superlu()
+        scipy_files.load("sparse", "linalg", "_dsolve", "_superlu")
 
 
 def test_solve_K_inverts_manufactured_laplacian(annulus, solver):
@@ -282,6 +282,17 @@ def test_kappa_shift_matches_brentq(solver, t):
             res = float(m.w @ signed_power(v + shift.kappa, t))
             scale = float(m.w @ np.abs(v + shift.kappa) ** t)
             assert abs(shift.residual - res) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [0.5001, 2.0])
+def test_kappa_shift_returns_at_once_on_a_non_finite_field(solver, bad, t):
+    # a NaN K f reaches the q half-step of solve --q 0.5001 --N 6
+    v = solver.mesh.node_r() - solver.mesh.mean(solver.mesh.node_r())
+    v[7] = bad
+    shift = solver.kappa_shift(v, t, guess=0.0)
+    assert np.isnan(shift.kappa) and np.isnan(shift.residual)
+    assert shift.evals <= 1
 
 
 def test_kappa_linear_case_is_mean_removal(solver):

@@ -3,25 +3,31 @@ are read in fresh interpreters; the lazily resolved names in-process."""
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+import scipy
 
 import lanedual
 from lanedual import acceptance, cli, groundstate
 
 SRC = os.path.dirname(os.path.dirname(lanedual.__file__))
 SHOOTER = {"lanedual.groundstate"}
-# what the shooter used to load for brentq, simpson, CubicSpline and the
-# DOP853 tableau; no command loads them now
-SCIPY_SHOOTER = {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
-# what the dual layer loaded for SuperLU and the dense eigensolve, and the
-# shooter for its spline; no command loads them now
-SCIPY_DUAL = {"scipy.sparse", "scipy.linalg"}
-# the slope fits' Student-t quantile and the ball integrals' betainc
-SCIPY_SPECIAL = {"scipy.special"}
-SCIPY_ALL = SCIPY_SHOOTER | SCIPY_DUAL | SCIPY_SPECIAL | {"scipy.stats"}
+# scipy's public subpackages (special, sparse, linalg, integrate, stats,
+# ...): importing one runs its __init__, 0.2-0.3 s and 20-25 MB each for
+# those the engines once used, so no command loads any
+SCIPY_SUBPACKAGES = {f"scipy.{m.name}"
+                     for m in pkgutil.iter_modules(scipy.__path__)
+                     if m.ispkg and not m.name.startswith("_")}
+
+
+def _scipy_subpackages(loaded):
+    """The modules among `loaded` that are, or lie in, a public scipy
+    subpackage."""
+    return {m for m in loaded
+            if ".".join(m.split(".")[:2]) in SCIPY_SUBPACKAGES}
 
 
 def _modules_after(code, cwd):
@@ -106,7 +112,8 @@ def test_verify_quick_loads_no_shooter(tmp_path):
         "from lanedual import cli\n"
         "assert cli.main(['verify', '--quick', '--outdir', 'out']) == 0",
         tmp_path)
-    assert not loaded & (SHOOTER | SCIPY_SHOOTER | {"scipy.stats"})
+    assert not loaded & SHOOTER
+    assert not _scipy_subpackages(loaded)
 
 
 def test_radial_solve_loads_no_shooter(tmp_path):
@@ -116,7 +123,8 @@ def test_radial_solve_loads_no_shooter(tmp_path):
         "assert cli.main(['solve', '--p', '2', '--N', '6', '--nr', '64',\n"
         "                 '--restarts', '1', '--outdir', 'out']) == 0",
         tmp_path)
-    assert not loaded & (SHOOTER | SCIPY_SHOOTER)
+    assert not loaded & SHOOTER
+    assert not _scipy_subpackages(loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -127,19 +135,23 @@ def test_radial_solve_loads_no_shooter(tmp_path):
     ["symmetry", "--quick", "--p", "2", "--N", "6"],
 ], ids=["radial-solve", "axisym-solve", "verify-quick", "symmetry-quick"])
 def test_dual_commands_load_no_sparse_linalg_or_special(argv, tmp_path):
-    # SuperLU comes from its extension file, the dense eigensolve from numpy
+    # SuperLU comes from its extension file, the dense eigensolve from numpy;
+    # no other scipy subpackage loads either
     loaded = _modules_after(
         "from lanedual import cli\n"
         f"assert cli.main({argv + ['--outdir', 'out']!r}) == 0", tmp_path)
     assert "lanedual.neumann" in loaded
-    assert not loaded & (SCIPY_DUAL | SCIPY_SPECIAL)
+    assert not _scipy_subpackages(loaded)
 
 
-def test_full_verify_loads_only_special(tmp_path):
+def test_full_verify_loads_no_scipy_subpackage(tmp_path):
+    # it runs every layer: the dual layer, the shooter and asymptotics,
+    # whose Boost kernels come from scipy.special's _ufuncs_cxx file
     loaded = _modules_after(
         "from lanedual import cli\n"
         "assert cli.main(['verify', '--outdir', 'out']) == 0", tmp_path)
-    assert loaded & SCIPY_ALL == SCIPY_SPECIAL
+    assert {"lanedual.neumann", "lanedual.asymptotics"} <= loaded
+    assert not _scipy_subpackages(loaded)
 
 
 def test_bubble_loads_no_scipy_shooter_modules(tmp_path):
@@ -148,31 +160,31 @@ def test_bubble_loads_no_scipy_shooter_modules(tmp_path):
         "assert cli.main(['bubble', '--p', '2', '--N', '6',\n"
         "                 '--outdir', 'out']) == 0", tmp_path)
     assert SHOOTER <= loaded
-    assert not loaded & (SCIPY_SHOOTER | SCIPY_DUAL)
+    assert not _scipy_subpackages(loaded)
 
 
 def test_engine_imports_load_no_scipy_shooter_modules(tmp_path):
     loaded = _modules_after("import lanedual.groundstate, "
                             "lanedual.asymptotics, lanedual.acceptance",
                             tmp_path)
-    assert not loaded & SCIPY_SHOOTER
+    assert not _scipy_subpackages(loaded)
 
 
 def test_groundstate_import_loads_no_sparse_or_linalg(tmp_path):
     loaded = _modules_after("import lanedual.groundstate", tmp_path)
     assert "lanedual.groundstate" in loaded
-    assert not loaded & SCIPY_DUAL
+    assert not _scipy_subpackages(loaded)
 
 
 @pytest.mark.parametrize("command", ["sweep", "probe-cherrier"])
 def test_shooting_command_loads_no_sparse_or_linalg(command, tmp_path):
-    # bubble is checked above
+    # bubble is checked above; the sweeps load no scipy.special either
     loaded = _modules_after(
         "from lanedual import cli\n"
         f"assert cli.main([{command!r}, '--p', '2', '--N', '6',\n"
         "                 '--outdir', 'out']) == 0", tmp_path)
-    assert SHOOTER <= loaded
-    assert not loaded & (SCIPY_SHOOTER | SCIPY_DUAL)
+    assert SHOOTER | {"lanedual.asymptotics"} <= loaded
+    assert not _scipy_subpackages(loaded)
 
 
 def test_radial_dual_solve_loads_no_symmetry(tmp_path):
@@ -194,7 +206,7 @@ def test_slope_fit_loads_no_stats(tmp_path):
         "eps = np.geomspace(0.1, 0.001, 6)\n"
         "asymptotics.fit_loglog(eps, eps ** 2)", tmp_path)
     assert "lanedual.asymptotics" in loaded
-    assert "scipy.stats" not in loaded
+    assert not _scipy_subpackages(loaded)
 
 
 def test_package_exports_resolve():
