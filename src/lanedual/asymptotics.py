@@ -96,7 +96,7 @@ def ball_integral(fun, R, N, s_min, family):
     if family not in ("boundary", "interior"):
         raise ValueError(f"unknown family {family!r}")
     boundary = family == "boundary"
-    s = np.geomspace(s_min, 2.0 * R if boundary else R, 4000)
+    s = np.geomspace(s_min, 2.0 * R if boundary else R, 4001)
     vals = fun(s) * s ** (N - 1)
     if boundary:
         vals *= cap_fraction(s, R, N)
@@ -241,7 +241,7 @@ def _boundary_integral(integrand, N, eps, R):
     polar-angle quadrature: dist is a boundary point's distance from the
     north pole, geom the factor that turns a radial derivative about the
     pole into the outer normal one."""
-    th = np.geomspace(min(1e-5 * eps / R, 1e-8), np.pi, 3000)
+    th = np.geomspace(min(1e-5 * eps / R, 1e-8), np.pi, 3001)
     dist = 2.0 * R * np.sin(th / 2.0)
     geom = R * (1.0 - np.cos(th)) / dist
     vals = integrand(dist, geom) * np.sin(th) ** (N - 2)
@@ -321,12 +321,12 @@ def bubble_fields(mesh, profile, eps):
 
 
 def min_resolvable_eps(mesh, profile):
-    """Smallest eps whose bubble core spans >= CORE_CELLS mesh cells near the
-    north pole; smaller requests should be refused, not extrapolated."""
+    """Smallest eps whose bubble core spans >= CORE_CELLS axisymmetric mesh
+    cells near the north pole; smaller ones are refused, not extrapolated."""
     half = profile.eval(profile.r[1:], "U") <= 0.5 * profile.shoot_d
     r_core = profile.r[1:][half][0] if half.any() else 1.0
     dr = mesh.r[-1] - mesh.r[-2]
-    dth = (mesh.theta[1] - mesh.theta[0]) * mesh.R if mesh.is_axisym else 0.0
+    dth = (mesh.theta[1] - mesh.theta[0]) * mesh.R
     return CORE_CELLS * max(dr, dth) / r_core
 
 

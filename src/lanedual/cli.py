@@ -244,7 +244,8 @@ def cmd_bubble(cfg, report, outdir):
     mV = radial_moment(prof, "V", pack.q + 1, pack.N - 1.0)
     report.check("critical norms equal", abs(mU / mV - 1) < 1e-3,
                  f"|U|^(p+1) vs |V|^(q+1): {mU:.8g} vs {mV:.8g}")
-    prof.to_csv(os.path.join(outdir, "profile.csv"))
+    _write_csv(outdir, "profile.csv", "r,U,V,dU,dV",
+               zip(prof.r, prof.U, prof.V, prof.dU, prof.dV))
 
 
 def _build_mesh(cfg):
@@ -264,8 +265,15 @@ def cmd_solve(cfg, report, outdir):
         # breaking holds above the radial one: a radial run does not shoot
         from .groundstate import shoot
         S = shoot(pack, r_max=cfg.r_max).S
-    rep = ds.maximize_D(mesh, pack, restarts=cfg.restarts, seed=cfg.seed,
-                        S=S)
+    try:
+        rep = ds.maximize_D(mesh, pack, restarts=cfg.restarts, seed=cfg.seed,
+                            S=S)
+    except ds.ConvergenceError as e:  # run() adds the error itself
+        report.results["restart_stop_reasons"] = [trace.stop_reason
+                                                  for trace in e.traces]
+        report.results["work"] = {"sweeps": [trace.sweeps
+                                             for trace in e.traces]}
+        raise
     report.results.update(rep.summary())
     for name, (passed, detail) in rep.verdicts().items():
         report.check(name, passed, detail)
@@ -282,7 +290,8 @@ def cmd_symmetry(cfg, report, outdir):
     """The star transform's three properties (norm preservation in L^alpha
     and L^beta, quadratic-form monotonicity, idempotence) on 50 random
     pairs, then the symmetry gap and the foliated-Schwarz check of the
-    axisymmetric optimum."""
+    axisymmetric optimum, all on the annulus r0 < |x| < R (other radii are
+    a config error)."""
     from . import symmetry as sym
     pack = cfg.pack()
     ev = msh.build_equal_volume(pack.N, cfg.r0, cfg.R, max(cfg.nr, 64))

@@ -171,10 +171,6 @@ class BubbleProfile:
     def dV_eps(self, rho, eps):
         return eps ** (-self.pack.sq - 1) * self.eval(np.divide(rho, eps), "dV")
 
-    def to_csv(self, path):
-        arr = np.column_stack([self.r, self.U, self.V, self.dU, self.dV])
-        np.savetxt(path, arr, delimiter=",", header="r,U,V,dU,dV", comments="")
-
 
 # -- integration of the radial system -------------------------------------
 
@@ -775,32 +771,21 @@ def profile_constants(profile):
 
 # -- quadrature with analytic tails ----------------------------------------
 
-def _basic_simpson(y, x, stop):
-    """Composite Simpson on the panels [x[i], x[i+2]], i = 0, 2, .. < stop."""
+def simpson(y, x):
+    """scipy's ``simpson(y, x=x)`` for 1-D y on a strictly increasing x
+    of odd length >= 3, bit for bit: composite Simpson on the panels
+    [x[i], x[i+2]], i = 0, 2, ... An even length raises ValueError."""
+    if len(y) % 2 == 0:
+        raise ValueError(f"simpson needs an odd number of points, got "
+                         f"{len(y)}")
     h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    h0, h1 = h[0::2], h[1::2]
     hsum = h0 + h1
     hprod = h0 * h1
     h0divh1 = h0 / h1
-    return np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                                + y[2:stop + 2:2] * (2.0 - h0divh1)))
-
-
-def simpson(y, x):
-    """scipy's ``simpson(y, x=x)`` for 1-D y on a strictly increasing x
-    of length >= 3, bit for bit. An even length adds Cartwright's
-    correction for the last interval to Simpson on the others."""
-    n = len(y)
-    if n % 2:
-        return _basic_simpson(y, x, n - 2)
-    h = np.diff(x)
-    h0, h1 = h[-2, ...], h[-1, ...]
-    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-    return (_basic_simpson(y, x, n - 3)
-            + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))
+    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
+                                + y[1:-1:2] * (hsum * (hsum / hprod))
+                                + y[2::2] * (2.0 - h0divh1)))
 
 
 def _tail_moment(c, m, l, lo, hi, off=0.0):

@@ -30,7 +30,9 @@ from math import gamma as _gamma, pi
 
 import numpy as np
 
-KINDS = ("radial-annulus", "radial-ball", "axisym-annulus", "axisym-ball")
+# No radial ball: there the discrete dual quotient's only optimum is a
+# one-node spike on the centre node, whatever the resolution.
+KINDS = ("radial-annulus", "axisym-annulus", "axisym-ball")
 # radial node spacings of build(); equal-volume cells are build_equal_volume's
 SPACINGS = ("uniform", "boundary")
 
@@ -230,6 +232,12 @@ class Mesh:
         return np.gradient(U, self.r)
 
 
+def _check_annulus(r0, R):
+    if not 0.0 < r0 < R:
+        raise ValueError(f"annulus radii must satisfy 0 < r0 < R, got "
+                         f"({r0}, {R})")
+
+
 def _radial_nodes(r0, R, nr, spacing):
     if spacing not in SPACINGS:
         raise ValueError(f"unknown radial spacing {spacing!r}")
@@ -246,8 +254,8 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
           radial_spacing="uniform"):
     """Build a mesh of the given kind.
 
-    kind is one of radial-annulus, radial-ball, axisym-annulus, axisym-ball.
-    nr >= 64 radial nodes (ntheta >= 32 for axisym kinds); balls have r0=0.
+    kind is one of radial-annulus, axisym-annulus, axisym-ball.
+    nr >= 64 radial nodes (ntheta >= 32 for axisym kinds); the ball has r0=0.
     theta_grading > 1 clusters angular nodes toward theta=0 (the north pole),
     radial_spacing="boundary" clusters radial nodes toward r=R.
     """
@@ -256,13 +264,11 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
     N = int(N)
     if N < 4:
         raise ValueError(f"ambient dimension N = {N} must be >= 4")
-    is_ball = kind.endswith("ball")
-    if is_ball:
+    if kind.endswith("ball"):
         if r0 != 0.0:
             raise ValueError("ball meshes require r0 = 0")
-    elif not 0.0 < r0 < R:
-        raise ValueError(f"annulus radii must satisfy 0 < r0 < R, got "
-                         f"({r0}, {R})")
+    else:
+        _check_annulus(r0, R)
     if R <= r0:
         raise ValueError("degenerate radii")
     if nr < 64:
@@ -288,14 +294,13 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
 
 
 def build_equal_volume(N, r0, R, n):
-    """Cell-centered radial mesh whose n cells have identical N-volume.
+    """Cell-centered radial annulus whose n cells have identical N-volume.
 
     Every node carries exactly the same quadrature weight, which makes
     rearrangement-type transforms pure permutations of node values.
     """
     N = int(N)
-    if not 0.0 <= r0 < R:
-        raise ValueError(f"bad radii ({r0}, {R})")
+    _check_annulus(r0, R)
     if n < 8:
         raise ValueError("need at least 8 cells")
     vols = np.linspace(r0 ** N, R ** N, n + 1)
@@ -303,5 +308,5 @@ def build_equal_volume(N, r0, R, n):
     # volume centroid of each cell
     r = (0.5 * (vols[:-1] + vols[1:])) ** (1.0 / N)
     w = np.full(n, sphere_area(N) / N * (R ** N - r0 ** N) / n)
-    kind = "radial-ball" if r0 == 0.0 else "radial-annulus"
-    return Mesh(kind, N, r0, R, r, faces, None, None, w, cell_centered=True)
+    return Mesh("radial-annulus", N, r0, R, r, faces, None, None, w,
+                cell_centered=True)

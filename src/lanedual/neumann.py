@@ -33,7 +33,6 @@ class NonZeroMeanError(NumericalError, ValueError):
 
 @dataclass
 class KtShift:
-    t: float
     kappa: float
     residual: float
     evals: int  # evaluations of F(kappa) made to find kappa
@@ -160,12 +159,12 @@ class NeumannSolver:
         if t == 1.0:
             kap = -self.mesh.mean(values)
             res = weighted_sum(w, values + kap)
-            return KtShift(t=t, kappa=kap, residual=res, evals=1)
+            return KtShift(kappa=kap, residual=res, evals=1)
         lo, hi = -values.max(), -values.min()
         if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an infinity
-            return KtShift(t=t, kappa=np.nan, residual=np.nan, evals=0)
+            return KtShift(kappa=np.nan, residual=np.nan, evals=0)
         if lo == hi:  # constant field
-            return KtShift(t=t, kappa=lo, residual=0.0, evals=0)
+            return KtShift(kappa=lo, residual=0.0, evals=0)
         kap = guess if guess is not None and lo <= guess <= hi \
             else -self.mesh.mean(values)
         step_old = hi - lo
@@ -191,7 +190,7 @@ class NeumannSolver:
                 step = np.copysign(xtol, step)
             kap -= step
             step_old = step
-        return KtShift(t=t, kappa=kap, residual=res, evals=evals)
+        return KtShift(kappa=kap, residual=res, evals=evals)
 
     def solve_Kt(self, h, t):
         """K_t h = K h + kappa_t(K h)."""

@@ -162,7 +162,6 @@ class SymmetryGap:
     gap: float
     noise: float
     axi_report: object
-    rad_report: object
     mesh: object          # the axisymmetric mesh of axi_report
 
     def summary(self):
@@ -174,19 +173,17 @@ class SymmetryGap:
 
 def symmetry_gap(pack, r0, R, nr=96, ntheta=72, seed=0, restarts=6,
                  estimate_noise=True):
-    """D (axisymmetric) minus D_rad on matching annulus meshes.
+    """D (axisymmetric) minus D_rad on matching annulus meshes, 0 < r0 < R.
 
     The axisymmetric run includes the lifted radial optimum among its
     initializations, so the reported gap is nonnegative up to solver
     tolerance. The refinement-noise estimate reruns both optimizations at
     1.5x resolution.
     """
-    shape = "ball" if r0 == 0.0 else "annulus"
-
     def run(nr_, nt_):
-        mrad = msh.build(f"radial-{shape}", pack.N, r0, R, nr_)
+        mrad = msh.build("radial-annulus", pack.N, r0, R, nr_)
         rad = maximize_D(mrad, pack, seed=seed, restarts=restarts)
-        maxi = msh.build(f"axisym-{shape}", pack.N, r0, R, nr_, nt_)
+        maxi = msh.build("axisym-annulus", pack.N, r0, R, nr_, nt_)
         lift = (np.repeat(rad.f, nt_), np.repeat(rad.g, nt_))
         axi = maximize_D(maxi, pack, seed=seed, restarts=restarts,
                          extra_inits=[lift])
@@ -198,7 +195,7 @@ def symmetry_gap(pack, r0, R, nr=96, ntheta=72, seed=0, restarts=6,
         axi2, rad2, _ = run(int(nr * 1.5), int(ntheta * 1.5))
         noise = max(abs(axi2.D - axi.D), abs(rad2.D - rad.D))
     return SymmetryGap(D=axi.D, D_rad=rad.D, gap=axi.D - rad.D, noise=noise,
-                       axi_report=axi, rad_report=rad, mesh=maxi)
+                       axi_report=axi, mesh=maxi)
 
 
 def random_smooth_zero_mean(mesh, rng):

@@ -38,12 +38,12 @@ def test_stdtrit_is_scipy_special_bit_for_bit():
 @pytest.mark.parametrize("N", range(4, 13))
 def test_cap_fraction_is_scipy_betainc_bit_for_bit(N):
     # the parent formula on scipy.special, at x = 1 (s = 0), x = 0 (s = 2R),
-    # beyond the ball, NaN, and 4,000 points on the boundary family's grid
-    # and at random
+    # beyond the ball, NaN, on the boundary family's 4,001-point grid and
+    # at 3,996 random points
     from scipy import special
     R = 1.5
     rng = np.random.default_rng(N)
-    for s in (np.geomspace(1e-9, 2.0 * R, 4000),
+    for s in (np.geomspace(1e-9, 2.0 * R, 4001),
               np.concatenate([[0.0, 2.0 * R, 3.0 * R, np.nan],
                               rng.uniform(0.0, 2.0 * R, 3996)])):
         x = np.clip(1.0 - (s / (2.0 * R)) ** 2, 0.0, 1.0)

@@ -51,10 +51,11 @@ def test_config_file_rejects_unknown_key(tmp_path):
     (["--config", "{cfg}", "solve"], "mesh_kind = bogus\n"),  # not a choice
     (["--config", "{cfg}", "probe-cherrier"], "family = bogus\n"),
     (["solve", "--radial-spacing", "nonsense"], None),
+    (["solve", "--mesh", "radial-ball"], None),  # not a mesh kind
 ], ids=["unknown-flag", "bad-flag-value", "removed-flag", "missing-file",
         "bad-file-value", "removed-key", "bad-file-bool", "unread-flag",
         "unread-key", "subcommand-key", "bad-file-mesh", "bad-file-family",
-        "bad-radial-spacing"])
+        "bad-radial-spacing", "radial-ball"])
 def test_bad_configuration_exits_4(tmp_path, capsys, args, cfg_text):
     cfg = tmp_path / "run.cfg"
     if cfg_text is not None:
@@ -85,7 +86,7 @@ def test_radial_spacing_is_read_on_every_mesh(kind):
     (["--config", "{cfg}", "solve"], "theta_grading = 2\n",
      "theta_grading"),
     # the flag's mesh kind wins over the file's, and it reads no ntheta
-    (["--config", "{cfg}", "solve", "--mesh", "radial-ball"],
+    (["--config", "{cfg}", "solve", "--mesh", "radial-annulus"],
      "mesh_kind = axisym-ball\nntheta = 32\n", "ntheta"),
 ], ids=["ntheta-radial", "r0-axisym-ball", "key-theta-grading-radial",
         "key-ntheta-flag-mesh"])
@@ -106,9 +107,10 @@ def test_a_field_the_mesh_kind_does_not_read_exits_4(tmp_path, capsys, args,
 
 @pytest.mark.parametrize("kind, skipped", [
     ("radial-annulus", {"ntheta", "theta_grading", "r_max"}),
-    ("radial-ball", {"r0", "ntheta", "theta_grading", "r_max"}),
     ("axisym-annulus", set()),
-    ("axisym-ball", {"r0"})])
+    ("axisym-ball", {"r0"})], ids=["radial-annulus-skipped0",
+                                   "axisym-annulus-skipped2",
+                                   "axisym-ball-skipped3"])
 def test_solve_reads_the_fields_of_its_mesh_kind(kind, skipped):
     read = cli.RunConfig(subcommand="solve", mesh_kind=kind).read()
     assert read == tuple(key for key in cli.SUBCOMMANDS["solve"][1]
@@ -120,11 +122,11 @@ def test_solve_reads_the_fields_of_its_mesh_kind(kind, skipped):
 
 def test_solve_echoes_only_the_fields_its_mesh_kind_reads(tmp_path):
     code, report, _ = run_cli(
-        ["solve", "--p", "2", "--N", "6", "--mesh", "radial-ball", "--R", "1",
+        ["solve", "--p", "2", "--N", "6", "--mesh", "radial-annulus",
          "--nr", "64", "--restarts", "1"], tmp_path)
     assert code == cli.EXIT_OK
     assert list(report["config"]) == [
-        "subcommand", "p", "q", "N", "mesh_kind", "R", "nr",
+        "subcommand", "p", "q", "N", "mesh_kind", "r0", "R", "nr",
         "radial_spacing", "restarts", "seed", "outdir"]
 
 
@@ -482,6 +484,37 @@ def test_symmetry_subcommand(tmp_path, monkeypatch):
     (g,) = gaps
     assert g.mesh.kind == g.axi_report.mesh_descr["kind"] == "axisym-annulus"
     assert g.mesh.nnodes == len(g.axi_report.u)
+
+
+def test_symmetry_on_a_ball_is_config_error_before_any_solve(tmp_path,
+                                                             monkeypatch):
+    calls = []
+
+    def record(name):
+        return lambda *args, **kw: calls.append(name)
+
+    for owner in (symmetry, ds):
+        monkeypatch.setattr(owner, "maximize_D", record("maximize_D"))
+    monkeypatch.setattr(symmetry, "star_properties", record("star"))
+    code, report, _ = run_cli(
+        ["symmetry", "--p", "2", "--N", "6", "--r0", "0", "--R", "1",
+         "--quick"], tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert "annulus radii must satisfy 0 < r0 < R" in report["results"]["error"]
+    assert calls == []
+
+
+def test_failed_solve_reports_each_restart(tmp_path, monkeypatch):
+    # three sweeps settle no restart, so none converges
+    monkeypatch.setattr(ds, "MAX_SWEEPS", 3)
+    code, report, _ = run_cli(
+        ["solve", "--p", "2", "--N", "6", "--nr", "64", "--restarts", "3"],
+        tmp_path)
+    assert code == cli.EXIT_CONVERGENCE
+    res = report["results"]
+    assert res["error"].startswith("no restart converged on radial-annulus")
+    assert res["restart_stop_reasons"] == ["max_iter"] * 3
+    assert res["work"] == {"sweeps": [3, 3, 3]}
 
 
 def test_solve_axisym_ball_threshold(tmp_path):

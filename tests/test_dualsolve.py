@@ -203,7 +203,10 @@ def test_lifted_restart_does_not_descend(pack226):
     # never below its start
     gap = sym.symmetry_gap(pack226, 1.0, 2.0, nr=64, ntheta=32, restarts=2,
                            estimate_noise=False)
-    lift = (np.repeat(gap.rad_report.f, 32), np.repeat(gap.rad_report.g, 32))
+    rad = ds.maximize_D(msh.build("radial-annulus", 6, 1.0, 2.0, 64),
+                        pack226, restarts=2)
+    assert rad.D == gap.D_rad
+    lift = (np.repeat(rad.f, 32), np.repeat(rad.g, 32))
     start = ds.rayleigh_ratio(NeumannSolver(gap.mesh), *lift, pack226)
     axi = gap.axi_report
     k = next(k for k, (name, _, _) in enumerate(axi.restarts)

@@ -12,9 +12,10 @@ def test_volume_radial_annulus_N4():
     assert m.volume == pytest.approx(exact, rel=1e-8)
 
 
-def test_volume_radial_ball_N6():
-    m = msh.build("radial-ball", 6, 0.0, 1.0, 512)
-    assert m.volume == pytest.approx(pi ** 3 / 6.0, rel=1e-8)
+def test_volume_radial_annulus_N6():
+    m = msh.build("radial-annulus", 6, 0.5, 1.0, 512)
+    exact = (pi ** 3 / 6.0) * (1.0 - 0.5 ** 6)
+    assert m.volume == pytest.approx(exact, rel=1e-8)
 
 
 def test_volume_axisym_ball_N5():
@@ -31,8 +32,13 @@ def test_weights_positive():
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         msh.build("radial-annulus", 4, 2.0, 1.0, 128)
-    with pytest.raises(ValueError):
-        msh.build("radial-ball", 4, 0.5, 1.0, 128)
+    with pytest.raises(ValueError, match="unknown mesh kind 'radial-ball'"):
+        msh.build("radial-ball", 4, 0.0, 1.0, 128)
+    with pytest.raises(ValueError, match="ball meshes require r0 = 0"):
+        msh.build("axisym-ball", 4, 0.5, 1.0, 128, 64)
+    for r0 in (0.0, 2.0):
+        with pytest.raises(ValueError, match="0 < r0 < R"):
+            msh.build_equal_volume(4, r0, 1.0, 64)
     with pytest.raises(ValueError):
         msh.build("radial-annulus", 4, 1.0, 2.0, 16)
     with pytest.raises(ValueError):
@@ -80,26 +86,26 @@ def test_integrate_constant():
 
 
 def test_norm_L1_matches_integral_of_abs():
-    m = msh.build("radial-ball", 4, 0.0, 1.0, 256)
+    m = msh.build("radial-annulus", 4, 1.0, 2.0, 256)
     u = np.sin(3 * m.r) * np.exp(-m.r)
     assert m.norm_Ls(u, 1) == pytest.approx(m.integrate(np.abs(u)), rel=1e-13)
 
 
 def test_norm_identity_map_closed_form():
-    # int_{B_1} |x| dx in R^4 = sigma_3 * int r * r^3 dr = 2 pi^2 / 5
-    m = msh.build("radial-ball", 4, 0.0, 1.0, 4096)
-    assert m.norm_Ls(m.r, 1) == pytest.approx(2 * pi ** 2 / 5.0, rel=1e-7)
+    # int_{1 < |x| < 2} |x| dx in R^4 = sigma_3 * int_1^2 r * r^3 dr
+    # = 2 pi^2 * 31 / 5
+    m = msh.build("radial-annulus", 4, 1.0, 2.0, 4096)
+    assert m.norm_Ls(m.r, 1) == pytest.approx(62 * pi ** 2 / 5.0, rel=1e-7)
 
 
 def test_norm_rejects_s_below_one():
-    m = msh.build("radial-ball", 4, 0.0, 1.0, 64)
+    m = msh.build("radial-annulus", 4, 1.0, 2.0, 64)
     with pytest.raises(ValueError):
         m.norm_Ls(m.r, 0.5)
 
 
 @pytest.mark.parametrize("kind,nt", [("radial-annulus", None),
                                      ("axisym-annulus", 56),
-                                     ("radial-ball", None),
                                      ("axisym-ball", 56)])
 def test_divergence_identity(kind, nt):
     # the wall rows carry zero flux through the wall, so the cell balances
@@ -175,7 +181,6 @@ def test_graded_mesh_volume_still_exact():
 
 
 SMALL_MESHES = [("radial-annulus", 5, 1.0, 2.0, 64, None),
-                ("radial-ball", 6, 0.0, 1.0, 64, None),
                 ("axisym-annulus", 6, 1.0, 2.0, 64, 32),
                 ("axisym-ball", 4, 0.0, 1.0, 64, 40)]
 
@@ -219,8 +224,9 @@ def _scipy_stiffness(m):
 
 CONTRACT_MESHES = {
     **{args[0]: lambda args=args: msh.build(*args) for args in SMALL_MESHES},
-    "graded-radial-ball": lambda: msh.build("radial-ball", 6, 0.0, 1.0, 257,
-                                            radial_spacing="boundary"),
+    # face coefficients r^5 spanning five decades, as a ball's would
+    "graded-radial-annulus": lambda: msh.build(
+        "radial-annulus", 6, 0.1, 1.0, 257, radial_spacing="boundary"),
     "equal-volume": lambda: msh.build_equal_volume(4, 1.0, 2.0, 200),
     # acceptance criterion 5's graded ball, and the thin shell
     "graded-ball-160x160": lambda: msh.build(

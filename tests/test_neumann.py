@@ -70,7 +70,7 @@ def axisym_solver(request):
 
 def _assert_residual_and_self_adjointness(sol):
     # the bordered solve meets A u = W h to roundoff (measured 4e-15 to
-    # 1.4e-12 on the axisymmetric meshes, 3e-14 to 2.4e-12 on the radial
+    # 1.4e-12 on the axisymmetric meshes, 3e-14 to 1.5e-12 on the radial
     # ones), and K is symmetric in the w inner product
     m = sol.mesh
     rng = np.random.default_rng(0)
@@ -93,10 +93,10 @@ def test_solve_K_residual_and_self_adjointness_on_axisym_meshes(
 
 @pytest.mark.parametrize("build", [
     lambda: msh.build("radial-annulus", 4, 1.0, 2.0, 256),
-    lambda: msh.build("radial-ball", 6, 0.0, 1.0, 257,
+    lambda: msh.build("radial-annulus", 6, 0.1, 1.0, 257,
                       radial_spacing="boundary"),
     lambda: msh.build_equal_volume(4, 1.0, 2.0, 200),
-], ids=["radial-annulus", "graded-radial-ball", "equal-volume"])
+], ids=["radial-annulus", "graded-radial-annulus", "equal-volume"])
 def test_solve_K_residual_and_self_adjointness_on_radial_meshes(build):
     _assert_residual_and_self_adjointness(NeumannSolver(build()))
 
