@@ -15,7 +15,13 @@ __version__ = "0.1.0"
 
 class NumericalError(RuntimeError):
     """A numerical failure: a solve, fixed point or shoot that did not
-    deliver, as opposed to a bad configuration. The CLI exits 3 on it."""
+    deliver, as opposed to a bad configuration. `partial` holds the
+    results of the work done before the failure; the CLI exits 3 on it
+    and writes them next to the error."""
+
+    def __init__(self, msg, partial=None):
+        super().__init__(msg)
+        self.partial = partial or {}
 
 
 def lazy_getattr(modname, names):

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import scipy_files
 from .exponents import threshold_constant
-from .groundstate import REGIME_TOL, simpson, tail_law, truncated_norms
+from .groundstate import (REGIME_TOL, simpson, tail_law, truncated_norm,
+                          truncated_norms)
 from .mesh import sphere_area
 
 # relative slope tolerances of the norm rates (pure power, log-corrected)
@@ -218,11 +219,9 @@ def norm_rate_sweep(profile, quantity, eps_grid, R_domain=1.0):
     passes when |slope - predicted| <= tol |predicted|, with tol
     NORM_RATE_TOL, or NORM_RATE_LOG_TOL for a log-corrected rate, whatever
     the fit's CI: a noisy fit does not widen the tolerance."""
-    from .groundstate import scaled_quantities
-    pack = profile.pack
-    pred, log_power, prov = predicted_norm_rate(pack, quantity)
+    pred, log_power, prov = predicted_norm_rate(profile.pack, quantity)
     eps_grid = np.sort(np.asarray(eps_grid, float))[::-1]
-    vals = np.array([scaled_quantities(profile, e, R_domain)[quantity]
+    vals = np.array([truncated_norm(profile, quantity, e, R_domain)
                      for e in eps_grid])
     fit = fit_loglog(eps_grid, vals, log_power=log_power)
     tol = NORM_RATE_LOG_TOL if log_power else NORM_RATE_TOL

@@ -265,15 +265,8 @@ def cmd_solve(cfg, report, outdir):
         # breaking holds above the radial one: a radial run does not shoot
         from .groundstate import shoot
         S = shoot(pack, r_max=cfg.r_max).S
-    try:
-        rep = ds.maximize_D(mesh, pack, restarts=cfg.restarts, seed=cfg.seed,
-                            S=S)
-    except ds.ConvergenceError as e:  # run() adds the error itself
-        report.results["restart_stop_reasons"] = [trace.stop_reason
-                                                  for trace in e.traces]
-        report.results["work"] = {"sweeps": [trace.sweeps
-                                             for trace in e.traces]}
-        raise
+    rep = ds.maximize_D(mesh, pack, restarts=cfg.restarts, seed=cfg.seed,
+                        S=S)
     report.results.update(rep.summary())
     for name, (passed, detail) in rep.verdicts().items():
         report.check(name, passed, detail)
@@ -290,11 +283,16 @@ def cmd_symmetry(cfg, report, outdir):
     """The star transform's three properties (norm preservation in L^alpha
     and L^beta, quadratic-form monotonicity, idempotence) on 50 random
     pairs, then the symmetry gap and the foliated-Schwarz check of the
-    axisymmetric optimum, all on the annulus r0 < |x| < R (other radii are
-    a config error)."""
+    axisymmetric optimum, all on the annulus r0 < |x| < R. The gap runs
+    first, so that its meshes reject bad radii, nr or ntheta as a config
+    error before any work; the star mesh has nr equal-volume cells."""
     from . import symmetry as sym
     pack = cfg.pack()
-    ev = msh.build_equal_volume(pack.N, cfg.r0, cfg.R, max(cfg.nr, 64))
+    gap = sym.symmetry_gap(pack, cfg.r0, cfg.R, nr=cfg.nr,
+                           ntheta=cfg.ntheta, seed=cfg.seed,
+                           restarts=cfg.restarts,
+                           estimate_noise=not cfg.quick)
+    ev = msh.build_equal_volume(pack.N, cfg.r0, cfg.R, cfg.nr)
     star = sym.star_properties(ev, pack, np.random.default_rng(cfg.seed), 50)
     for key, result, check in (
             ("norm", "star_norm_worst_drift", "star norm preservation"),
@@ -304,11 +302,6 @@ def cmd_symmetry(cfg, report, outdir):
         worst, passed = star[key]
         report.results[result] = worst
         report.check(check, passed)
-
-    gap = sym.symmetry_gap(pack, cfg.r0, cfg.R, nr=cfg.nr,
-                           ntheta=cfg.ntheta, seed=cfg.seed,
-                           restarts=cfg.restarts,
-                           estimate_noise=not cfg.quick)
     report.results["symmetry_gap"] = gap.summary()
     report.check("nonnegative gap", gap.gap >= -1e-10)
     fs = sym.fs_check(gap.mesh, gap.axi_report.u, gap.axi_report.v)
@@ -454,6 +447,7 @@ def run(cfg):
     except (NumericalError, ValueError) as e:
         if isinstance(e, NumericalError):
             code, kind = EXIT_CONVERGENCE, "numerical failure"
+            report.results.update(e.partial)  # the work done before it
         else:
             code, kind = EXIT_CONFIG, "config error"
         report.results["error"] = str(e)

@@ -186,9 +186,7 @@ class DualReport:
 
 
 class ConvergenceError(NumericalError):
-    def __init__(self, msg, traces=None):
-        super().__init__(msg)
-        self.traces = traces or []
+    """No restart converged."""
 
 
 def rayleigh_ratio(solver, f, g, pack):
@@ -393,9 +391,12 @@ def maximize_D(mesh, pack, restarts=8, seed=0, extra_inits=(), S=None):
 
     converged = [res for res in results if res[4].converged]
     if not converged:
+        traces = [res[4] for res in results]
         raise ConvergenceError(
             f"no restart converged on {mesh.kind} for (p,q,N)=({pack.p},"
-            f"{pack.q},{pack.N})", traces=[r[4] for r in results])
+            f"{pack.q},{pack.N})",
+            {"restart_stop_reasons": [t.stop_reason for t in traces],
+             "work": {"sweeps": [t.sweeps for t in traces]}})
     Dmax = max(res[1] for res in converged)
     best = next(res for res in converged if Dmax - res[1] <= TIE_RTOL * Dmax)
     near = [res[0] for res in converged if Dmax - res[1] <= NEAR_RTOL * Dmax]

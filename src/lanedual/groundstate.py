@@ -579,14 +579,21 @@ def shoot(pack, r_max=400.0):
     r^(2-N) tail magnitude meets the integrator's constant-mode noise
     floor (~1e-11) soon after r ~ 1e3, so larger defaults are
     counterproductive.
+
+    A failed shoot's NumericalError carries the work of every r_max tried
+    as `partial["work"]`.
     """
     work = Counter()
-    for _ in range(3):
-        try:
-            return _shoot_fixed(pack, r_max, work)
-        except TailError:
-            r_max *= 2.0
-    return _shoot_fixed(pack, r_max, work)
+    try:
+        for _ in range(3):
+            try:
+                return _shoot_fixed(pack, r_max, work)
+            except TailError:
+                r_max *= 2.0
+        return _shoot_fixed(pack, r_max, work)
+    except NumericalError as e:
+        e.partial = {"work": dict(work)}
+        raise
 
 
 def _shoot_fixed(pack, r_max, work):
@@ -850,23 +857,27 @@ def truncated_norms(pack):
             "Up_1": ("U", p, p * pack.sp), "Vq_1": ("V", q, q * pack.sq)}
 
 
-def scaled_quantities(profile, eps, R_domain=1.0):
-    """Truncated-domain norms of the eps-scaled bubble and the boundary
-    moment constants.
-
-    Norms are over the ball of radius R_domain around the bubble center
-    (tail corrections from the fitted decay); C1 and C2 are the (N-1)-slice
-    second moments with unit mean curvature, rescaled by the caller.
-    """
+def truncated_norm(profile, name, eps, R_domain=1.0):
+    """The truncated L1 norm `name` of :func:`truncated_norms` of the
+    eps-scaled bubble, over the ball of radius R_domain around its center
+    (tail corrections from the fitted decay)."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps = {eps} outside (0, 1]")
+    which, s, s_w = truncated_norms(profile.pack)[name]
+    N = profile.pack.N
+    return eps ** (N - s_w) * sphere_area(N) * radial_moment(
+        profile, which, s, N - 1.0, upper=R_domain / eps)
+
+
+def scaled_quantities(profile, eps, R_domain=1.0):
+    """Truncated-domain norms of the eps-scaled bubble (truncated_norm) and
+    the boundary moment constants: C1 and C2 are the (N-1)-slice second
+    moments with unit mean curvature, rescaled by the caller.
+    """
     pack = profile.pack
     N, p, q = pack.N, pack.p, pack.q
-    sig = sphere_area(N)
-    cut = R_domain / eps
-    out = {name: eps ** (N - s_w) * sig * radial_moment(
-               profile, which, s, N - 1.0, upper=cut)
-           for name, (which, s, s_w) in truncated_norms(pack).items()}
+    out = {name: truncated_norm(profile, name, eps, R_domain)
+           for name in truncated_norms(pack)}
     for key, which, s in (("C1", "U", p + 1.0), ("C2", "V", q + 1.0)):
         try:
             out[key] = 0.5 * sphere_area(N - 1) * radial_moment(

@@ -1,6 +1,7 @@
 """Discretized radially symmetric domains (annulus/ball) in dimension N >= 4.
 
-Grids are 1D radial or 2D axisymmetric (r, theta) reductions; the ambient
+Every grid is an axisymmetric (r, theta) tensor grid; a radial grid is the
+one with a single polar cell [0, pi], its node at theta = 0. The ambient
 dimension enters only through the volume density sigma_{N-2} r^{N-1}
 sin^{N-2}(theta) and the face coefficients of the finite-volume operators.
 
@@ -116,11 +117,10 @@ class Mesh:
     R: float
     r: np.ndarray                 # radial nodes
     faces_r: np.ndarray           # radial cell faces, len(r)+1
-    theta: np.ndarray | None      # polar-angle nodes (axisym kinds)
-    faces_theta: np.ndarray | None
+    theta: np.ndarray             # polar-angle nodes, [0] on a radial mesh
+    faces_theta: np.ndarray       # polar cell faces, len(theta)+1
+    wt: np.ndarray                # cell integrals of sin^(N-2)(theta)
     w: np.ndarray                 # quadrature weights, flattened C-order (r slow)
-    cell_centered: bool = False
-    wt: np.ndarray | None = None  # cell integrals of sin^(N-2)(theta)
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic geometry -------------------------------------------------
@@ -130,11 +130,11 @@ class Mesh:
 
     @property
     def ntheta(self):
-        return len(self.theta) if self.theta is not None else 1
+        return len(self.theta)
 
     @property
     def is_axisym(self):
-        return self.theta is not None
+        return self.ntheta > 1
 
     @property
     def nnodes(self):
@@ -146,28 +146,21 @@ class Mesh:
 
     def node_r(self):
         """Radial coordinate of every node (flattened)."""
-        if self.is_axisym:
-            return np.repeat(self.r, self.ntheta)
-        return self.r
+        return np.repeat(self.r, self.ntheta)
 
     def node_theta(self):
-        if self.is_axisym:
-            return np.tile(self.theta, self.nr)
-        return np.zeros_like(self.r)
+        return np.tile(self.theta, self.nr)
 
     def reshape(self, values):
-        """View a flattened field as (nr, ntheta) for axisym meshes."""
-        if not self.is_axisym:
-            return np.asarray(values)
+        """View a flattened field as (nr, ntheta)."""
         return np.asarray(values).reshape(self.nr, self.ntheta)
 
     def interior_mask(self):
         """False on the radial walls' rings of nodes (r = 0 is no wall)."""
         mask = np.ones(self.nnodes, dtype=bool)
-        if not self.cell_centered:
-            if self.r0 > 0.0:
-                mask[:self.ntheta] = False
-            mask[-self.ntheta:] = False
+        if self.r0 > 0.0:
+            mask[:self.ntheta] = False
+        mask[-self.ntheta:] = False
         return mask
 
     # -- quadrature -----------------------------------------------------
@@ -198,14 +191,12 @@ class Mesh:
         return self._cache["A"]
 
     def _build_stiffness(self):
-        """A from the stencil: on axisymmetric meshes the entries of
+        """A from the stencil: the entries of
         s (kron(Ar, diag(wt)) + kron(diag(wr3), At)), each computed as
-        that expression computes it, node (i, j) at i * ntheta + j."""
+        that expression computes it, node (i, j) at i * ntheta + j. With a
+        single polar cell At is zero, so its bands, which then share the
+        offsets of Ar's, hold no stored entry."""
         N = self.N
-        if not self.is_axisym:
-            coeff = sphere_area(N) * self.faces_r[1:-1] ** (N - 1)
-            return CscMatrix.from_bands((-1, 0, 1),
-                                        _stiffness_1d(self.r, coeff))
         s = sphere_area(N - 1)
         wr3 = _cell_integrals(self.faces_r, lambda x: x ** (N - 3.0))
         sub_r, main_r, sup_r = _stiffness_1d(
@@ -226,10 +217,7 @@ class Mesh:
 
     def gradient_r(self, u):
         """Central-difference radial derivative (one-sided at the ends)."""
-        U = self.reshape(np.ravel(u))
-        if self.is_axisym:
-            return np.ravel(np.gradient(U, self.r, axis=0))
-        return np.gradient(U, self.r)
+        return np.ravel(np.gradient(self.reshape(u), self.r, axis=0))
 
 
 def _check_annulus(r0, R):
@@ -248,6 +236,13 @@ def _radial_nodes(r0, R, nr, spacing):
         r = R - (R - r0) * (1.0 - np.linspace(0.0, 1.0, nr)) ** 2.0
         r[0], r[-1] = r0, R
     return r, np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
+
+
+def _polar_cell(N):
+    """A radial mesh's theta, faces_theta and wt: one cell [0, pi], its node
+    at 0, its sin^(N-2) integral exact (8-point Gauss is 1.3e-6 off at N=6)."""
+    return (np.zeros(1), np.array([0.0, pi]),
+            np.array([sphere_area(N) / sphere_area(N - 1)]))
 
 
 def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
@@ -287,10 +282,10 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
             th[-1] = pi
         faces_t = np.concatenate([[0.0], 0.5 * (th[1:] + th[:-1]), [pi]])
         wt = _cell_integrals(faces_t, lambda x: np.sin(x) ** (N - 2.0))
-        w = sphere_area(N - 1) * np.kron(wr, wt)
-        return Mesh(kind, N, r0, R, r, faces_r, th, faces_t, w, wt=wt)
-    w = sphere_area(N) * wr
-    return Mesh(kind, N, r0, R, r, faces_r, None, None, w)
+    else:
+        th, faces_t, wt = _polar_cell(N)
+    w = sphere_area(N - 1) * np.kron(wr, wt)
+    return Mesh(kind, N, r0, R, r, faces_r, th, faces_t, wt, w)
 
 
 def build_equal_volume(N, r0, R, n):
@@ -308,5 +303,4 @@ def build_equal_volume(N, r0, R, n):
     # volume centroid of each cell
     r = (0.5 * (vols[:-1] + vols[1:])) ** (1.0 / N)
     w = np.full(n, sphere_area(N) / N * (R ** N - r0 ** N) / n)
-    return Mesh("radial-annulus", N, r0, R, r, faces, None, None, w,
-                cell_centered=True)
+    return Mesh("radial-annulus", N, r0, R, r, faces, *_polar_cell(N), w)

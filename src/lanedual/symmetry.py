@@ -178,12 +178,13 @@ def symmetry_gap(pack, r0, R, nr=96, ntheta=72, seed=0, restarts=6,
     The axisymmetric run includes the lifted radial optimum among its
     initializations, so the reported gap is nonnegative up to solver
     tolerance. The refinement-noise estimate reruns both optimizations at
-    1.5x resolution.
+    1.5x resolution. Both meshes are built, and so checked, before either
+    optimization runs.
     """
     def run(nr_, nt_):
         mrad = msh.build("radial-annulus", pack.N, r0, R, nr_)
-        rad = maximize_D(mrad, pack, seed=seed, restarts=restarts)
         maxi = msh.build("axisym-annulus", pack.N, r0, R, nr_, nt_)
+        rad = maximize_D(mrad, pack, seed=seed, restarts=restarts)
         lift = (np.repeat(rad.f, nt_), np.repeat(rad.g, nt_))
         axi = maximize_D(maxi, pack, seed=seed, restarts=restarts,
                          extra_inits=[lift])

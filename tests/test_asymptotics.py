@@ -212,12 +212,10 @@ def test_norm_rate_sweep_log_regime(profile_log6):
 def test_norm_rate_sweep_does_not_widen_to_the_ci(monkeypatch, profile226):
     # a noisy V_1 sweep of slope about 2.15 against the predicted 2: its CI
     # covers the prediction, but the miss is above NORM_RATE_TOL
-    from lanedual import groundstate
+    def noisy(profile, name, eps, R_domain):
+        return eps ** 2.15 * np.exp(0.3 * np.sin(7.0 * np.log(eps)))
 
-    def noisy(profile, eps, R_domain):
-        return {"V_1": eps ** 2.15 * np.exp(0.3 * np.sin(7.0 * np.log(eps)))}
-
-    monkeypatch.setattr(groundstate, "scaled_quantities", noisy)
+    monkeypatch.setattr(asym, "truncated_norm", noisy)
     rec = asym.norm_rate_sweep(profile226, "V_1",
                                np.geomspace(0.01, 0.0003, 7))
     miss = abs(rec.fitted_slope - rec.predicted_slope)

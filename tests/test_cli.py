@@ -504,6 +504,40 @@ def test_symmetry_on_a_ball_is_config_error_before_any_solve(tmp_path,
     assert calls == []
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--nr", "32", "nr = 32 under-resolved"),
+    ("--ntheta", "16", "ntheta = 16 under-resolved")])
+def test_symmetry_on_a_coarse_grid_is_config_error_before_any_work(
+        tmp_path, monkeypatch, flag, value, message):
+    calls = []
+
+    def record(name):
+        return lambda *args, **kw: calls.append(name)
+
+    for owner in (symmetry, ds):
+        monkeypatch.setattr(owner, "maximize_D", record("maximize_D"))
+    monkeypatch.setattr(symmetry, "star_properties", record("star"))
+    code, report, _ = run_cli(
+        ["symmetry", "--p", "2", "--N", "6", flag, value, "--quick"],
+        tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert calls == []
+    assert list(report["results"]) == ["error"]
+    assert report["results"]["error"].startswith(message)
+
+
+def test_failed_bubble_reports_its_work(tmp_path):
+    # the slow-side V tail fit drifts at every r_max tried, 400 to 3200
+    code, report, _ = run_cli(["bubble", "--p", "3", "--N", "6"], tmp_path)
+    assert code == cli.EXIT_CONVERGENCE
+    res = report["results"]
+    assert list(res) == ["work", "error"]
+    assert res["error"].startswith("r_max too small: V-tail compensator")
+    # four shoots, one per r_max, each makes a scan and a bisection
+    assert res["work"]["integrations"] > 4 * 4
+    assert res["work"]["rhs_evals"] > 12 * res["work"]["integrations"]
+
+
 def test_failed_solve_reports_each_restart(tmp_path, monkeypatch):
     # three sweeps settle no restart, so none converges
     monkeypatch.setattr(ds, "MAX_SWEEPS", 3)

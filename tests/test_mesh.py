@@ -189,11 +189,47 @@ SMALL_MESHES = [("radial-annulus", 5, 1.0, 2.0, 64, None),
 def test_stored_cell_integrals_rebuild_weights_exactly(args):
     m = msh.build(*args)
     wr = msh._cell_integrals(m.faces_r, lambda x: x ** (m.N - 1.0))
-    if m.is_axisym:
-        assert np.array_equal(sphere_area(m.N - 1) * np.kron(wr, m.wt), m.w)
-    else:
-        assert m.wt is None
-        assert np.array_equal(sphere_area(m.N) * wr, m.w)
+    assert np.array_equal(sphere_area(m.N - 1) * np.kron(wr, m.wt), m.w)
+
+
+RADIAL_MESHES = {
+    "radial-annulus": lambda: msh.build("radial-annulus", 5, 1.0, 2.0, 64),
+    "graded-radial-annulus": lambda: msh.build(
+        "radial-annulus", 6, 0.1, 1.0, 257, radial_spacing="boundary"),
+    "N8-radial-annulus": lambda: msh.build("radial-annulus", 8, 1.0, 3.0, 100),
+    "equal-volume": lambda: msh.build_equal_volume(6, 1.0, 2.0, 400),
+}
+
+
+@pytest.mark.parametrize("name", list(RADIAL_MESHES))
+def test_radial_mesh_is_one_exact_polar_cell(name):
+    m = RADIAL_MESHES[name]()
+    N = m.N
+    assert m.ntheta == 1 and m.nnodes == m.nr and not m.is_axisym
+    assert np.array_equal(m.theta, [0.0])
+    assert np.array_equal(m.faces_theta, [0.0, pi])
+    assert np.array_equal(m.wt, [sphere_area(N) / sphere_area(N - 1)])
+    # w and A keep the radial formula sphere_area(N) r^(N-1) to a few ulps
+    if name != "equal-volume":  # whose weights are set equal, not integrated
+        wr = msh._cell_integrals(m.faces_r, lambda x: x ** (N - 1.0))
+        np.testing.assert_array_max_ulp(m.w, sphere_area(N) * wr, maxulp=4)
+    coeff = sphere_area(N) * m.faces_r[1:-1] ** (N - 1)
+    old = msh.CscMatrix.from_bands((-1, 0, 1), msh._stiffness_1d(m.r, coeff))
+    A = m.stiffness()
+    assert np.array_equal(A.indices, old.indices)
+    assert np.array_equal(A.indptr, old.indptr)
+    np.testing.assert_array_max_ulp(A.data, old.data, maxulp=4)
+
+
+def test_radial_mesh_field_shapes():
+    m = msh.build("radial-annulus", 6, 1.0, 2.0, 64)
+    u = np.sin(m.r)
+    assert np.array_equal(m.node_r(), m.r)
+    assert np.array_equal(m.node_theta(), np.zeros(m.nr))
+    assert m.reshape(u).shape == (m.nr, 1)
+    assert np.array_equal(m.reshape(u)[:, 0], u)
+    assert m.gradient_r(u).shape == (m.nr,)
+    assert np.array_equal(m.gradient_r(u), np.gradient(u, m.r))
 
 
 # the scipy.sparse build of A that CscMatrix replaced; the stencil's
@@ -210,9 +246,6 @@ def _scipy_stiffness_1d(x, face_coeff):
 def _scipy_stiffness(m):
     import scipy.sparse as sp
     N = m.N
-    if not m.is_axisym:
-        coeff = sphere_area(N) * m.faces_r[1:-1] ** (N - 1)
-        return _scipy_stiffness_1d(m.r, coeff).tocsc()
     s = sphere_area(N - 1)
     wr3 = msh._cell_integrals(m.faces_r, lambda x: x ** (N - 3.0))
     Ar = _scipy_stiffness_1d(m.r, m.faces_r[1:-1] ** (N - 1.0))
