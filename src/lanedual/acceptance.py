@@ -9,6 +9,7 @@ through routes independent of the code paths they verify.
 
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +23,14 @@ from .neumann import NeumannSolver, dense_eigenpairs
 # The quick battery never shoots: the criteria import the shooter and the
 # sweeps where they use them.
 __getattr__ = lazy_getattr(__name__, {"shoot": "groundstate.shoot"})
+
+
+# Gates of criteria 1 (profile and S relative errors), 2 (worst identity
+# residual) and 8 (gap over noise, least radiality deviation of u)
+PROFILE_TOL, S_TOL, IDENTITY_TOL = 1e-6, 1e-3, 1e-12
+GAP_NOISE_FACTOR, RADIALITY_MIN = 3.0, 1e-3
+# a gate as the detail texts write it: 1e-6, not 1.000000e-06
+_tol = partial(np.format_float_scientific, trim="-", exp_digits=1)
 
 
 @dataclass
@@ -75,11 +84,11 @@ def criterion_1_bubble_anchor(shared):
     # S^2 = |S^3| int_0^inf U^4 s^3 ds with the integral exactly 16/3
     S_oracle = np.pi * np.sqrt(32.0 / 3.0)
     s_rel = abs(prof.S / S_oracle - 1.0)
-    passed = rel <= 1e-6 and s_rel <= 1e-3
+    passed = rel <= PROFILE_TOL and s_rel <= S_TOL
     return CheckResult(
         "1 explicit-bubble anchor", passed,
-        f"max profile rel err {rel:.2e} (tol 1e-6); "
-        f"S rel err {s_rel:.2e} (tol 1e-3)",
+        f"max profile rel err {rel:.2e} (tol {_tol(PROFILE_TOL)}); "
+        f"S rel err {s_rel:.2e} (tol {_tol(S_TOL)})",
         {"profile_rel_err": rel, "S": prof.S, "S_oracle": S_oracle})
 
 
@@ -98,9 +107,9 @@ def criterion_2_exponent_identities(shared):
                 abs(pk.gamma1 + pk.gamma2 - 1.0),
                 abs(1 / pk.alpha + 1 / pk.beta - 1 / pk.gamma),
                 abs(pk.threshold_exponent - N / 2.0) / (N / 2.0))
-    passed = worst <= 1e-12
-    return CheckResult("2 exponent identities", passed,
-                       f"worst identity residual {worst:.2e} (tol 1e-12)",
+    passed = worst <= IDENTITY_TOL
+    return CheckResult("2 exponent identities", passed, f"worst identity "
+                       f"residual {worst:.2e} (tol {_tol(IDENTITY_TOL)})",
                        {"worst": worst})
 
 
@@ -183,8 +192,7 @@ def criterion_7_star_properties(shared, pairs=200):
                                derived_constants(2.0, 2.0, 6),
                                np.random.default_rng(shared.seed), pairs)
     worst = {k: v for k, (v, _) in star.items()}
-    tol = {k: np.format_float_scientific(gate, trim="-", exp_digits=1)
-           for k, gate in sym.STAR_GATES.items()}
+    tol = {k: _tol(gate) for k, gate in sym.STAR_GATES.items()}
     return CheckResult(
         "7 flip-&-rearrange properties",
         all(passed for _, passed in star.values()),
@@ -203,13 +211,13 @@ def criterion_8_symmetry_breaking(shared):
                            seed=shared.seed, restarts=4)
     fs = sym.fs_check(gap.mesh, gap.axi_report.u, gap.axi_report.v)
     dev_u = sym.radiality_deviation(gap.mesh, gap.axi_report.u)
-    noise = max(gap.noise, 1e-14)
-    ok = (gap.gap > 3.0 * noise and fs.passed and dev_u > 1e-3)
+    floor = GAP_NOISE_FACTOR * max(gap.noise, 1e-14)
+    ok = (gap.gap > floor and fs.passed and dev_u > RADIALITY_MIN)
     return CheckResult(
         "8 symmetry breaking", ok,
-        f"gap {gap.gap:.4e} vs 3x noise {3 * noise:.2e}; foliated-Schwarz "
-        f"{'pass' if fs.passed else 'fail'}; radiality deviation "
-        f"{dev_u:.2e} (must be > 1e-3)",
+        f"gap {gap.gap:.4e} vs {GAP_NOISE_FACTOR:g}x noise {floor:.2e}; "
+        f"foliated-Schwarz {'pass' if fs.passed else 'fail'}; radiality "
+        f"deviation {dev_u:.2e} (must be > {_tol(RADIALITY_MIN)})",
         {**gap.summary(), "fs": fs.as_dict(), "radiality_dev": dev_u})
 
 

@@ -91,8 +91,8 @@ def cap_fraction(s, R, N):
 
 def ball_integral(fun, R, N, s_min, family):
     """int_{B_R} F(|x - x0|) dx for F radial, with x0 on the boundary of
-    the ball (family "boundary") or at its center ("interior"). `fun` may
-    return stacked rows, one integrand each: the integrals then come back
+    the ball (family "boundary") or at its center ("interior"). `fun`
+    returns stacked rows, one integrand each, and the integrals come back
     as an array, on one evaluation of the cap fraction."""
     if family not in ("boundary", "interior"):
         raise ValueError(f"unknown family {family!r}")
@@ -101,12 +101,10 @@ def ball_integral(fun, R, N, s_min, family):
     vals = fun(s) * s ** (N - 1)
     if boundary:
         vals *= cap_fraction(s, R, N)
-    out = np.array([sphere_area(N) * simpson(row, x=s)
-                    for row in np.atleast_2d(vals)])
+    out = np.array([sphere_area(N) * simpson(row, x=s) for row in vals])
     # [0, s_min] patch: integrand ~ F(0) s^{N-1}, halved for a boundary x0
-    out += (sphere_area(N) * fun(np.array([s_min]))[..., 0] * s_min ** N
-            / ((2 if boundary else 1) * N))
-    return out if vals.ndim > 1 else float(out[0])
+    return out + (sphere_area(N) * fun(np.array([s_min]))[:, 0] * s_min ** N
+                  / ((2 if boundary else 1) * N))
 
 
 # -- fits --------------------------------------------------------------------
@@ -330,8 +328,8 @@ def min_resolvable_eps(mesh, profile):
 
 
 def test_function_ratio(solver, profile, eps):
-    """Quotient int(Ut K Vt) / (||Ut||_alpha ||Vt||_beta) on the ball for
-    the zero-mean boundary-bubble test pair.
+    """The dual quotient (rayleigh_ratio) on the ball of the zero-mean
+    boundary-bubble test pair (Ut, Vt).
 
     Ut = U_eps^p - mean, Vt = V_eps^q - mean, with means taken in the mesh
     quadrature so the pair is admissible for the discrete solver exactly.
@@ -345,15 +343,12 @@ def test_function_ratio(solver, profile, eps):
         raise ValueError(f"eps = {eps:.3g} under-resolved on this mesh "
                          f"(minimum {lo:.3g}); refine instead of "
                          "extrapolating")
+    from .dualsolve import rayleigh_ratio  # lazily: sweep needs no dual layer
     Ue, Ve = bubble_fields(mesh, profile, eps)
     Ut = Ue ** pack.p
     Vt = Ve ** pack.q
-    Ut = Ut - mesh.mean(Ut)
-    Vt = Vt - mesh.mean(Vt)
-    KVt = solver.solve_K(Vt, check_mean=False)
-    num = mesh.inner(Ut, KVt)
-    den = mesh.norm_Ls(Ut, pack.alpha) * mesh.norm_Ls(Vt, pack.beta)
-    return num / den
+    return rayleigh_ratio(solver, Ut - mesh.mean(Ut), Vt - mesh.mean(Vt),
+                          pack)
 
 
 def expansion_sweep(solver, profile, S, eps_grid):

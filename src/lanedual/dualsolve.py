@@ -75,6 +75,10 @@ class IterationTrace:
     extrapolations, kappa_evals) are deterministic work counts for the
     report; each sweep made two K solves, so a restart made
     1 + 2 * sweeps."""
+    name: str = ""            # its entry in the init menu
+    D: float = np.nan         # quotient of the final iterate (f, g)
+    f: np.ndarray | None = None
+    g: np.ndarray | None = None
     iterations: list = field(default_factory=list)  # (sweep, Q)
     converged: bool = False
     el_residual: float = np.inf
@@ -85,18 +89,23 @@ class IterationTrace:
     kappa_evals: int = 0      # evaluations of the kappa root's F
 
 
+def _ledger(traces, k_solves, eigenfunction):
+    """Each restart's stop reason, in menu order, and the work counters of
+    the solve (README: results.work), for a report and a ConvergenceError."""
+    return {"restart_stop_reasons": [trace.stop_reason for trace in traces],
+            "work": {"k_solves": k_solves,
+                     **{key: [getattr(trace, key) for trace in traces]
+                        for key in ("sweeps", "mixes", "extrapolations",
+                                    "kappa_evals")},
+                     "eigenfunction": eigenfunction}}
+
+
 @dataclass
 class DualReport:
     pack: object
     mesh_descr: dict
-    D: float
-    f: np.ndarray
-    g: np.ndarray
-    converged: bool
-    el_residual: float
-    restarts: list                      # per-restart best quotients
-    near_optimal: list                  # restart names within NEAR_RTOL of best
-    traces: list
+    best: IterationTrace                # read for D, f, g and converged
+    traces: list                        # every restart, in menu order
     u: np.ndarray | None = None
     v: np.ndarray | None = None
     residual_u: float = np.nan
@@ -112,16 +121,10 @@ class DualReport:
     k_solves: int = 0                   # K solves made by maximize_D
     eigenfunction: dict | None = None   # NeumannSolver.eigen_work
 
-    def work(self):
-        """Deterministic work counters: the K solves of the whole solve,
-        then sweeps, mixes, extrapolations and kappa evaluations per
-        restart, in menu order, then the iterations and stop reason of the
-        eigenfunction that seeds the menu."""
-        return {"k_solves": self.k_solves,
-                **{key: [getattr(trace, key) for trace in self.traces]
-                   for key in ("sweeps", "mixes", "extrapolations",
-                               "kappa_evals")},
-                "eigenfunction": self.eigenfunction}
+    D = property(lambda self: self.best.D)
+    f = property(lambda self: self.best.f)
+    g = property(lambda self: self.best.g)
+    converged = property(lambda self: self.best.converged)
 
     def solution_checks(self):
         """The gated quantities of the recovered solution, and nodality."""
@@ -164,11 +167,16 @@ class DualReport:
 
     def summary(self):
         energy_rel = self.solution_checks()["energy_rel"]
+        converged = [trace for trace in self.traces if trace.converged]
+        Dmax = max(trace.D for trace in converged)
         out = {
             "p": self.pack.p, "q": self.pack.q, "N": self.pack.N,
             "mesh": self.mesh_descr, "D": self.D, "converged": self.converged,
-            "el_residual": self.el_residual, "restart_optima": self.restarts,
-            "near_optimal_restarts": self.near_optimal,
+            "el_residual": self.best.el_residual,
+            "restart_optima": [(trace.name, trace.D, trace.converged)
+                               for trace in self.traces],
+            "near_optimal_restarts": [trace.name for trace in converged
+                                      if Dmax - trace.D <= NEAR_RTOL * Dmax],
             "energy": self.energy, "c_pred": self.c_pred,
             "energy_rel_error": (energy_rel if np.isfinite(energy_rel)
                                  else None),
@@ -179,9 +187,7 @@ class DualReport:
         if np.isfinite(self.threshold):
             out["threshold"] = self.threshold
             out["threshold_margin"] = self.threshold_margin
-        out["restart_stop_reasons"] = [trace.stop_reason
-                                       for trace in self.traces]
-        out["work"] = self.work()
+        out.update(_ledger(self.traces, self.k_solves, self.eigenfunction))
         return out
 
 
@@ -196,7 +202,7 @@ def rayleigh_ratio(solver, f, g, pack):
     ng = mesh.norm_Ls(g, pack.beta)
     if nf == 0.0 or ng == 0.0:
         raise NumericalError("rayleigh_ratio called with a zero field")
-    return mesh.inner(f, solver.solve_K(g, check_mean=False)) / (nf * ng)
+    return mesh.inner(f, solver.solve_K(g)) / (nf * ng)
 
 
 def _shift(solver, pack, g, Kg, kappas, trace):
@@ -227,11 +233,12 @@ def _el_residual(mesh, pack, f, Kpg, Q):
 
 def _sweep(solver, pack, Kpg, kappas, trace):
     """The sweep f = K_p g, then g = K_q f, each half-step the signed power
-    normalized, from the K_p g of _shift; kappas[1] and the trace are
-    updated in place as in _shift."""
+    normalized, from the K_p g of _shift; f's mean is checked as _shift
+    checks g's, and kappas[1] and the trace are updated in place."""
     mesh = solver.mesh
     fn = signed_power(Kpg, pack.p)
     fn /= mesh.norm_Ls(fn, pack.alpha)
+    solver.check_mean(fn)
     Kf = solver.solve_K(fn)
     shift = solver.kappa_shift(Kf, pack.q, kappas[1])
     kappas[1] = shift.kappa
@@ -299,8 +306,8 @@ def _accelerate(mesh, pack, prev, step, history, trace):
     return step
 
 
-def _fixed_point(solver, pack, f0, g0):
-    """Alternating maximization from (f0, g0); returns (Q, f, g, trace).
+def _fixed_point(solver, pack, name, f0, g0):
+    """The restart `name`: alternating maximization from (f0, g0).
 
     Each sweep makes two K solves: K f for the g half-step, and K g for the
     quotient, which the next sweep reuses. Each sweep is an exact
@@ -317,16 +324,16 @@ def _fixed_point(solver, pack, f0, g0):
     g -= mesh.mean(g)
     f /= mesh.norm_Ls(f, pack.alpha)
     g /= mesh.norm_Ls(g, pack.beta)
-    Kg = solver.solve_K(g, check_mean=False)
+    Kg = solver.solve_K(g)
     Q = mesh.inner(f, Kg)
-    trace = IterationTrace()
+    trace = IterationTrace(name=name)
     kappas = [None, None]
     Kpg = _shift(solver, pack, g, Kg, kappas, trace)
     history = deque(maxlen=ANDERSON_DEPTH + 1)
     settled = False
     for sweep in range(MAX_SWEEPS):
         fn, gn = _sweep(solver, pack, Kpg, kappas, trace)
-        Kgn = solver.solve_K(gn, check_mean=False)
+        Kgn = solver.solve_K(gn)
         Qn = mesh.inner(fn, Kgn)
         trace.sweeps += 1
         if not np.isfinite(Qn):
@@ -349,7 +356,8 @@ def _fixed_point(solver, pack, f0, g0):
     if not settled:  # the final iterate's residual is not yet known
         trace.el_residual = _el_residual(mesh, pack, f, Kpg, Q)
     trace.converged = trace.el_residual <= EL_TOL
-    return Q, f, g, trace
+    trace.D, trace.f, trace.g = Q, f, g
+    return trace
 
 
 def _init_menu(solver, restarts, seed, extra_inits):
@@ -363,8 +371,8 @@ def _init_menu(solver, restarts, seed, extra_inits):
     phi = solver.first_eigenfunction()
     inits = [("eigenfunction", phi.copy(), phi.copy())]
     for k in range(max(0, restarts - len(inits) - len(extra_inits))):
-        f = solver.solve_K(_demeaned_noise(mesh, rng), check_mean=False)
-        g = solver.solve_K(_demeaned_noise(mesh, rng), check_mean=False)
+        f = solver.solve_K(_demeaned_noise(mesh, rng))
+        g = solver.solve_K(_demeaned_noise(mesh, rng))
         inits.append((f"noise-{k}", f - mesh.mean(f), g - mesh.mean(g)))
     for j, (f, g) in enumerate(extra_inits):
         inits.append((f"user-{j}", np.asarray(f, float), np.asarray(g, float)))
@@ -386,29 +394,21 @@ def maximize_D(mesh, pack, restarts=8, seed=0, extra_inits=(), S=None):
     """
     solver = NeumannSolver(mesh)
     inits = _init_menu(solver, restarts, seed, list(extra_inits))
-    results = [(name, *_fixed_point(solver, pack, f0, g0))
-               for name, f0, g0 in inits]
-
-    converged = [res for res in results if res[4].converged]
+    traces = [_fixed_point(solver, pack, *init) for init in inits]
+    converged = [trace for trace in traces if trace.converged]
     if not converged:
-        traces = [res[4] for res in results]
         raise ConvergenceError(
             f"no restart converged on {mesh.kind} for (p,q,N)=({pack.p},"
             f"{pack.q},{pack.N})",
-            {"restart_stop_reasons": [t.stop_reason for t in traces],
-             "work": {"sweeps": [t.sweeps for t in traces]}})
-    Dmax = max(res[1] for res in converged)
-    best = next(res for res in converged if Dmax - res[1] <= TIE_RTOL * Dmax)
-    near = [res[0] for res in converged if Dmax - res[1] <= NEAR_RTOL * Dmax]
+            _ledger(traces, solver.k_solves, solver.eigen_work))
+    Dmax = max(trace.D for trace in converged)
     report = DualReport(
         pack=pack,
         mesh_descr={"kind": mesh.kind, "N": mesh.N, "r0": mesh.r0,
                     "R": mesh.R, "nr": mesh.nr, "ntheta": mesh.ntheta},
-        D=best[1], f=best[2], g=best[3],
-        converged=True, el_residual=best[4].el_residual,
-        restarts=[(res[0], res[1], res[4].converged) for res in results],
-        near_optimal=near,
-        traces=[res[4] for res in results],
+        best=next(trace for trace in converged
+                  if Dmax - trace.D <= TIE_RTOL * Dmax),
+        traces=traces,
         threshold=threshold_constant(pack, S) if S else np.nan,
         eigenfunction=solver.eigen_work,
     )

@@ -34,7 +34,6 @@ class NonZeroMeanError(NumericalError, ValueError):
 @dataclass
 class KtShift:
     kappa: float
-    residual: float
     evals: int  # evaluations of F(kappa) made to find kappa
 
 
@@ -126,11 +125,10 @@ class NeumannSolver:
                 f"int(h) = {m:.3e} exceeds {MEAN_TOL:.0e} * ||h||_1 "
                 f"= {MEAN_TOL * scale:.3e}")
 
-    def solve_K(self, h, check_mean=True):
-        """u = K h: -Delta(u) = h weakly, d_nu(u) = 0, int(u) = 0."""
+    def solve_K(self, h):
+        """u = K h: -Delta(u) = h weakly, d_nu(u) = 0, int(u) = 0, for
+        zero-mean h (check_mean checks it)."""
         h = np.ravel(h)
-        if check_mean:
-            self.check_mean(h)
         rhs = np.append((self.mesh.w * h).take(self._order), 0.0)
         self.k_solves += 1
         return self._lu.solve(rhs).take(self._pos)
@@ -149,22 +147,19 @@ class NeumannSolver:
         the next evaluation closes the bracket; for t < 1 the derivative
         blows up at a zero of v + kappa, and there a tiny Newton step does
         not mean that the root is near. A field holding a NaN or an
-        infinity has no root: kappa and the residual are NaN, at no
-        evaluation.
+        infinity has no root: kappa is NaN, at no evaluation.
         """
         if t <= 0:
             raise ValueError(f"exponent t = {t} must be positive")
         w = self.mesh.w
         values = np.ravel(values)
         if t == 1.0:
-            kap = -self.mesh.mean(values)
-            res = weighted_sum(w, values + kap)
-            return KtShift(kappa=kap, residual=res, evals=1)
+            return KtShift(kappa=-self.mesh.mean(values), evals=1)
         lo, hi = -values.max(), -values.min()
         if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN or an infinity
-            return KtShift(kappa=np.nan, residual=np.nan, evals=0)
+            return KtShift(kappa=np.nan, evals=0)
         if lo == hi:  # constant field
-            return KtShift(kappa=lo, residual=0.0, evals=0)
+            return KtShift(kappa=lo, evals=0)
         kap = guess if guess is not None and lo <= guess <= hi \
             else -self.mesh.mean(values)
         step_old = hi - lo
@@ -190,10 +185,11 @@ class NeumannSolver:
                 step = np.copysign(xtol, step)
             kap -= step
             step_old = step
-        return KtShift(kappa=kap, residual=res, evals=evals)
+        return KtShift(kappa=kap, evals=evals)
 
     def solve_Kt(self, h, t):
-        """K_t h = K h + kappa_t(K h)."""
+        """K_t h = K h + kappa_t(K h), after check_mean(h)."""
+        self.check_mean(h)
         u = self.solve_K(h)
         shift = self.kappa_shift(u, t)
         return u + shift.kappa
@@ -213,7 +209,7 @@ class NeumannSolver:
         for iterations in range(1, EIG_ITERS + 1):
             # K is positive on zero-mean fields, so the iterate keeps its
             # sign and the plain difference measures the change
-            vn = self.solve_K(v, check_mean=False)
+            vn = self.solve_K(v)
             vn = vn - mesh.mean(vn)
             vn /= mesh.norm_Ls(vn, 2)
             change = mesh.norm_Ls(vn - v, 2)

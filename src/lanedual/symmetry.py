@@ -97,8 +97,8 @@ def star_properties(mesh, pack, rng, pairs):
             worst["norm"] = max(worst["norm"],
                                 abs(mesh.norm_Ls(pf.h, s)
                                     / mesh.norm_Ls(f, s) - 1.0))
-        lhs = mesh.inner(f, solver.solve_K(g, check_mean=False))
-        rhs = mesh.inner(pf.h, solver.solve_K(pg.h, check_mean=False))
+        lhs = mesh.inner(f, solver.solve_K(g))
+        rhs = mesh.inner(pf.h, solver.solve_K(pg.h))
         worst["mono"] = max(worst["mono"],
                             (lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
         pff = pf.star_transform()

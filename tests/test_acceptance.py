@@ -73,9 +73,9 @@ def test_quick_battery_all_pass(shared):
 def test_criterion_4_needs_the_threshold_margin(shared, monkeypatch):
     # D 0.5% above the threshold fails the verdict `lanedual solve` reads
     def half_percent(mesh, pack, **kw):
-        return ds.DualReport(pack, {}, D=1.0, f=None, g=None, converged=True,
-                             el_residual=0.0, restarts=[], near_optimal=[],
-                             traces=[], threshold=1.0 / 1.005)
+        best = ds.IterationTrace(D=1.0, converged=True, el_residual=0.0)
+        return ds.DualReport(pack, {}, best=best, traces=[best],
+                             threshold=1.0 / 1.005)
 
     monkeypatch.setattr(ds, "maximize_D", half_percent)
     res = acceptance.criterion_4_compactness_threshold(shared)

@@ -85,14 +85,14 @@ def test_missing_boost_capsule_is_an_import_error_naming_it(monkeypatch,
 def test_boundary_ball_integral_of_one_is_volume(N):
     # the cap fraction has a cusp at s = 2R, so the quadrature is a touch
     # less accurate there than in the bubble-concentrated cases it serves
-    val = asym.ball_integral(lambda s: np.ones_like(s), 1.0, N, 1e-9,
-                             "boundary")
+    val, = asym.ball_integral(lambda s: np.ones((1, len(s))), 1.0, N, 1e-9,
+                              "boundary")
     assert val == pytest.approx(msh.unit_ball_volume(N), rel=1e-5)
 
 
 def test_interior_ball_integral_of_one_is_volume():
-    val = asym.ball_integral(lambda s: np.ones_like(s), 1.0, 6, 1e-9,
-                             "interior")
+    val, = asym.ball_integral(lambda s: np.ones((1, len(s))), 1.0, 6, 1e-9,
+                              "interior")
     assert val == pytest.approx(msh.unit_ball_volume(6), rel=1e-7)
 
 
@@ -111,9 +111,9 @@ def test_boundary_bubble_half_mass_deficit_linear(profile226):
     C1 = scaled_quantities(profile226, 0.5)["C1"]
 
     def deficit(eps):
-        val = asym.ball_integral(
-            lambda s: profile226.U_eps(s, eps) ** (pack.p + 1), 1.0, pack.N,
-            1e-7 * eps, "boundary")
+        val, = asym.ball_integral(
+            lambda s: profile226.U_eps(s, eps)[None] ** (pack.p + 1), 1.0,
+            pack.N, 1e-7 * eps, "boundary")
         return full / 2.0 - val
 
     d1, d2 = deficit(0.01), deficit(0.005)
@@ -350,8 +350,9 @@ def test_cherrier_probe_rows_equal_four_separate_integrals(profile226,
         eps = row["eps"]
 
         def norm(fun, expo):
-            return asym.ball_integral(fun, 1.0, N, 1e-7 * eps,
-                                      family) ** (1.0 / expo)
+            val, = asym.ball_integral(lambda s: fun(s)[None], 1.0, N,
+                                      1e-7 * eps, family).tolist()
+            return val ** (1.0 / expo)
 
         u_star = norm(lambda s: profile226.U_eps(s, eps) ** (p + 1.0),
                       p + 1.0)

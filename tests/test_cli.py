@@ -548,7 +548,17 @@ def test_failed_solve_reports_each_restart(tmp_path, monkeypatch):
     res = report["results"]
     assert res["error"].startswith("no restart converged on radial-annulus")
     assert res["restart_stop_reasons"] == ["max_iter"] * 3
-    assert res["work"] == {"sweeps": [3, 3, 3]}
+    # the ledger of a successful solve, without recovery's two K solves
+    work = res["work"]
+    assert list(work) == ["k_solves", "sweeps", "mixes", "extrapolations",
+                          "kappa_evals", "eigenfunction"]
+    assert work["sweeps"] == [3, 3, 3]
+    assert work["k_solves"] == (work["eigenfunction"]["iterations"] + 2 * 2
+                                + sum(1 + 2 * n for n in work["sweeps"]))
+    assert all(len(work[key]) == 3
+               for key in ("mixes", "extrapolations", "kappa_evals"))
+    assert min(work["kappa_evals"]) > 0
+    assert work["eigenfunction"]["stop_reason"] == "converged"
 
 
 def test_solve_axisym_ball_threshold(tmp_path):

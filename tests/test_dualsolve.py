@@ -82,7 +82,7 @@ def test_maximizer_dominates_eigenfunction_pair(annulus_solver, pack226,
 
 def test_radial_restart_menu(report226):
     # the menu is the same on every mesh: eigenfunction, then plain noise
-    assert [name for name, _, _ in report226.restarts] == \
+    assert [trace.name for trace in report226.traces] == \
         ["eigenfunction", "noise-0", "noise-1", "noise-2"]
 
 
@@ -98,9 +98,9 @@ def _counting_solves(monkeypatch):
     calls = []
     solve_K = NeumannSolver.solve_K
 
-    def counted(self, h, check_mean=True):
+    def counted(self, h):
         calls.append(1)
-        return solve_K(self, h, check_mean)
+        return solve_K(self, h)
 
     monkeypatch.setattr(NeumannSolver, "solve_K", counted)
     return calls
@@ -119,7 +119,7 @@ def test_fixed_point_makes_two_solves_per_sweep(monkeypatch, kind, pqN):
     sol = NeumannSolver(msh.build(kind, pqN[2], r0, r0 + 1.0, 64, 32))
     phi = sol.first_eigenfunction()
     calls = _counting_solves(monkeypatch)
-    _, _, _, trace = ds._fixed_point(sol, pack, phi, phi)
+    trace = ds._fixed_point(sol, pack, "eigenfunction", phi, phi)
     assert trace.converged and trace.stop_reason == "converged"
     assert trace.sweeps == trace.iterations[-1][0] + 1
     assert len(calls) == 1 + 2 * trace.sweeps
@@ -130,10 +130,10 @@ def test_mixing_and_extrapolation_cost_no_solve(monkeypatch):
     # count stays within the two solves per sweep of the plain iteration
     pack = derived_constants(3.0, 3.0, 4)
     sol = NeumannSolver(msh.build("axisym-ball", 4, 0.0, 1.0, 64, 32))
-    (_, f0, g0), = ds._init_menu(sol, 2, 0, [])[1:]
+    init, = ds._init_menu(sol, 2, 0, [])[1:]
     calls = _counting_solves(monkeypatch)
     before = sol.k_solves
-    _, _, _, trace = ds._fixed_point(sol, pack, f0, g0)
+    trace = ds._fixed_point(sol, pack, *init)
     assert trace.converged
     assert trace.mixes > 0 and trace.extrapolations > 0
     assert len(calls) == 2 * trace.sweeps + 1
@@ -148,10 +148,10 @@ def test_axisym_ball_334_restarts_leave_the_saddle(seed):
     mesh = msh.build("axisym-ball", 4, 0.0, 1.0, 96, 72)
     rep = ds.maximize_D(mesh, pack, restarts=4, seed=seed)
     D_ref = 0.2432808791102159
-    for (name, D, ok), trace in zip(rep.restarts, rep.traces):
-        if name.startswith("noise"):
-            assert ok and trace.stop_reason == "converged"
-            assert abs(D / D_ref - 1.0) <= 1e-12
+    for trace in rep.traces:
+        if trace.name.startswith("noise"):
+            assert trace.converged and trace.stop_reason == "converged"
+            assert abs(trace.D / D_ref - 1.0) <= 1e-12
             assert trace.sweeps <= 60
 
 
@@ -208,12 +208,10 @@ def test_lifted_restart_does_not_descend(pack226):
     assert rad.D == gap.D_rad
     lift = (np.repeat(rad.f, 32), np.repeat(rad.g, 32))
     start = ds.rayleigh_ratio(NeumannSolver(gap.mesh), *lift, pack226)
-    axi = gap.axi_report
-    k = next(k for k, (name, _, _) in enumerate(axi.restarts)
-             if name.startswith("user"))
-    _, D, ok = axi.restarts[k]
-    assert ok and D >= start
-    assert axi.traces[k].sweeps == 1
+    lifted = next(trace for trace in gap.axi_report.traces
+                  if trace.name.startswith("user"))
+    assert lifted.converged and lifted.D >= start
+    assert lifted.sweeps == 1
     assert gap.gap >= 0.0
 
 
@@ -223,14 +221,15 @@ def test_stop_reasons(annulus_solver, pack226, monkeypatch):
     def run(max_sweeps=ds.MAX_SWEEPS):
         with monkeypatch.context() as mp:
             mp.setattr(ds, "MAX_SWEEPS", max_sweeps)
-            return ds._fixed_point(annulus_solver, pack226, phi, phi)
+            return ds._fixed_point(annulus_solver, pack226, "eigenfunction",
+                                   phi, phi)
 
-    assert run()[3].stop_reason == "converged"
-    assert run(max_sweeps=3)[3].stop_reason == "max_iter"
+    assert run().stop_reason == "converged"
+    assert run(max_sweeps=3).stop_reason == "max_iter"
     # the quotient settles but no iterate meets an EL gate of 0
     with monkeypatch.context() as mp:
         mp.setattr(ds, "EL_TOL", 0.0)
-        trace = run(max_sweeps=200)[3]
+        trace = run(max_sweeps=200)
     assert trace.stop_reason == "el-residual" and not trace.converged
     # a NaN third sweep ends the restart on the last finite iterate, whose
     # EL residual decides convergence; its two K solves are counted
@@ -245,11 +244,11 @@ def test_stop_reasons(annulus_solver, pack226, monkeypatch):
 
     monkeypatch.setattr(ds, "_sweep", nan_third)
     before = annulus_solver.k_solves
-    Q, _, _, trace = run()
+    trace = run()
     assert trace.stop_reason == "non-finite" and not trace.converged
     assert trace.sweeps == 3 and len(trace.iterations) == 2
     assert annulus_solver.k_solves - before == 1 + 2 * trace.sweeps
-    assert Q == trace.iterations[-1][1]
+    assert trace.D == trace.iterations[-1][1]
     assert ds.EL_TOL < trace.el_residual < np.inf
 
 
@@ -274,7 +273,7 @@ def test_mean_check_on_reused_K_g(monkeypatch, annulus_solver, pack226):
     monkeypatch.setattr(ds, "_sweep", off_mean)
     phi = annulus_solver.first_eigenfunction()
     with pytest.raises(NonZeroMeanError):
-        ds._fixed_point(annulus_solver, pack226, phi, phi)
+        ds._fixed_point(annulus_solver, pack226, "eigenfunction", phi, phi)
 
 
 @pytest.mark.parametrize("p, N", [(1.05, 4), (0.7, 5), (0.525, 6),
@@ -295,9 +294,9 @@ def test_large_q_packs_converge(p, N):
 
 def test_threshold_verdict_needs_the_margin(pack226):
     # 0.5% above the threshold is above it, but short of THRESHOLD_MARGIN
-    rep = ds.DualReport(pack226, {}, D=1.0, f=None, g=None, converged=True,
-                        el_residual=0.0, restarts=[], near_optimal=[],
-                        traces=[], threshold=1.0 / 1.005)
+    best = ds.IterationTrace(D=1.0, converged=True, el_residual=0.0)
+    rep = ds.DualReport(pack226, {}, best=best, traces=[best],
+                        threshold=1.0 / 1.005)
     assert not rep.verdicts()["above compactness threshold"][0]
     assert rep.threshold_margin == pytest.approx(0.005)
     rep.threshold = 1.0 / 1.0101
@@ -306,7 +305,7 @@ def test_threshold_verdict_needs_the_margin(pack226):
 
 def test_restarts_agree(annulus_solver, pack226):
     rep = ds.maximize_D(annulus_solver.mesh, pack226, restarts=5, seed=7)
-    conv = [val for (_, val, ok) in rep.restarts if ok]
+    conv = [trace.D for trace in rep.traces if trace.converged]
     assert len(conv) >= 3
     assert max(conv) - min(conv) <= 1e-7 * max(conv)
 
@@ -321,16 +320,18 @@ def test_best_restart_tie_break(monkeypatch, annulus_solver, pack226, step,
     runs = []
 
     def stepped(*args):
-        Q, f, g, trace = fixed_point(*args)
-        runs.append((Q, f))
-        return runs[0][0] * (1.0 + step * (len(runs) - 1)), f, g, trace
+        trace = fixed_point(*args)
+        runs.append(trace.D)
+        trace.D = runs[0] * (1.0 + step * (len(runs) - 1))
+        return trace
 
     monkeypatch.setattr(ds, "_fixed_point", stepped)
     rep = ds.maximize_D(annulus_solver.mesh, pack226, restarts=4, seed=1)
-    chosen = [k for k, (_, _, ok) in enumerate(rep.restarts) if ok][pick]
-    assert rep.D == rep.restarts[chosen][1]
-    assert rep.f is runs[chosen][1]
-    assert len(rep.near_optimal) == sum(ok for _, _, ok in rep.restarts)
+    converged = [trace for trace in rep.traces if trace.converged]
+    assert rep.best is converged[pick]
+    assert rep.D == rep.best.D and rep.f is rep.best.f
+    assert rep.summary()["near_optimal_restarts"] == \
+        [trace.name for trace in converged]
 
 
 def test_biharmonic_pack_converges_and_matches_gradient_oracle(pack195):
@@ -352,12 +353,12 @@ def test_biharmonic_pack_converges_and_matches_gradient_oracle(pack195):
 
     def J_and_grad(z):
         f = z - m.mean(z)
-        uc = sol.solve_K(f, check_mean=False)
+        uc = sol.solve_K(f)
         uc = uc + inner_shift(uc)
         T = m.norm_Ls(uc, q + 1.0)
         B = m.norm_Ls(f, alpha)
         gT_u = w * signed_power(uc, q) / T ** q
-        gT_f = w * sol.solve_K(gT_u / w, check_mean=False)  # K self-adjoint
+        gT_f = w * sol.solve_K(gT_u / w)  # K self-adjoint
         gB_f = w * signed_power(f, alpha - 1.0) / B ** (alpha - 1.0)
         grad = -gT_f / T + gB_f / B
         grad = grad - w * np.sum(grad) / m.volume  # chain through projection
@@ -401,13 +402,15 @@ def restart_at_huge_p():
     sol = NeumannSolver(msh.build("radial-annulus", 6, 1.0, 2.0, 64))
     phi = sol.first_eigenfunction()
     with np.errstate(all="ignore"):
-        return sol, pack, ds._fixed_point(sol, pack, phi, phi)
+        return sol, pack, ds._fixed_point(sol, pack, "eigenfunction", phi,
+                                          phi)
 
 
 def test_el_residual_is_scaled_only_where_its_sum_underflows(
         restart_at_huge_p, annulus_solver, report226, pack226):
-    sol, pack, (Q, f, g, trace) = restart_at_huge_p
-    Kpg = sol.solve_K(g, check_mean=False)
+    sol, pack, trace = restart_at_huge_p
+    Q, f, g = trace.D, trace.f, trace.g
+    Kpg = sol.solve_K(g)
     Kpg += sol.kappa_shift(Kpg, pack.p).kappa
     defect = Kpg - Q * signed_power(f, 1.0 / pack.p)
     assert sol.mesh.norm_Ls(defect, pack.p + 1.0) == 0.0
@@ -427,7 +430,7 @@ def test_el_residual_is_scaled_only_where_its_sum_underflows(
 def test_non_finite_sweep_makes_no_kappa_evaluation(restart_at_huge_p):
     # the p shift of the first iterate takes one evaluation, the q
     # half-step of the NaN sweep none
-    _, _, (_, _, _, trace) = restart_at_huge_p
+    _, _, trace = restart_at_huge_p
     assert trace.stop_reason == "non-finite"
     assert trace.kappa_evals == 1
 
@@ -436,10 +439,9 @@ def test_non_finite_recovered_solution_is_a_numerical_error(
         restart_at_huge_p):
     # maximize_D stops on the unconverged restart; recovered anyway, its
     # |u|^p overflows and the energy is -inf
-    sol, pack, (Q, f, g, trace) = restart_at_huge_p
-    report = ds.DualReport(pack=pack, mesh_descr={}, D=Q, f=f, g=g,
-                           converged=False, el_residual=trace.el_residual,
-                           restarts=[], near_optimal=[], traces=[trace])
+    sol, pack, trace = restart_at_huge_p
+    report = ds.DualReport(pack=pack, mesh_descr={}, best=trace,
+                           traces=[trace])
     with np.errstate(all="ignore"), pytest.raises(
             NumericalError, match="energy = -inf is not finite$"):
         ds.recover_solution(sol, report)

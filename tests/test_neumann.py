@@ -28,9 +28,10 @@ def test_solve_K_zero(solver):
     assert np.max(np.abs(u)) < 1e-14
 
 
-def test_solve_K_rejects_nonzero_mean(solver):
+def test_solve_Kt_and_check_mean_reject_nonzero_mean(solver):
+    # solve_K trusts its callers; solve_Kt checks, as the dual sweep does
     with pytest.raises(NonZeroMeanError):
-        solver.solve_K(np.ones(solver.mesh.nnodes))
+        solver.solve_Kt(np.ones(solver.mesh.nnodes), 2.0)
     m = solver.mesh
     h = m.node_r() - m.mean(m.node_r())
     solver.check_mean(h)
@@ -201,7 +202,7 @@ def test_quadratic_form_positive_on_first_mode(solver):
     phi = solver.first_eigenfunction()
     m = solver.mesh
     lam = dense_eigenpairs(m, k=2)[0][1]
-    val = m.inner(phi, solver.solve_K(phi, check_mean=False))
+    val = m.inner(phi, solver.solve_K(phi))
     assert val > 0
     assert val == pytest.approx(m.norm_Ls(phi, 2) ** 2 / lam, rel=1e-6)
 
@@ -231,7 +232,7 @@ def test_continuity_bound_stable_under_refinement():
         sol = NeumannSolver(m)
         for _ in range(6):
             h = rng.standard_normal(m.nnodes)
-            h = sol.solve_K(h - m.mean(h), check_mean=False)  # smooth sample
+            h = sol.solve_K(h - m.mean(h))  # smooth sample
             h = h - m.mean(h)
             u = sol.solve_K(h)
             ratios.append(w2s_seminorm(m, u, s) / m.norm_Ls(h, s))
@@ -248,7 +249,7 @@ def test_kappa_odd_symmetry():
     for t in (0.5, 1.0, 2.0, 3.0):
         shift = sol.kappa_shift(x, t)
         assert abs(shift.kappa) < 1e-12
-        assert abs(shift.residual) < 1e-12 * m.volume
+        assert abs(m.w @ signed_power(x + shift.kappa, t)) < 1e-12 * m.volume
 
 
 def _kappa_fields(m):
@@ -278,10 +279,12 @@ def test_kappa_shift_matches_brentq(solver, t):
                       -v.min() + 1.0):
             shift = solver.kappa_shift(v, t, guess)
             assert abs(shift.kappa - ref) <= tol, (name, guess)
-            # the residual reported is F at the kappa returned
-            res = float(m.w @ signed_power(v + shift.kappa, t))
+            # F is increasing, so F at the kappa returned lies between F
+            # at the ends of the tolerance interval, up to roundoff
+            res, lo, hi = (float(m.w @ signed_power(v + k, t))
+                           for k in (shift.kappa, ref - tol, ref + tol))
             scale = float(m.w @ np.abs(v + shift.kappa) ** t)
-            assert abs(shift.residual - res) <= 1e-13 * scale
+            assert lo - 1e-13 * scale <= res <= hi + 1e-13 * scale
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -291,7 +294,7 @@ def test_kappa_shift_returns_at_once_on_a_non_finite_field(solver, bad, t):
     v = solver.mesh.node_r() - solver.mesh.mean(solver.mesh.node_r())
     v[7] = bad
     shift = solver.kappa_shift(v, t, guess=0.0)
-    assert np.isnan(shift.kappa) and np.isnan(shift.residual)
+    assert np.isnan(shift.kappa)
     assert shift.evals <= 1
 
 

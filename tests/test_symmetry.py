@@ -114,8 +114,8 @@ def test_quadratic_form_monotonicity(evmesh, evsolver):
         g = sym.random_smooth_zero_mean(evmesh, rng)
         fs = sym.RadialProfile(evmesh, f).star_transform().h
         gs = sym.RadialProfile(evmesh, g).star_transform().h
-        lhs = evmesh.inner(f, evsolver.solve_K(g, check_mean=False))
-        rhs = evmesh.inner(fs, evsolver.solve_K(gs, check_mean=False))
+        lhs = evmesh.inner(f, evsolver.solve_K(g))
+        rhs = evmesh.inner(fs, evsolver.solve_K(gs))
         scale = abs(lhs) + abs(rhs) + 1e-300
         assert lhs <= rhs + 1e-8 * scale
 
@@ -129,8 +129,8 @@ def test_star_properties_one_pair(evmesh, evsolver, pack226):
     g = sym.random_smooth_zero_mean(evmesh, rng)
     fs = sym.RadialProfile(evmesh, f).star_transform().h
     gs_ = sym.RadialProfile(evmesh, g).star_transform().h
-    lhs = evmesh.inner(f, evsolver.solve_K(g, check_mean=False))
-    rhs = evmesh.inner(fs, evsolver.solve_K(gs_, check_mean=False))
+    lhs = evmesh.inner(f, evsolver.solve_K(g))
+    rhs = evmesh.inner(fs, evsolver.solve_K(gs_))
     assert star["mono"][0] == (lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -200,10 +200,10 @@ def test_equality_case_radial_optimum(evmesh, evsolver, pack226):
     # monotone with u_r v_r > 0
     from lanedual import dualsolve as ds
     rep = ds.maximize_D(evsolver.mesh, pack226, restarts=3, seed=4)
-    lhs = evmesh.inner(rep.f, evsolver.solve_K(rep.g, check_mean=False))
+    lhs = evmesh.inner(rep.f, evsolver.solve_K(rep.g))
     fs = sym.RadialProfile(evmesh, rep.f).star_transform().h
     gs_ = sym.RadialProfile(evmesh, rep.g).star_transform().h
-    rhs = evmesh.inner(fs, evsolver.solve_K(gs_, check_mean=False))
+    rhs = evmesh.inner(fs, evsolver.solve_K(gs_))
     assert abs(rhs - lhs) <= 1e-8 * abs(lhs)
     frac = ds.radial_monotonicity_fraction(evmesh, rep.u, rep.v)
     assert frac >= 0.99
