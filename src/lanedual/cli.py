@@ -14,7 +14,7 @@ solve's mesh kind skips the _PER_MESH fields it does not read. A fixed
 seed makes runs byte-identical up to the timing fields. Exit codes: 0
 pass, 2 invariant failure, 3 numerical/convergence failure, 4 config error
 (a flag or key the run does not read, a bad value such as restarts < 1,
-an unreadable config file).
+R <= 0 or a nonfinite radius, an unreadable config file).
 
 Start-up: this module loads mesh and exponents (numpy only); each
 subcommand imports the rest in its own body. bubble, sweep,
@@ -88,6 +88,8 @@ class RunConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError(f"restarts = {self.restarts} must be >= 1")
+        if not 0.0 < self.R < np.inf:
+            raise ConfigError(f"R = {self.R} must be positive and finite")
 
     def pack(self):
         # the exponent algebra validates each value before dividing by it
@@ -226,7 +228,8 @@ def _write_csv(outdir, name, header, rows):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_bubble(cfg, report, outdir):
-    from .groundstate import radial_moment, scaled_quantities, shoot
+    from .groundstate import (radial_moment, regime_label, scaled_quantities,
+                              shoot)
     pack = cfg.pack()
     prof = shoot(pack, r_max=cfg.r_max)
     label, cond = admissibility(pack)
@@ -235,8 +238,9 @@ def cmd_bubble(cfg, report, outdir):
         "p": pack.p, "q": pack.q, "N": pack.N,
         "admissibility": label, "condition": cond,
         "shoot_d": prof.shoot_d, "r_max": prof.r_max,
-        "S": prof.S, "a": prof.a, "b": prof.b,
-        "regime": prof.regime, "regime_V": prof.regime_V,
+        "S": prof.S, "a": prof.tails["V"].c, "b": prof.tails["U"].c,
+        "regime": regime_label(pack.q, pack.N, "q"),
+        "regime_V": regime_label(pack.p, pack.N, "p"),
         "norms": {k: v for k, v in quant.items() if v is not None},
         "work": prof.work,
     })

@@ -99,8 +99,8 @@ class BubbleProfile:
     Each component's far-field law is driven by the partner exponent: the
     component sourced by a power t of the other decays like r^(2-N) when
     t > N/(N-2), like r^(2-N) log(r) at equality, and like r^(2-t(N-2))
-    below. `regime` is the U-side label; `regime_V` the V-side one (they
-    coincide with the usual single label whenever p >= q).
+    below (:func:`tail_law`). `tails` maps "U" and "V" to their fitted
+    :class:`Tail`.
     """
 
     pack: object
@@ -112,38 +112,14 @@ class BubbleProfile:
     shoot_d: float
     r_max: float
     dense: "DenseOutput" = field(repr=False)
-    regime: str = ""
-    regime_V: str = ""
-    a: float = 0.0
-    b: float = 0.0
-    # subleading offsets of the log-regime laws c*r^m*(log r + offset);
-    # zero in the pure-power regimes
-    a_offset: float = 0.0
-    b_offset: float = 0.0
+    tails: dict = field(default_factory=dict)
     S: float = 0.0
     # deterministic work of the shoot: its integrations (the scan, the
     # bisection and the sampled run, over every r_max tried) and their
     # right-hand-side calls
     work: dict = field(default_factory=dict)
 
-    def tail_fit(self, which):
-        """(c, offset) of the fitted tail c r^m (log r + offset)^l of U or
-        V, with (m, l) from :func:`tail_law`."""
-        _, c, off = _TAILS[which]
-        return getattr(self, c), getattr(self, off)
-
     # -- pointwise evaluation --------------------------------------------
-    def _tail(self, r, which):
-        base = which[-1]                # "dU" -> "U"
-        m, l = tail_law(self.pack, base)
-        c, off = self.tail_fit(base)
-        lg = np.log(r)
-        if which == base:
-            return c * r ** m * (lg + off) ** l if l else c * r ** m
-        if l:
-            return c * r ** (m - 1) * (m * (lg + off) + 1.0)
-        return c * m * r ** (m - 1)
-
     def eval(self, r, which):
         """Component `which` ("U", "dU", "V" or "dV") at the radii r."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -155,7 +131,7 @@ class BubbleProfile:
         out[lo] = _series(self.pack, self.shoot_d, r[lo])[c]
         out[mid] = self.dense.component(c, r[mid])
         if np.any(hi):
-            out[hi] = self._tail(r[hi], which)
+            out[hi] = self.tails[which[-1]](r[hi], slope=which[0] == "d")
         return out
 
     # -- scaling family ---------------------------------------------------
@@ -581,8 +557,11 @@ def shoot(pack, r_max=400.0):
     counterproductive.
 
     A failed shoot's NumericalError carries the work of every r_max tried
-    as `partial["work"]`.
+    as `partial["work"]`. An r_max outside (R_START, inf) is a ValueError.
     """
+    if not R_START < r_max < inf:
+        raise ValueError(f"r_max = {r_max} must lie in (R_START, inf) = "
+                         f"({R_START}, inf)")
     work = Counter()
     try:
         for _ in range(3):
@@ -715,63 +694,78 @@ def regime_label(src, N, symbol="q"):
     return f"{symbol}{relation}N/(N-2)"
 
 
-# Each component's tail is set by its source exponent, q for U and p for V,
-# and fitted as the BubbleProfile fields b, b_offset (U) and a, a_offset (V).
-_TAILS = {"U": ("q", "b", "b_offset"), "V": ("p", "a", "a_offset")}
-
-
 def tail_law(pack, which):
     """(power m, log power l) of the tail c r^m (log r + offset)^l of U or
-    V."""
-    return decay_law(getattr(pack, _TAILS[which][0]), pack.N)
+    V, set by its source exponent: q for U, p for V."""
+    return decay_law(pack.q if which == "U" else pack.p, pack.N)
+
+
+@dataclass(frozen=True)
+class Tail:
+    """The fitted far field c r^m (log r + off)^l of one component, (m, l)
+    from :func:`tail_law` (l is 0 or 1; off is 0 when l is)."""
+
+    m: float
+    l: int
+    c: float
+    off: float = 0.0
+
+    def __call__(self, r, slope=False):
+        """The tail at the radii r, or with `slope` its r-derivative."""
+        m, l, c, off = self.m, self.l, self.c, self.off
+        if not slope:
+            return c * r ** m * (np.log(r) + off) ** l if l else c * r ** m
+        if l:
+            return c * r ** (m - 1) * (m * (np.log(r) + off) + 1.0)
+        return c * m * r ** (m - 1)
+
+    def moment(self, s, k, lo, hi):
+        """int_lo^hi tail(r)^s r^k dr, hi may be inf (:func:`_tail_moment`)."""
+        return _tail_moment(self.c ** s, self.m * s + k, self.l * s, lo, hi,
+                            off=self.off)
 
 
 def _fit_tail(vals, rw, m, l):
     """Fit c (and the log offset) of vals ~ c r^m (log r + off)^l over the
-    window; returns (c, off, relative misfit)."""
+    window; returns (Tail, relative misfit)."""
     comp = vals * rw ** (-m)
     if l == 0:
         c = float(np.mean(comp))
         drift = (comp.max() - comp.min()) / abs(c)
-        return c, 0.0, drift
+        return Tail(m, l, c), drift
     # linear in log r: comp = c log r + c*off
     X = np.column_stack([np.log(rw), np.ones_like(rw)])
     coef, *_ = np.linalg.lstsq(X, comp, rcond=None)
     c, c_off = float(coef[0]), float(coef[1])
     resid = comp - X @ coef
     drift = np.max(np.abs(resid)) / abs(np.mean(comp))
-    return c, c_off / c if c != 0 else 0.0, drift
+    return Tail(m, l, c, c_off / c if c != 0 else 0.0), drift
 
 
 def profile_constants(profile):
-    """Fit S, a, b and the regimes into the profile; raises TailError
-    off-plateau.
+    """Fit S and the two tails into the profile; TailError off-plateau.
 
-    b (for U) and a (for V) are the coefficients of the fitted decay laws;
-    each component's law is chosen by the partner exponent's regime, and
+    Each component's law is chosen by the partner exponent's regime, and
     log-regime laws carry a fitted additive log offset. S comes from the
     critical norm quadrature S^(N/2) = ||U||_{p+1}^{p+1}.
     """
     pack = profile.pack
     N = pack.N
-    profile.regime = regime_label(pack.q, N, "q")
-    profile.regime_V = regime_label(pack.p, N, "p")
     window = (profile.r >= profile.r_max / 2.0) & (profile.r > 0)
     rw = profile.r[window]
     fits = {which: _fit_tail(getattr(profile, which)[window], rw,
                              *tail_law(pack, which))
             for which in ("V", "U")}
-    for which, (_, _, drift) in fits.items():
+    for which, (_, drift) in fits.items():
         if drift > PLATEAU_DRIFT:
             raise TailError(
                 f"r_max too small: {which}-tail compensator drifts "
                 f"{100 * drift:.2f}% across [{rw[0]:.3g}, {rw[-1]:.3g}]")
-    for which, (c, off, _) in fits.items():
-        _, name, off_name = _TAILS[which]
-        if not (np.isfinite(c) and c > 0):
-            raise TailError(f"fitted decay constant {name} = {c} invalid")
-        setattr(profile, name, c)
-        setattr(profile, off_name, off)
+    for which, (tail, _) in fits.items():
+        if not (np.isfinite(tail.c) and tail.c > 0):
+            raise TailError(f"fitted {which}-tail decay constant c = "
+                            f"{tail.c} invalid")
+    profile.tails = {which: tail for which, (tail, _) in fits.items()}
     moment = radial_moment(profile, "U", pack.p + 1.0, N - 1.0)
     profile.S = float((sphere_area(N) * moment) ** (2.0 / N))
 
@@ -841,10 +835,7 @@ def radial_moment(profile, which, s, k, upper=np.inf):
     core = simpson(profile.eval(x, which) ** s * x ** k, x=x)
     core += f0 ** s * lo ** (k + 1) / (k + 1)
     if upper > profile.r_max:
-        m, l = tail_law(profile.pack, which)
-        c, off = profile.tail_fit(which)
-        core += _tail_moment(c ** s, m * s + k, l * s, profile.r_max, upper,
-                             off=off)
+        core += profile.tails[which].moment(s, k, profile.r_max, upper)
     return float(core)
 
 

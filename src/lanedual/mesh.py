@@ -27,9 +27,11 @@ hands the same arrays to SuperLU.
 """
 
 from dataclasses import dataclass, field
-from math import gamma as _gamma, pi
+from math import gamma as _gamma, inf, isfinite, pi
 
 import numpy as np
+
+from .exponents import require_valid
 
 # No radial ball: there the discrete dual quotient's only optimum is a
 # one-node spike on the centre node, whatever the resolution.
@@ -39,7 +41,13 @@ SPACINGS = ("uniform", "boundary")
 
 
 def unit_ball_volume(N):
-    return pi ** (N / 2.0) / _gamma(N / 2.0 + 1.0)
+    """pi^(N/2) / Gamma(N/2 + 1); a ValueError naming N where the Gamma
+    function overflows (N >= 342)."""
+    try:
+        return pi ** (N / 2.0) / _gamma(N / 2.0 + 1.0)
+    except OverflowError:
+        raise ValueError(f"dimension N = {N} is too large: Gamma(N/2 + 1) "
+                         "overflows in the unit ball volume") from None
 
 
 def sphere_area(N):
@@ -221,9 +229,26 @@ class Mesh:
 
 
 def _check_annulus(r0, R):
-    if not 0.0 < r0 < R:
-        raise ValueError(f"annulus radii must satisfy 0 < r0 < R, got "
+    if not 0.0 < r0 < R < inf:
+        raise ValueError(f"annulus radii must satisfy 0 < r0 < R < inf, got "
                          f"({r0}, {R})")
+
+
+def _check_scale(N, R):
+    """The cell volumes scale like R^N, which must not overflow."""
+    try:
+        float(R) ** N
+    except OverflowError:
+        raise ValueError(f"cell volumes overflow: R = {R} is too large for "
+                         f"N = {N} (R^N exceeds the float range)") from None
+
+
+def _check_volumes(w, N, R):
+    """Every cell volume must be a positive float, or the stiffness matrix
+    is singular."""
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError(f"a cell volume is zero or not finite at R = {R}, "
+                         f"N = {N}")
 
 
 def _radial_nodes(r0, R, nr, spacing):
@@ -256,21 +281,25 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown mesh kind {kind!r}")
+    require_valid(N)
     N = int(N)
-    if N < 4:
-        raise ValueError(f"ambient dimension N = {N} must be >= 4")
     if kind.endswith("ball"):
         if r0 != 0.0:
             raise ValueError("ball meshes require r0 = 0")
+        if not 0.0 < R < inf:
+            raise ValueError(f"ball radius R = {R} must be positive and "
+                             "finite")
     else:
         _check_annulus(r0, R)
-    if R <= r0:
-        raise ValueError("degenerate radii")
     if nr < 64:
         raise ValueError(f"nr = {nr} under-resolved (need >= 64)")
     axisym = kind.startswith("axisym")
     if axisym and (ntheta is None or ntheta < 32):
         raise ValueError(f"ntheta = {ntheta} under-resolved (need >= 32)")
+    if axisym and not (isfinite(theta_grading) and theta_grading > 0.0):
+        raise ValueError(f"theta_grading = {theta_grading} must be finite "
+                         "and positive")
+    _check_scale(N, R)
 
     r, faces_r = _radial_nodes(r0, R, nr, radial_spacing)
     wr = _cell_integrals(faces_r, lambda x: x ** (N - 1.0))
@@ -285,6 +314,7 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
     else:
         th, faces_t, wt = _polar_cell(N)
     w = sphere_area(N - 1) * np.kron(wr, wt)
+    _check_volumes(w, N, R)
     return Mesh(kind, N, r0, R, r, faces_r, th, faces_t, wt, w)
 
 
@@ -294,13 +324,16 @@ def build_equal_volume(N, r0, R, n):
     Every node carries exactly the same quadrature weight, which makes
     rearrangement-type transforms pure permutations of node values.
     """
+    require_valid(N)
     N = int(N)
     _check_annulus(r0, R)
     if n < 8:
         raise ValueError("need at least 8 cells")
+    _check_scale(N, R)
     vols = np.linspace(r0 ** N, R ** N, n + 1)
     faces = vols ** (1.0 / N)
     # volume centroid of each cell
     r = (0.5 * (vols[:-1] + vols[1:])) ** (1.0 / N)
     w = np.full(n, sphere_area(N) / N * (R ** N - r0 ** N) / n)
+    _check_volumes(w, N, R)
     return Mesh("radial-annulus", N, r0, R, r, faces, *_polar_cell(N), w)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +141,80 @@ def test_restarts_below_1_is_config_error(tmp_path, capsys, value):
     assert capsys.readouterr().err == (f"config error: restarts = {value} "
                                        "must be >= 1\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bubble", "--R", "-1"], "R = -1.0"),
+    (["bubble", "--R", "0"], "R = 0.0"),
+    (["bubble", "--R", "nan"], "R = nan"),
+    (["sweep", "--R", "0"], "R = 0.0"),
+    (["sweep", "--R", "-1"], "R = -1.0"),
+    (["probe-cherrier", "--R", "-1"], "R = -1.0"),
+    (["symmetry", "--R", "inf", "--quick", "--nr", "64", "--ntheta", "32"],
+     "R = inf"),
+])
+def test_a_domain_radius_not_positive_and_finite_is_config_error(
+        tmp_path, capsys, argv, named):
+    # rejected with the config, before any output
+    code = cli.main(argv + ["--p", "2", "--N", "6",
+                            "--outdir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: {named} must be "
+                                       "positive and finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bubble", "--r-max", "inf"], "r_max = inf"),
+    (["sweep", "--r-max", "inf"], "r_max = inf"),
+    (["bubble", "--r-max", "0"], "r_max = 0.0"),
+    (["bubble", "--r-max", "nan"], "r_max = nan"),
+    (["bubble", "--r-max", "1e-9"], "r_max = 1e-09"),
+    (["solve", "--N", "400", "--nr", "64", "--restarts", "1"],
+     "dimension N = 400"),
+    (["symmetry", "--N", "400", "--quick"], "dimension N = 400"),
+    (["solve", "--mesh", "axisym-ball", "--R", "1", "--nr", "64",
+      "--ntheta", "32", "--theta-grading", "0"], "theta_grading = 0.0"),
+])
+def test_an_out_of_range_value_is_config_error_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, named):
+    calls = []
+    for owner in (symmetry, ds):
+        monkeypatch.setattr(owner, "maximize_D",
+                            lambda *a, **kw: calls.append(a))
+    code, report, _ = run_cli(
+        argv + (["--p", "2"] if "--N" in argv else ["--p", "2", "--N", "6"]),
+        tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {named} ")
+    assert list(report["results"]) == ["error"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--mesh", "axisym-ball", "--R", "nan", "--ntheta", "32"], "R = nan"),
+    (["--mesh", "axisym-ball", "--R", "inf", "--ntheta", "32"], "R = inf"),
+    (["--R", "inf"], "R = inf"),
+    (["--R", "1e300"], "R = 1e+300 is too large for N = 6"),
+    (["--mesh", "axisym-ball", "--R", "1", "--ntheta", "32",
+      "--theta-grading", "nan"], "theta_grading = nan"),
+    (["--mesh", "axisym-ball", "--R", "1", "--ntheta", "32",
+      "--theta-grading", "-1"], "theta_grading = -1.0"),
+])
+def test_a_degenerate_mesh_is_config_error_not_a_crash(tmp_path, argv,
+                                                       named):
+    # each once reached SuperLU and killed the process (exit 139), so each
+    # runs in a process of its own
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "lanedual.cli", "solve", "--p", "2", "--N",
+         "6", "--nr", "64", *argv, "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == cli.EXIT_CONFIG, out.stderr
+    assert out.stderr.startswith("config error: ")
+    assert named in out.stderr
 
 
 def test_help_exits_0(capsys):

@@ -34,6 +34,9 @@ def _value(key):
         return st.booleans()
     if key == "restarts":
         return st.integers(1, 10 ** 6)
+    if key == "R":
+        return st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False)
     if typ is int:
         return st.integers(-10 ** 9, 10 ** 9)
     if typ is str:

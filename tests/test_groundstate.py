@@ -446,28 +446,58 @@ def test_profile_constants_explicit_plateau(profile334):
     prof = profile334
     # V(0)=1 member has r^2 V -> 8; the explicit member's plateau is
     # a_eps = a * eps^(N/(p+1)) = 8/sqrt(8) = sqrt(8)
-    assert prof.a == pytest.approx(8.0, rel=2e-3)
-    assert prof.b == pytest.approx(prof.a, rel=1e-6)
+    a, b = prof.tails["V"].c, prof.tails["U"].c
+    assert a == pytest.approx(8.0, rel=2e-3)
+    assert b == pytest.approx(a, rel=1e-6)
     eps = prof.shoot_d / np.sqrt(8.0)
-    assert prof.a * eps == pytest.approx(np.sqrt(8.0), rel=2e-3)
+    assert a * eps == pytest.approx(np.sqrt(8.0), rel=2e-3)
 
 
 def test_regime_labels(profile226, profile334, profile195):
-    assert profile226.regime == "q>N/(N-2)"  # 2 > 6/4
-    assert profile334.regime == "q>N/(N-2)"
-    assert profile195.regime == "q>N/(N-2)"  # 9 > 5/3
+    # U's tail follows q: 2 > 6/4 at (2,2,6), 3 > 4/2, 9 > 5/3 at (1,9,5)
+    for prof in (profile226, profile334, profile195):
+        pack = prof.pack
+        assert gs.regime_label(pack.q, pack.N, "q") == "q>N/(N-2)"
+        assert prof.tails["U"].l == 0
+        assert prof.tails["U"].m == 2.0 - pack.N
 
 
 @pytest.mark.parametrize("profile", ["profile195", "profile_log6"])
 def test_fitted_constants_belong_to_their_components(profile, request):
-    # b, b_offset fit U's tail, whose law q sets; a, a_offset fit V's (p)
+    # tails["U"] fits U's tail, whose law q sets; tails["V"] fits V's (p)
     prof = request.getfixturevalue(profile)
     pack, r = prof.pack, prof.r[-1]
-    for W, c, off, src in ((prof.U, prof.b, prof.b_offset, pack.q),
-                           (prof.V, prof.a, prof.a_offset, pack.p)):
+    for W, tail, src in ((prof.U, prof.tails["U"], pack.q),
+                         (prof.V, prof.tails["V"], pack.p)):
         m, l = gs.decay_law(src, pack.N)
-        law = c * r ** m * (np.log(r) + off) ** l
+        assert (tail.m, tail.l) == (m, l)
+        law = tail.c * r ** m * (np.log(r) + tail.off) ** l
         assert W[-1] == pytest.approx(law, rel=gs.PLATEAU_DRIFT)
+
+
+@pytest.mark.parametrize("profile", ["profile226", "profile_log6"])
+def test_tail_slope_is_the_derivative_of_the_tail(profile, request):
+    # boundary_term_sweep reads dU_eps and dV_eps far beyond r_max
+    prof = request.getfixturevalue(profile)
+    r = prof.r_max * np.geomspace(1.0, 1e4, 9)
+    h = 1e-5 * r
+    for tail in prof.tails.values():
+        centred = (tail(r + h) - tail(r - h)) / (2 * h)
+        assert np.allclose(tail(r, slope=True), centred, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("profile", ["profile226", "profile_log6"])
+def test_tail_continues_the_dense_output(profile, request):
+    prof = request.getfixturevalue(profile)
+    r = prof.r_max
+    for c, which in enumerate(gs._COMPONENTS):
+        tail = prof.tails[which[-1]](r, slope=which[0] == "d")
+        dense = prof.dense.component(c, np.array([r]))[0]
+        assert tail == pytest.approx(dense, rel=gs.PLATEAU_DRIFT)
+        # eval switches from the dense output to the tail past r_max
+        beyond = prof.eval(np.nextafter(r, np.inf), which)[0]
+        assert beyond == pytest.approx(dense, rel=gs.PLATEAU_DRIFT)
+
 
 @pytest.mark.parametrize("N", [4, 5, 6])
 def test_regime_edges(N):

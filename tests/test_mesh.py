@@ -1,6 +1,8 @@
+import math
+from math import pi
+
 import numpy as np
 import pytest
-from math import pi
 
 from lanedual import mesh as msh
 from lanedual.mesh import sphere_area
@@ -45,6 +47,56 @@ def test_build_rejects_bad_input():
         msh.build("axisym-ball", 4, 0.0, 1.0, 128, 8)
     with pytest.raises(ValueError):
         msh.build("cube", 4, 0.0, 1.0, 128)
+
+
+INF_R = r"0 < r0 < R < inf, got \(1.0, inf\)"
+HUGE_R = r"R = 1e\+300 is too large for N = 6"
+
+
+@pytest.mark.parametrize("kind, r0, R, nt, message", [
+    ("axisym-ball", 0.0, float("nan"), 32, "ball radius R = nan"),
+    ("axisym-ball", 0.0, float("inf"), 32, "ball radius R = inf"),
+    ("radial-annulus", 1.0, float("inf"), None, INF_R),
+    ("axisym-annulus", 1.0, float("nan"), 32, r"got \(1.0, nan\)"),
+    ("radial-annulus", 1.0, 1e300, None, HUGE_R),
+    ("axisym-ball", 0.0, 1e-60, 32, "zero or not finite at R = 1e-60, N = 6"),
+])
+def test_build_rejects_radii_that_make_degenerate_cells(kind, r0, R, nt,
+                                                        message):
+    # each of these once reached SuperLU: a segfault or a singular matrix
+    with pytest.raises(ValueError, match=message):
+        msh.build(kind, 6, r0, R, 64, nt)
+
+
+@pytest.mark.parametrize("grading", [float("nan"), float("inf"), -1.0, 0.0])
+def test_build_rejects_a_theta_grading_not_finite_and_positive(grading):
+    with pytest.raises(ValueError, match=f"theta_grading = {grading} must "
+                                         "be finite and positive"):
+        msh.build("axisym-ball", 6, 0.0, 1.0, 64, 32, theta_grading=grading)
+
+
+@pytest.mark.parametrize("R, message", [(float("inf"), INF_R),
+                                        (1e300, HUGE_R)])
+def test_build_equal_volume_rejects_degenerate_radii(R, message):
+    with pytest.raises(ValueError, match=message):
+        msh.build_equal_volume(6, 1.0, R, 64)
+
+
+@pytest.mark.parametrize("N", [3, 6.5, float("nan"), 2])
+def test_both_builders_check_N_as_the_exponents_do(N):
+    for build in (lambda: msh.build("radial-annulus", N, 1.0, 2.0, 64),
+                  lambda: msh.build_equal_volume(N, 1.0, 2.0, 64)):
+        with pytest.raises(ValueError, match=f"dimension N = {N} must be "
+                                             "an integer >= 4"):
+            build()
+
+
+def test_unit_ball_volume_names_an_N_too_large_for_gamma():
+    assert msh.unit_ball_volume(341) == pi ** 170.5 / math.gamma(171.5)
+    with pytest.raises(ValueError, match="dimension N = 342 is too large"):
+        msh.unit_ball_volume(342)
+    with pytest.raises(ValueError, match="dimension N = 400 is too large"):
+        msh.build("radial-annulus", 400, 1.0, 2.0, 64)
 
 
 def test_laplacian_of_constant_is_zero():
