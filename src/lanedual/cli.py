@@ -14,7 +14,8 @@ solve's mesh kind skips the _PER_MESH fields it does not read. A fixed
 seed makes runs byte-identical up to the timing fields. Exit codes: 0
 pass, 2 invariant failure, 3 numerical/convergence failure, 4 config error
 (a flag or key the run does not read, a bad value such as restarts < 1,
-R <= 0 or a nonfinite radius, an unreadable config file).
+R <= 0, a nonfinite radius or an R whose R^N overflows, an unreadable
+config file).
 
 Start-up: this module loads mesh and exponents (numpy only); each
 subcommand imports the rest in its own body. bubble, sweep,
@@ -92,10 +93,14 @@ class RunConfig:
             raise ConfigError(f"R = {self.R} must be positive and finite")
 
     def pack(self):
-        # the exponent algebra validates each value before dividing by it
+        """The exponent pack, each value validated before it is divided by
+        (N up to exponents.N_MAX), and R checked against N: R^N must be a
+        float (mesh.check_scale)."""
         if self.p is None and self.q is None:
             raise ConfigError("need at least one of p, q")
-        return derived_constants(self.p, self.q, self.N, snap=True)
+        pack = derived_constants(self.p, self.q, self.N, snap=True)
+        msh.check_scale(pack.N, self.R)
+        return pack
 
     def eps_grid(self):
         return np.geomspace(self.eps_hi, self.eps_lo, self.eps_count)

@@ -27,12 +27,13 @@ the quotient keeps rising.
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from . import NumericalError
 from .exponents import threshold_constant
-from .mesh import weighted_sum
+from .mesh import coarse_twin, prolong, weighted_sum
 from .neumann import NeumannSolver, signed_power
 
 # Gates on a recovered solution, read by `lanedual solve` and acceptance
@@ -76,6 +77,7 @@ class IterationTrace:
     report; each sweep made two K solves, so a restart made
     1 + 2 * sweeps."""
     name: str = ""            # its entry in the init menu
+    mesh: str = ""            # Mesh.size of the mesh it ran on
     D: float = np.nan         # quotient of the final iterate (f, g)
     f: np.ndarray | None = None
     g: np.ndarray | None = None
@@ -89,15 +91,38 @@ class IterationTrace:
     kappa_evals: int = 0      # evaluations of the kappa root's F
 
 
+def _by_mesh(traces, value=lambda trace: trace):
+    """{mesh size: [value(trace) for each trace on that mesh]}, the meshes
+    in the order they ran and each list in menu order."""
+    out = {}
+    for trace in traces:
+        out.setdefault(trace.mesh, []).append(value(trace))
+    return out
+
+
 def _ledger(traces, k_solves, eigenfunction):
-    """Each restart's stop reason, in menu order, and the work counters of
-    the solve (README: results.work), for a report and a ConvergenceError."""
-    return {"restart_stop_reasons": [trace.stop_reason for trace in traces],
+    """Each restart's stop reason and the work counters of the solve
+    (README: results.work), by the mesh they ran on, for a report and a
+    ConvergenceError. k_solves maps each mesh size to its solver's count."""
+    return {"restart_stop_reasons": _by_mesh(traces,
+                                             attrgetter("stop_reason")),
             "work": {"k_solves": k_solves,
-                     **{key: [getattr(trace, key) for trace in traces]
+                     **{key: _by_mesh(traces, attrgetter(key))
                         for key in ("sweeps", "mixes", "extrapolations",
                                     "kappa_evals")},
                      "eigenfunction": eigenfunction}}
+
+
+def _pick(traces):
+    """The first converged trace in menu order within TIE_RTOL of the best
+    converged D, so that roundoff does not pick among tied (e.g.
+    mirror-image) optima; None when none converged."""
+    converged = [trace for trace in traces if trace.converged]
+    if not converged:
+        return None
+    Dmax = max(trace.D for trace in converged)
+    return next(trace for trace in converged
+                if Dmax - trace.D <= TIE_RTOL * Dmax)
 
 
 @dataclass
@@ -105,7 +130,7 @@ class DualReport:
     pack: object
     mesh_descr: dict
     best: IterationTrace                # read for D, f, g and converged
-    traces: list                        # every restart, in menu order
+    traces: list                        # every restart, in the order run
     u: np.ndarray | None = None
     v: np.ndarray | None = None
     residual_u: float = np.nan
@@ -118,8 +143,9 @@ class DualReport:
     pointwise_mismatch: float = np.nan
     u_nodal: bool = False
     v_nodal: bool = False
-    k_solves: int = 0                   # K solves made by maximize_D
+    k_solves: dict = field(default_factory=dict)  # by mesh size
     eigenfunction: dict | None = None   # NeumannSolver.eigen_work
+    coarse: IterationTrace | None = None  # the refined coarse restart
 
     D = property(lambda self: self.best.D)
     f = property(lambda self: self.best.f)
@@ -167,16 +193,19 @@ class DualReport:
 
     def summary(self):
         energy_rel = self.solution_checks()["energy_rel"]
-        converged = [trace for trace in self.traces if trace.converged]
-        Dmax = max(trace.D for trace in converged)
+        near = {}
+        for size, converged in _by_mesh(
+                [trace for trace in self.traces if trace.converged]).items():
+            Dmax = max(trace.D for trace in converged)
+            near[size] = [trace.name for trace in converged
+                          if Dmax - trace.D <= NEAR_RTOL * Dmax]
         out = {
             "p": self.pack.p, "q": self.pack.q, "N": self.pack.N,
             "mesh": self.mesh_descr, "D": self.D, "converged": self.converged,
             "el_residual": self.best.el_residual,
-            "restart_optima": [(trace.name, trace.D, trace.converged)
-                               for trace in self.traces],
-            "near_optimal_restarts": [trace.name for trace in converged
-                                      if Dmax - trace.D <= NEAR_RTOL * Dmax],
+            "restart_optima": _by_mesh(self.traces, lambda trace: (
+                trace.name, trace.D, trace.converged)),
+            "near_optimal_restarts": near,
             "energy": self.energy, "c_pred": self.c_pred,
             "energy_rel_error": (energy_rel if np.isfinite(energy_rel)
                                  else None),
@@ -187,6 +216,9 @@ class DualReport:
         if np.isfinite(self.threshold):
             out["threshold"] = self.threshold
             out["threshold_margin"] = self.threshold_margin
+        if self.coarse is not None:
+            out["coarse_mesh"] = self.coarse.mesh
+            out["coarse_D"] = self.coarse.D
         out.update(_ledger(self.traces, self.k_solves, self.eigenfunction))
         return out
 
@@ -326,7 +358,7 @@ def _fixed_point(solver, pack, name, f0, g0):
     g /= mesh.norm_Ls(g, pack.beta)
     Kg = solver.solve_K(g)
     Q = mesh.inner(f, Kg)
-    trace = IterationTrace(name=name)
+    trace = IterationTrace(name=name, mesh=mesh.size)
     kappas = [None, None]
     Kpg = _shift(solver, pack, g, Kg, kappas, trace)
     history = deque(maxlen=ANDERSON_DEPTH + 1)
@@ -360,22 +392,20 @@ def _fixed_point(solver, pack, name, f0, g0):
     return trace
 
 
-def _init_menu(solver, restarts, seed, extra_inits):
-    """Initialization menu, the same on every mesh: "eigenfunction" (the
-    first nonconstant Neumann eigenfunction as both f and g), then
-    "noise-0", "noise-1", ... up to `restarts` entries (f and g each K of
-    its own draw of demeaned white noise, demeaned again), then "user-0",
-    "user-1", ... from extra_inits."""
+def _init_menu(solver, restarts, seed):
+    """The generated initialization menu, the same on every mesh:
+    "eigenfunction" (the first nonconstant Neumann eigenfunction as both
+    f and g), then "noise-0", "noise-1", ... up to `restarts` entries (f
+    and g each K of its own draw of demeaned white noise, demeaned
+    again)."""
     mesh = solver.mesh
     rng = np.random.default_rng(seed)
     phi = solver.first_eigenfunction()
     inits = [("eigenfunction", phi.copy(), phi.copy())]
-    for k in range(max(0, restarts - len(inits) - len(extra_inits))):
+    for k in range(max(0, restarts - len(inits))):
         f = solver.solve_K(_demeaned_noise(mesh, rng))
         g = solver.solve_K(_demeaned_noise(mesh, rng))
         inits.append((f"noise-{k}", f - mesh.mean(f), g - mesh.mean(g)))
-    for j, (f, g) in enumerate(extra_inits):
-        inits.append((f"user-{j}", np.asarray(f, float), np.asarray(g, float)))
     return inits
 
 
@@ -386,35 +416,60 @@ def _demeaned_noise(mesh, rng):
 
 def maximize_D(mesh, pack, restarts=8, seed=0, extra_inits=(), S=None):
     """Best dual quotient over the restart menu; returns a DualReport of
-    the first converged restart, in menu order, within TIE_RTOL of it.
+    the first converged restart on `mesh`, in menu order, within TIE_RTOL
+    of the best there.
 
-    extra_inits is a sequence of (f0, g0) pairs appended to the menu (used
-    e.g. to lift a radial optimum into an axisymmetric run). S, when given,
-    fills the compactness threshold 2^(2/N)/S for the report.
+    The menu is the generated one (_init_menu), its length `restarts`
+    less the extra_inits, then "user-0", "user-1", ... from extra_inits,
+    (f0, g0) pairs on `mesh` (used e.g. to lift a radial optimum into an
+    axisymmetric run). On an axisymmetric mesh the generated menu runs on
+    its coarse_twin (nested iteration: Brandt, Math. Comp. 31, 1977), and
+    one restart is refined on `mesh`: the one _pick reports there, else
+    the finite one of highest D, prolonged. The user entries run on
+    `mesh` as given. S, when given, fills the compactness threshold
+    2^(2/N)/S for the report.
     """
+    extra_inits = list(extra_inits)
     solver = NeumannSolver(mesh)
-    inits = _init_menu(solver, restarts, seed, list(extra_inits))
-    traces = [_fixed_point(solver, pack, *init) for init in inits]
-    converged = [trace for trace in traces if trace.converged]
-    if not converged:
+    menu = NeumannSolver(coarse_twin(mesh)) if mesh.is_axisym else solver
+    traces = [_fixed_point(menu, pack, *init) for init in _init_menu(
+        menu, restarts - len(extra_inits), seed)]
+    coarse = None
+    if menu is not solver:
+        coarse = _pick(traces) or max(
+            (trace for trace in traces if np.isfinite(trace.D)),
+            key=lambda trace: trace.D, default=traces[0])
+        traces.append(_fixed_point(
+            solver, pack, coarse.name, prolong(menu.mesh, mesh, coarse.f),
+            prolong(menu.mesh, mesh, coarse.g)))
+    traces += [_fixed_point(solver, pack, f"user-{j}", np.asarray(f, float),
+                            np.asarray(g, float))
+               for j, (f, g) in enumerate(extra_inits)]
+    best = _pick([trace for trace in traces if trace.mesh == mesh.size])
+    if best is None:
         raise ConvergenceError(
             f"no restart converged on {mesh.kind} for (p,q,N)=({pack.p},"
             f"{pack.q},{pack.N})",
-            _ledger(traces, solver.k_solves, solver.eigen_work))
-    Dmax = max(trace.D for trace in converged)
+            _ledger(traces, _k_solves(menu, solver), menu.eigen_work))
     report = DualReport(
         pack=pack,
         mesh_descr={"kind": mesh.kind, "N": mesh.N, "r0": mesh.r0,
                     "R": mesh.R, "nr": mesh.nr, "ntheta": mesh.ntheta},
-        best=next(trace for trace in converged
-                  if Dmax - trace.D <= TIE_RTOL * Dmax),
+        best=best,
         traces=traces,
         threshold=threshold_constant(pack, S) if S else np.nan,
-        eigenfunction=solver.eigen_work,
+        eigenfunction=menu.eigen_work,
+        coarse=coarse,
     )
     recover_solution(solver, report)
-    report.k_solves = solver.k_solves
+    report.k_solves = _k_solves(menu, solver)
     return report
+
+
+def _k_solves(*solvers):
+    """The K solves each solver has made, by the size of its mesh (one
+    entry when both are the same solver)."""
+    return {solver.mesh.size: solver.k_solves for solver in solvers}
 
 
 def recover_solution(solver, report):

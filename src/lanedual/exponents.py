@@ -8,6 +8,9 @@ from dataclasses import dataclass, field
 from math import isfinite
 
 HYPERBOLA_TOL = 1e-10
+# The largest dimension: from N = 342 on, Gamma(N/2 + 1) in the volume of
+# the unit ball, and so every sphere area, overflows a float.
+N_MAX = 341
 
 
 class OffHyperbolaError(ValueError):
@@ -76,11 +79,16 @@ def threshold_constant(pack, S):
 
 def require_valid(N, **exponents):
     """Raise ValueError naming the first bad input, before any division
-    by N - 2, p + 1 or q + 1: N not an integer >= 4, or an exponent that is
-    not finite (checked first: NaN fails every comparison) or not positive.
+    by N - 2, p + 1 or q + 1: N not an integer in [4, N_MAX], or an
+    exponent that is not finite (checked first: NaN fails every
+    comparison) or not positive.
     """
     if not (N >= 4 and N % 1 == 0):
         raise ValueError(f"dimension N = {N} must be an integer >= 4")
+    if N > N_MAX:
+        raise ValueError(f"dimension N = {N} is too large: Gamma(N/2 + 1) "
+                         f"overflows in the unit ball volume above N = "
+                         f"{N_MAX}")
     for name, value in exponents.items():
         if not isfinite(value):
             raise ValueError(f"exponent {name} = {value} is not finite")

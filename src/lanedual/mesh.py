@@ -18,6 +18,9 @@ The discretization is finite-volume with node-centered cells:
   rows second-order, and the PDE residual gate reads interior rows only;
   the theta-pole rows are regular because sin^{N-2}(theta) vanishes there.
 
+A coarse twin (every COARSEN-th node in r and theta) and a bilinear
+prolongation from it give the dual solve a coarse level.
+
 A is held as plain compressed-sparse-column arrays (CscMatrix), assembled
 from the tensor-product stencil with the entries that scipy.sparse's kron
 build gave and applied in scipy's CSC accumulation order, so A and A u
@@ -33,6 +36,12 @@ import numpy as np
 
 from .exponents import require_valid
 
+# The most nodes build() and build_equal_volume() accept: the direct
+# factorization of a larger mesh needs gigabytes, and a larger node array
+# alone can exhaust memory before any check runs.
+MAX_NODES = 1_000_000
+# A coarse twin keeps every COARSEN-th node in r and in theta
+COARSEN = 3
 # No radial ball: there the discrete dual quotient's only optimum is a
 # one-node spike on the centre node, whatever the resolution.
 KINDS = ("radial-annulus", "axisym-annulus", "axisym-ball")
@@ -41,13 +50,9 @@ SPACINGS = ("uniform", "boundary")
 
 
 def unit_ball_volume(N):
-    """pi^(N/2) / Gamma(N/2 + 1); a ValueError naming N where the Gamma
-    function overflows (N >= 342)."""
-    try:
-        return pi ** (N / 2.0) / _gamma(N / 2.0 + 1.0)
-    except OverflowError:
-        raise ValueError(f"dimension N = {N} is too large: Gamma(N/2 + 1) "
-                         "overflows in the unit ball volume") from None
+    """pi^(N/2) / Gamma(N/2 + 1), finite for the N that
+    exponents.require_valid accepts."""
+    return pi ** (N / 2.0) / _gamma(N / 2.0 + 1.0)
 
 
 def sphere_area(N):
@@ -149,6 +154,12 @@ class Mesh:
         return self.nr * self.ntheta
 
     @property
+    def size(self):
+        """The resolution as reports name it: "96x72" for nr = 96 and
+        ntheta = 72, "257x1" for a radial mesh of 257 nodes."""
+        return f"{self.nr}x{self.ntheta}"
+
+    @property
     def volume(self):
         return float(self.w.sum())
 
@@ -202,13 +213,17 @@ class Mesh:
         """A from the stencil: the entries of
         s (kron(Ar, diag(wt)) + kron(diag(wr3), At)), each computed as
         that expression computes it, node (i, j) at i * ntheta + j. With a
-        single polar cell At is zero, so its bands, which then share the
-        offsets of Ar's, hold no stored entry."""
+        single polar cell At is zero, and adding its zero bands would leave
+        every entry's bits as they are, so only Ar's are built."""
         N = self.N
         s = sphere_area(N - 1)
-        wr3 = _cell_integrals(self.faces_r, lambda x: x ** (N - 3.0))
         sub_r, main_r, sup_r = _stiffness_1d(
             self.r, self.faces_r[1:-1] ** (N - 1.0))
+        if self.ntheta == 1:
+            return CscMatrix.from_bands(
+                (-1, 0, 1), [s * np.outer(band, self.wt)
+                             for band in (sub_r, main_r, sup_r)])
+        wr3 = _cell_integrals(self.faces_r, lambda x: x ** (N - 3.0))
         sub_t, main_t, sup_t = _stiffness_1d(
             self.theta, np.sin(self.faces_theta[1:-1]) ** (N - 2.0))
         nt = self.ntheta
@@ -234,13 +249,22 @@ def _check_annulus(r0, R):
                          f"({r0}, {R})")
 
 
-def _check_scale(N, R):
-    """The cell volumes scale like R^N, which must not overflow."""
+def check_scale(N, R):
+    """R^N must be a float: cell volumes scale like it, and the sweeps'
+    boundary integrals like R^(N-1)."""
     try:
         float(R) ** N
     except OverflowError:
-        raise ValueError(f"cell volumes overflow: R = {R} is too large for "
-                         f"N = {N} (R^N exceeds the float range)") from None
+        raise ValueError(f"R = {R} is too large for N = {N}: R^N exceeds "
+                         "the float range") from None
+
+
+def _check_nodes(name, n):
+    """A mesh of n nodes, `name` of the builder's arguments, must not
+    exceed MAX_NODES."""
+    if n > MAX_NODES:
+        raise ValueError(f"{name} = {n} mesh nodes exceed the cap of "
+                         f"{MAX_NODES:,}")
 
 
 def _check_volumes(w, N, R):
@@ -260,7 +284,12 @@ def _radial_nodes(r0, R, nr, spacing):
         # cluster nodes toward r = R with power 2
         r = R - (R - r0) * (1.0 - np.linspace(0.0, 1.0, nr)) ** 2.0
         r[0], r[-1] = r0, R
-    return r, np.concatenate([[r0], 0.5 * (r[1:] + r[:-1]), [R]])
+    return r
+
+
+def _faces(x, lo, hi):
+    """Cell faces of the nodes x: the midpoints, and the ends lo and hi."""
+    return np.concatenate([[lo], 0.5 * (x[1:] + x[:-1]), [hi]])
 
 
 def _polar_cell(N):
@@ -275,7 +304,8 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
     """Build a mesh of the given kind.
 
     kind is one of radial-annulus, axisym-annulus, axisym-ball.
-    nr >= 64 radial nodes (ntheta >= 32 for axisym kinds); the ball has r0=0.
+    nr >= 64 radial nodes (ntheta >= 32 for axisym kinds), at most
+    MAX_NODES nodes in all; the ball has r0=0.
     theta_grading > 1 clusters angular nodes toward theta=0 (the north pole),
     radial_spacing="boundary" clusters radial nodes toward r=R.
     """
@@ -299,23 +329,65 @@ def build(kind, N, r0, R, nr, ntheta=None, theta_grading=1.0,
     if axisym and not (isfinite(theta_grading) and theta_grading > 0.0):
         raise ValueError(f"theta_grading = {theta_grading} must be finite "
                          "and positive")
-    _check_scale(N, R)
-
-    r, faces_r = _radial_nodes(r0, R, nr, radial_spacing)
-    wr = _cell_integrals(faces_r, lambda x: x ** (N - 1.0))
     if axisym:
-        if theta_grading == 1.0:
-            th = np.linspace(0.0, pi, ntheta)
-        else:
-            th = pi * np.linspace(0.0, 1.0, ntheta) ** theta_grading
-            th[-1] = pi
-        faces_t = np.concatenate([[0.0], 0.5 * (th[1:] + th[:-1]), [pi]])
-        wt = _cell_integrals(faces_t, lambda x: np.sin(x) ** (N - 2.0))
+        _check_nodes("nr * ntheta", nr * ntheta)
     else:
+        _check_nodes("nr", nr)
+    check_scale(N, R)
+
+    r = _radial_nodes(r0, R, nr, radial_spacing)
+    if not axisym:
+        return _tensor_mesh(kind, N, r0, R, r, None)
+    if theta_grading == 1.0:
+        th = np.linspace(0.0, pi, ntheta)
+    else:
+        th = pi * np.linspace(0.0, 1.0, ntheta) ** theta_grading
+        th[-1] = pi
+    return _tensor_mesh(kind, N, r0, R, r, th)
+
+
+def _tensor_mesh(kind, N, r0, R, r, th):
+    """The mesh on the radial nodes r and the polar nodes th (None: one
+    polar cell), its faces the midpoints and its weights the cell volumes,
+    which must be positive floats."""
+    faces_r = _faces(r, r0, R)
+    wr = _cell_integrals(faces_r, lambda x: x ** (N - 1.0))
+    if th is None:
         th, faces_t, wt = _polar_cell(N)
+    else:
+        faces_t = _faces(th, 0.0, pi)
+        wt = _cell_integrals(faces_t, lambda x: np.sin(x) ** (N - 2.0))
     w = sphere_area(N - 1) * np.kron(wr, wt)
     _check_volumes(w, N, R)
     return Mesh(kind, N, r0, R, r, faces_r, th, faces_t, wt, w)
+
+
+def coarse_twin(mesh):
+    """The axisymmetric mesh on every COARSEN-th node of `mesh` in r and in
+    theta, both ends kept, so that it keeps the mesh's grading and
+    spacing. It may have fewer nodes than build() accepts: it is never a
+    user's mesh, only the first level of a coarse-to-fine solve."""
+    def every(x):
+        return x[np.union1d(np.arange(0, len(x), COARSEN), [len(x) - 1])]
+    return _tensor_mesh(mesh.kind, mesh.N, mesh.r0, mesh.R, every(mesh.r),
+                        every(mesh.theta))
+
+
+def prolong(coarse, fine, values):
+    """A field on the nodes of `coarse`, the coarse_twin of `fine`, at the
+    nodes of `fine`: separable linear interpolation on the node
+    coordinates, first in r and then in theta, so exact on fields that
+    are bilinear in (r, theta)."""
+    V = _lerp(coarse.r, fine.r, coarse.reshape(values))
+    return np.ravel(_lerp(coarse.theta, fine.theta, V.T).T)
+
+
+def _lerp(xc, xf, V):
+    """The rows of V, values at the ascending nodes xc, linearly
+    interpolated to the points xf in [xc[0], xc[-1]]."""
+    j = np.searchsorted(xc, xf, side="right").clip(1, len(xc) - 1) - 1
+    t = ((xf - xc[j]) / (xc[j + 1] - xc[j]))[:, None]
+    return (1.0 - t) * V[j] + t * V[j + 1]
 
 
 def build_equal_volume(N, r0, R, n):
@@ -329,7 +401,8 @@ def build_equal_volume(N, r0, R, n):
     _check_annulus(r0, R)
     if n < 8:
         raise ValueError("need at least 8 cells")
-    _check_scale(N, R)
+    _check_nodes("n", n)
+    check_scale(N, R)
     vols = np.linspace(r0 ** N, R ** N, n + 1)
     faces = vols ** (1.0 / N)
     # volume centroid of each cell

@@ -8,6 +8,7 @@ import pytest
 
 from lanedual import cli, groundstate, symmetry
 from lanedual import dualsolve as ds
+from lanedual import mesh as msh
 from lanedual.neumann import NeumannSolver, NonZeroMeanError
 
 
@@ -192,6 +193,32 @@ def test_an_out_of_range_value_is_config_error_before_any_work(
 
 
 @pytest.mark.parametrize("argv, named", [
+    (["sweep", "--p", "2", "--N", "6", "--R", "1e300"],
+     "R = 1e+300 is too large for N = 6"),
+    (["bubble", "--p", "2", "--N", "6", "--R", "1e300"],
+     "R = 1e+300 is too large for N = 6"),
+    (["probe-cherrier", "--p", "2", "--N", "6", "--R", "1e300"],
+     "R = 1e+300 is too large for N = 6"),
+    (["solve", "--p", "2", "--N", "6", "--nr", "100000000000"],
+     "nr = 100000000000 mesh nodes exceed the cap"),
+    (["bubble", "--p", "2", "--N", "400"], "dimension N = 400 is too large"),
+])
+def test_an_oversized_value_is_config_error_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, named):
+    # each once exited 1 (an OverflowError, numpy's out-of-memory error)
+    # or 3 after a whole shoot
+    calls = []
+    for owner, name in ((groundstate, "shoot"), (ds, "maximize_D"),
+                        (msh, "_radial_nodes")):
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(a))
+    code, report, _ = run_cli(argv, tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
+    assert list(report["results"]) == ["error"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, named", [
     (["--mesh", "axisym-ball", "--R", "nan", "--ntheta", "32"], "R = nan"),
     (["--mesh", "axisym-ball", "--R", "inf", "--ntheta", "32"], "R = inf"),
     (["--R", "inf"], "R = inf"),
@@ -258,17 +285,22 @@ def test_solve_subcommand_energy_identity(tmp_path):
     assert code == cli.EXIT_OK
     res = report["results"]
     assert res["energy_rel_error"] <= 1e-6
-    assert res["restart_stop_reasons"] == ["converged"] * 3
+    # a radial mesh has one level, and the ledger names its size
+    assert res["restart_stop_reasons"] == {"128x1": ["converged"] * 3}
+    assert "coarse_mesh" not in res and "coarse_D" not in res
     # per restart: one K solve to start and two per sweep; the
     # eigenfunction, the noise and the recovery add the rest
     work = res["work"]
     per_restart = ("sweeps", "mixes", "extrapolations", "kappa_evals")
     assert set(work) == {"k_solves", "eigenfunction", *per_restart}
-    assert all(len(work[key]) == 3 for key in per_restart)
-    assert work["k_solves"] > sum(1 + 2 * n for n in work["sweeps"])
+    assert all(list(work[key]) == ["128x1"] and len(work[key]["128x1"]) == 3
+               for key in per_restart)
+    sweeps = work["sweeps"]["128x1"]
+    assert list(work["k_solves"]) == ["128x1"]
+    assert work["k_solves"]["128x1"] > sum(1 + 2 * n for n in sweeps)
     # at least one kappa root per half-step
     assert all(k >= 1 + 2 * n
-               for k, n in zip(work["kappa_evals"], work["sweeps"]))
+               for k, n in zip(work["kappa_evals"]["128x1"], sweeps))
     assert work["eigenfunction"]["stop_reason"] == "converged"
     assert work["eigenfunction"]["iterations"] >= 1
     names = [item["name"] for item in report["invariants"]]
@@ -283,7 +315,8 @@ def test_solve_near_lower_end_of_hyperbola(tmp_path):
          "--r0", "1", "--R", "2", "--nr", "257", "--restarts", "4",
          "--seed", "1"], tmp_path)
     assert code == cli.EXIT_OK
-    assert report["results"]["restart_stop_reasons"] == ["converged"] * 4
+    assert report["results"]["restart_stop_reasons"] == {
+        "257x1": ["converged"] * 4}
 
 
 def test_invalid_pack_is_config_error(tmp_path):
@@ -433,7 +466,7 @@ def test_determinism_byte_identical_reports(tmp_path):
             rep["config"].pop("outdir")  # the only run-specific config field
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2,
                                                               sort_keys=True)
-    assert rep1["results"]["work"]["k_solves"] > 0
+    assert rep1["results"]["work"]["k_solves"]["64x1"] > 0
 
 
 def test_report_embeds_config_and_build(tmp_path):
@@ -623,17 +656,17 @@ def test_failed_solve_reports_each_restart(tmp_path, monkeypatch):
     assert code == cli.EXIT_CONVERGENCE
     res = report["results"]
     assert res["error"].startswith("no restart converged on radial-annulus")
-    assert res["restart_stop_reasons"] == ["max_iter"] * 3
+    assert res["restart_stop_reasons"] == {"64x1": ["max_iter"] * 3}
     # the ledger of a successful solve, without recovery's two K solves
     work = res["work"]
     assert list(work) == ["k_solves", "sweeps", "mixes", "extrapolations",
                           "kappa_evals", "eigenfunction"]
-    assert work["sweeps"] == [3, 3, 3]
-    assert work["k_solves"] == (work["eigenfunction"]["iterations"] + 2 * 2
-                                + sum(1 + 2 * n for n in work["sweeps"]))
-    assert all(len(work[key]) == 3
+    assert work["sweeps"] == {"64x1": [3, 3, 3]}
+    assert work["k_solves"] == {"64x1": (
+        work["eigenfunction"]["iterations"] + 2 * 2 + 3 * (1 + 2 * 3))}
+    assert all(len(work[key]["64x1"]) == 3
                for key in ("mixes", "extrapolations", "kappa_evals"))
-    assert min(work["kappa_evals"]) > 0
+    assert min(work["kappa_evals"]["64x1"]) > 0
     assert work["eigenfunction"]["stop_reason"] == "converged"
 
 
@@ -646,6 +679,14 @@ def test_solve_axisym_ball_threshold(tmp_path):
     names = [item["name"] for item in report["invariants"]]
     assert "above compactness threshold" in names
     assert all(item["passed"] for item in report["invariants"])
+    # the menu ran on the 22x17 coarse twin, one restart on 64x48
+    res = report["results"]
+    sizes = ["22x17", "64x48"]
+    assert res["coarse_mesh"] == "22x17" and res["coarse_D"] > 0.0
+    for ledger in (res["restart_optima"], res["restart_stop_reasons"],
+                   res["work"]["k_solves"], res["work"]["sweeps"]):
+        assert list(ledger) == sizes
+    assert [len(res["work"]["sweeps"][size]) for size in sizes] == [2, 1]
 
 
 def test_solve_radial_reports_no_threshold(tmp_path):

@@ -145,6 +145,8 @@ def test_pack_takes_the_point_and_derives_the_rest():
     (3.0, 3.0, 2, "dimension N = 2 must be an integer >= 4"),
     (2.0, 2.0, 6.5, "dimension N = 6.5 must be an integer >= 4"),
     (2.0, 2.0, np.nan, "dimension N = nan must be an integer >= 4"),
+    (2.0, None, 342, "dimension N = 342 is too large: Gamma(N/2 + 1) "
+                     "overflows in the unit ball volume above N = 341"),
 ])
 def test_out_of_range_input_rejected_before_dividing(p, q, N, message):
     # p = -1, q = -1 and N = 2 would divide by zero on the hyperbola

@@ -1,4 +1,5 @@
 import math
+import re
 from math import pi
 
 import numpy as np
@@ -91,12 +92,34 @@ def test_both_builders_check_N_as_the_exponents_do(N):
             build()
 
 
-def test_unit_ball_volume_names_an_N_too_large_for_gamma():
+def test_builders_name_an_N_too_large_for_gamma():
+    # exponents.require_valid holds the bound; Gamma(N/2 + 1) overflows
+    # from N = 342
     assert msh.unit_ball_volume(341) == pi ** 170.5 / math.gamma(171.5)
-    with pytest.raises(ValueError, match="dimension N = 342 is too large"):
+    with pytest.raises(OverflowError):
         msh.unit_ball_volume(342)
-    with pytest.raises(ValueError, match="dimension N = 400 is too large"):
-        msh.build("radial-annulus", 400, 1.0, 2.0, 64)
+    for build in (lambda N: msh.build("radial-annulus", N, 1.0, 2.0, 64),
+                  lambda N: msh.build_equal_volume(N, 1.0, 2.0, 64)):
+        for N in (342, 400):
+            with pytest.raises(ValueError,
+                               match=f"dimension N = {N} is too large"):
+                build(N)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: msh.build("radial-annulus", 6, 1.0, 2.0, 10 ** 11),
+     "nr = 100000000000"),
+    (lambda: msh.build("axisym-ball", 6, 0.0, 1.0, 10 ** 6, 32),
+     "nr * ntheta = 32000000"),
+    (lambda: msh.build_equal_volume(6, 1.0, 2.0, 10 ** 11),
+     "n = 100000000000")], ids=["radial", "axisym", "equal-volume"])
+def test_builders_cap_the_node_count_before_allocating(build, named):
+    # numpy would ask for 745 GiB for the first one
+    with pytest.raises(ValueError, match=re.escape(
+            f"{named} mesh nodes exceed the cap of 1,000,000")):
+        build()
+    m = msh.build("axisym-ball", 6, 0.0, 1.0, 1000, 1000)  # at the cap
+    assert m.nnodes == msh.MAX_NODES
 
 
 def test_laplacian_of_constant_is_zero():
@@ -333,3 +356,65 @@ def test_stiffness_arrays_and_product_match_scipy_bit_for_bit(name):
     for v in (rng.standard_normal(m.nnodes), m.node_r() ** 2):
         assert (A @ v).tobytes() == (ref @ v).tobytes()
     assert np.array_equal(A.columns(), ref.tocoo().col)
+
+
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_radial_stiffness_skips_the_theta_work_and_keeps_its_bits(
+        monkeypatch, N):
+    # a single polar cell has no theta coupling: neither the r^(N-3) cell
+    # integrals nor the zero theta bands are computed, and A keeps the
+    # bits of the full two-term build
+    m = msh.build("radial-annulus", N, 1.0, 2.0, 257)
+    ref = _scipy_stiffness(m)
+    calls = []
+    monkeypatch.setattr(msh, "_cell_integrals",
+                        lambda *args: calls.append(args))
+    A = m.stiffness()
+    assert calls == []
+    for key in ("data", "indices", "indptr"):
+        assert getattr(A, key).tobytes() == getattr(ref, key).tobytes(), key
+
+
+# graded and radially clustered meshes: the coarse twin keeps both
+TWIN_MESHES = {
+    "ball": ("axisym-ball", 6, 0.0, 1.0, 96, 72),
+    "graded-clustered-ball": ("axisym-ball", 4, 0.0, 1.0, 100, 50, 2.0,
+                              "boundary"),
+    "clustered-annulus": ("axisym-annulus", 5, 1.0, 2.0, 64, 32, 1.0,
+                          "boundary"),
+    "graded-annulus": ("axisym-annulus", 6, 0.5, 3.0, 98, 40, 1.5),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIN_MESHES))
+def test_coarse_twin_keeps_every_third_node_and_the_volume(name):
+    m = msh.build(*TWIN_MESHES[name])
+    c = msh.coarse_twin(m)
+    for fine, coarse in ((m.r, c.r), (m.theta, c.theta)):
+        kept = sorted({*range(0, len(fine), msh.COARSEN), len(fine) - 1})
+        assert np.array_equal(coarse, fine[kept])
+    assert (c.kind, c.N, c.r0, c.R) == (m.kind, m.N, m.r0, m.R)
+    N = m.N
+    exact = msh.unit_ball_volume(N) * (m.R ** N - m.r0 ** N)
+    assert c.volume == pytest.approx(exact, rel=1e-12)
+    assert c.volume == pytest.approx(m.volume, rel=1e-13)
+    A = c.stiffness()  # constants in its kernel, as on every mesh
+    assert np.max(np.abs(A @ np.ones(c.nnodes))) <= 1e-12 * np.max(A.data)
+
+
+@pytest.mark.parametrize("name", list(TWIN_MESHES))
+def test_prolongation_is_exact_on_bilinear_fields(name):
+    m = msh.build(*TWIN_MESHES[name])
+    c = msh.coarse_twin(m)
+
+    def bilinear(mesh):
+        r, th = mesh.node_r(), mesh.node_theta()
+        return 1.5 - 2.0 * r + 0.7 * th + 3.0 * r * th
+
+    fine = msh.prolong(c, m, bilinear(c))
+    assert fine.shape == (m.nnodes,)
+    exact = bilinear(m)
+    assert np.max(np.abs(fine - exact)) <= 1e-14 * np.max(np.abs(exact))
+    # a coarse node's value is carried over as it is
+    at = np.isin(m.node_r(), c.r) & np.isin(m.node_theta(), c.theta)
+    assert np.array_equal(np.sort(fine[at]), np.sort(bilinear(c)))
